@@ -88,31 +88,18 @@ cycleAxisNs(double lo = 20.0, double hi = 80.0, double step = 4.0)
 }
 
 /**
- * Sweep a whole axis of configurations in one parallel batch:
- * element i of the result is the geometric-mean metrics of
- * make(axis[i]).  All (config, trace) pairs go through the pool at
- * once, so this is the bench-side porting target for loops that
- * called runGeoMean() per point.
+ * Sweep a two-axis grid of configurations in one parallel batch:
+ * result[i][j] is @p engine's answer for make(rows[i], cols[j]).
+ * The engine is runGeoMeanMany for full geometric-mean metrics, or
+ * runMissRatioMany for figures that report nothing but miss ratios
+ * (it picks the cheapest exact engine per point, with ratios
+ * bit-identical to runGeoMeanMany's).  All (config, trace) pairs go
+ * through the pool at once.
  */
-template <typename Axis, typename Make>
-inline std::vector<AggregateMetrics>
-sweepAxis(const std::vector<Axis> &axis,
-          const std::vector<Trace> &traces, Make &&make)
-{
-    std::vector<SystemConfig> configs;
-    configs.reserve(axis.size());
-    for (const Axis &a : axis)
-        configs.push_back(make(a));
-    return runGeoMeanMany(configs, traces);
-}
-
-/**
- * Two-axis form: result[i][j] is the metrics of make(rows[i],
- * cols[j]), computed as a single flattened parallel batch.
- */
-template <typename Row, typename Col, typename Make>
-inline std::vector<std::vector<AggregateMetrics>>
-sweepGrid(const std::vector<Row> &rows, const std::vector<Col> &cols,
+template <typename Engine, typename Row, typename Col, typename Make>
+inline auto
+sweepGrid(Engine &&engine, const std::vector<Row> &rows,
+          const std::vector<Col> &cols,
           const std::vector<Trace> &traces, Make &&make)
 {
     std::vector<SystemConfig> configs;
@@ -120,51 +107,8 @@ sweepGrid(const std::vector<Row> &rows, const std::vector<Col> &cols,
     for (const Row &r : rows)
         for (const Col &c : cols)
             configs.push_back(make(r, c));
-    std::vector<AggregateMetrics> flat =
-        runGeoMeanMany(configs, traces);
-    std::vector<std::vector<AggregateMetrics>> out(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        out[i].assign(
-            flat.begin() + static_cast<std::ptrdiff_t>(i * cols.size()),
-            flat.begin() +
-                static_cast<std::ptrdiff_t>((i + 1) * cols.size()));
-    return out;
-}
-
-/**
- * Miss-ratio-only counterpart of sweepAxis: for figures that report
- * nothing but miss ratios, runMissRatioMany picks the cheapest exact
- * engine per point (single-pass stack simulation where eligible,
- * the fused cycle-accurate batch otherwise).  Ratios are
- * bit-identical to sweepAxis's.
- */
-template <typename Axis, typename Make>
-inline std::vector<MissRatioMetrics>
-sweepAxisMissRatios(const std::vector<Axis> &axis,
-                    const std::vector<Trace> &traces, Make &&make)
-{
-    std::vector<SystemConfig> configs;
-    configs.reserve(axis.size());
-    for (const Axis &a : axis)
-        configs.push_back(make(a));
-    return runMissRatioMany(configs, traces);
-}
-
-/** Two-axis miss-ratio-only form, mirroring sweepGrid. */
-template <typename Row, typename Col, typename Make>
-inline std::vector<std::vector<MissRatioMetrics>>
-sweepGridMissRatios(const std::vector<Row> &rows,
-                    const std::vector<Col> &cols,
-                    const std::vector<Trace> &traces, Make &&make)
-{
-    std::vector<SystemConfig> configs;
-    configs.reserve(rows.size() * cols.size());
-    for (const Row &r : rows)
-        for (const Col &c : cols)
-            configs.push_back(make(r, c));
-    std::vector<MissRatioMetrics> flat =
-        runMissRatioMany(configs, traces);
-    std::vector<std::vector<MissRatioMetrics>> out(rows.size());
+    auto flat = engine(configs, traces);
+    std::vector<decltype(flat)> out(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i)
         out[i].assign(
             flat.begin() + static_cast<std::ptrdiff_t>(i * cols.size()),

@@ -45,7 +45,7 @@ main()
     TablePrinter table(headers);
     // One parallel batch over the (hit time, L2 size) grid.
     auto metrics = sweepGrid(
-        hit_cycles, l2_kb, traces,
+        runGeoMeanMany, hit_cycles, l2_kb, traces,
         [&](unsigned hit, std::uint64_t kb) {
             SystemConfig config = base;
             config.hasL2 = true;

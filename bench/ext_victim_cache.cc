@@ -29,7 +29,7 @@ main()
     const std::vector<unsigned> variants{0, 1, 2}; // DM, DM+VC, 2-way
     // One parallel batch over all (size, variant) machines.
     auto metrics = sweepGrid(
-        sizes, variants, traces,
+        runGeoMeanMany, sizes, variants, traces,
         [&](std::uint64_t words_each, unsigned variant) {
             SystemConfig config = base;
             config.setL1SizeWordsEach(words_each);

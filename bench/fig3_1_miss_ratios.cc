@@ -30,12 +30,14 @@ main()
     Series traffic_words{"write traffic (dirty words)", {}, {}};
 
     // One parallel batch over the whole size axis.
+    std::vector<SystemConfig> configs;
+    for (std::uint64_t words_each : sizes) {
+        SystemConfig config = base;
+        config.setL1SizeWordsEach(words_each);
+        configs.push_back(config);
+    }
     std::vector<AggregateMetrics> metrics =
-        sweepAxis(sizes, traces, [&](std::uint64_t words_each) {
-            SystemConfig config = base;
-            config.setL1SizeWordsEach(words_each);
-            return config;
-        });
+        runGeoMeanMany(configs, traces);
 
     TablePrinter table({"total L1", "read miss", "ifetch miss",
                         "load miss", "read traffic", "write traffic",

@@ -40,8 +40,8 @@ main()
     // grid goes through the miss-ratio engine: the direct-mapped
     // column rides the single-pass stack sweep, the set-associative
     // columns (random replacement) the fused batch.
-    auto metrics = sweepGridMissRatios(
-        sizes, assocs, traces,
+    auto metrics = sweepGrid(
+        runMissRatioMany, sizes, assocs, traces,
         [&](std::uint64_t words_each, unsigned a) {
             SystemConfig config = base;
             config.setL1SizeWordsEach(words_each);

@@ -31,7 +31,7 @@ main()
         TablePrinter table(headers);
         // One parallel batch per cycle time over (size, assoc).
         auto metrics = sweepGrid(
-            sizes, assocs, traces,
+            runGeoMeanMany, sizes, assocs, traces,
             [&](std::uint64_t words_each, unsigned a) {
                 SystemConfig config = base;
                 config.cycleNs = t;

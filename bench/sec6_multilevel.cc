@@ -57,7 +57,7 @@ main()
 
         // One parallel batch per hierarchy over (size, cycle time).
         auto metrics = sweepGrid(
-            sizes, cycles, traces,
+            runGeoMeanMany, sizes, cycles, traces,
             [&](std::uint64_t words_each, double t) {
                 SystemConfig config = l2 ? withL2(base) : base;
                 config.setL1SizeWordsEach(words_each);

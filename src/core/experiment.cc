@@ -4,7 +4,6 @@
 
 #include "core/sim_cache.hh"
 #include "core/sweep.hh"
-#include "sim/coherent.hh"
 #include "stats/telemetry.hh"
 #include "util/logging.hh"
 #include "util/mathutil.hh"
@@ -19,35 +18,6 @@ namespace
 constexpr double ratioFloor = 1e-9;
 
 using SimResultPtr = std::shared_ptr<const SimResult>;
-
-SimResultPtr
-simulateKeyed(const SystemConfig &config, const Trace &trace,
-              std::uint64_t trace_hash)
-{
-    SimCache &cache = SimCache::global();
-    if (!cache.enabled())
-        return std::make_shared<SimResult>(
-            simulateOne(config, trace));
-    SimKey key = simKey(config, trace_hash);
-    if (SimResultPtr hit = cache.find(key))
-        return hit;
-    auto result =
-        std::make_shared<const SimResult>(simulateOne(config, trace));
-    cache.insert(key, result);
-    return result;
-}
-
-/** Hash each trace once; reused for every config in the batch. */
-std::vector<std::uint64_t>
-traceHashes(const std::vector<Trace> &traces)
-{
-    std::vector<std::uint64_t> hashes(traces.size());
-    if (SimCache::global().enabled()) {
-        for (std::size_t i = 0; i < traces.size(); ++i)
-            hashes[i] = traceIdentityHash(traces[i]);
-    }
-    return hashes;
-}
 
 } // namespace
 
@@ -96,56 +66,20 @@ aggregateResults(const SystemConfig &config,
 SimResult
 simulateOne(const SystemConfig &config, const Trace &trace)
 {
-    if (config.coherent()) {
-        CoherentSystem system(config);
-        return system.run(trace);
-    }
-    System system(config);
-    return system.run(trace);
+    return makeSimulator(config)->run(trace);
 }
 
 SimResultPtr
 simulateOneCached(const SystemConfig &config, const Trace &trace)
 {
-    return simulateKeyed(config, trace, traceIdentityHash(trace));
-}
-
-SimResultPtr
-simulateSourceCached(const SystemConfig &config, RefSource &source)
-{
-    auto simulate = [&]() -> std::shared_ptr<const SimResult> {
-        if (config.coherent()) {
-            CoherentSystem system(config);
-            return std::make_shared<const SimResult>(
-                system.run(source));
-        }
-        System system(config);
-        return std::make_shared<const SimResult>(system.run(source));
-    };
-    SimCache &cache = SimCache::global();
-    if (!cache.enabled())
-        return simulate();
-    SimKey key = simKey(config, source.contentHash());
-    if (SimResultPtr hit = cache.find(key))
-        return hit;
-    SimResultPtr result = simulate();
-    cache.insert(key, result);
-    return result;
+    TraceRefSource source(trace);
+    return simulateSourceCachedMany({config}, source)[0];
 }
 
 AggregateMetrics
 runGeoMean(const SystemConfig &config, const std::vector<Trace> &traces)
 {
-    if (traces.empty())
-        fatal("runGeoMean: no traces supplied");
-
-    telemetry::PhaseTimer timer("simulate");
-    std::vector<std::uint64_t> hashes = traceHashes(traces);
-    auto results = parallelMap<SimResultPtr>(
-        traces.size(), [&](std::size_t i) {
-            return simulateKeyed(config, traces[i], hashes[i]);
-        });
-    return aggregateResults(config, results);
+    return runGeoMeanMany({config}, traces)[0];
 }
 
 std::vector<AggregateMetrics>
@@ -160,7 +94,10 @@ runGeoMeanMany(const std::vector<SystemConfig> &configs,
     telemetry::PhaseTimer timer("simulate");
     const std::size_t T = traces.size();
     const std::size_t C = configs.size();
-    traceHashes(traces); // memoize each trace's hash before fan-out
+    if (SimCache::global().enabled()) {
+        for (const Trace &trace : traces)
+            traceIdentityHash(trace); // memoize before the fan-out
+    }
 
     // Fused-batch width: replay each trace across up to maxBatch
     // configs per pass, but never let batching starve the thread

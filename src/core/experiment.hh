@@ -51,26 +51,17 @@ SimResult simulateOne(const SystemConfig &config, const Trace &trace);
 /**
  * Simulate one trace on one configuration through the global
  * SimCache: a sweep revisiting this (config, trace) pair returns
- * the memoized result instead of re-simulating.
+ * the memoized result instead of re-simulating.  A one-config
+ * simulateSourceCachedMany (core/sweep.hh) over the trace.
  */
 std::shared_ptr<const SimResult>
 simulateOneCached(const SystemConfig &config, const Trace &trace);
 
 /**
- * Streamed counterpart of simulateOneCached: keys the SimCache with
- * the source's content hash, which equals the materialized trace's
- * identity hash by construction, so streamed and eager runs of the
- * same stream share cache entries.  The hash is memoized inside the
- * source - one hashing replay however many configs revisit it.
- */
-std::shared_ptr<const SimResult>
-simulateSourceCached(const SystemConfig &config, RefSource &source);
-
-/**
  * Geometric-mean the per-result metrics (same flooring as
- * runGeoMean).  For callers that already hold results - e.g. from
- * streamed sources, which runGeoMean's Trace interface cannot
- * express without materializing.
+ * runGeoMeanMany).  For callers that already hold results - e.g.
+ * from streamed sources, which runGeoMeanMany's Trace interface
+ * cannot express without materializing.
  */
 AggregateMetrics
 aggregateResults(const SystemConfig &config,
@@ -78,22 +69,23 @@ aggregateResults(const SystemConfig &config,
                      &results);
 
 /**
- * Simulate every trace on @p config and geometric-mean the metrics.
- *
- * Ratios that are zero for some trace are floored at a tiny epsilon
- * before entering the geometric mean so one perfectly-cached trace
- * cannot annihilate the aggregate.
+ * Simulate every trace on @p config and geometric-mean the metrics:
+ * runGeoMeanMany for a one-config batch.
  */
 AggregateMetrics runGeoMean(const SystemConfig &config,
                             const std::vector<Trace> &traces);
 
 /**
- * Batch form: aggregate metrics for every configuration in
- * @p configs.  All (config, trace) pairs are flattened into one
- * parallel dispatch, so a sweep of N points parallelizes across
- * N x traces tasks rather than traces at a time.  Element i of the
- * result corresponds to configs[i]; output is independent of the
- * thread count.
+ * Aggregate metrics for every configuration in @p configs.  All
+ * (config, trace) pairs are flattened into one parallel dispatch,
+ * so a sweep of N points parallelizes across N x traces tasks
+ * rather than traces at a time.  Element i of the result
+ * corresponds to configs[i]; output is independent of the thread
+ * count.
+ *
+ * Ratios that are zero for some trace are floored at a tiny epsilon
+ * before entering the geometric mean so one perfectly-cached trace
+ * cannot annihilate the aggregate.
  */
 std::vector<AggregateMetrics>
 runGeoMeanMany(const std::vector<SystemConfig> &configs,

@@ -86,7 +86,8 @@ struct Layer
      * grid - skip the master lists: one fused (block, pid) tag per
      * set plus a validity bitmap, probed inline by the driver.  The
      * fusion (block << 16 | pid) is exact for block addresses below
-     * 2^48, mirroring the production cache's own fused-key layout.
+     * 2^48, mirroring the production cache's own fused-key layout;
+     * runStackSweep re-answers wider streams with simulateBatch.
      */
     std::vector<std::uint64_t> tags;
     std::vector<std::uint64_t> validBits;
@@ -368,6 +369,14 @@ struct PassCounts
     std::uint64_t load = 0;
     std::uint64_t store = 0;
     std::uint64_t groups = 0;
+    /** OR of every address seen, measured or not. */
+    Addr addrBits = 0;
+
+    /**
+     * @return true when some address reaches past the 48 bits the
+     * direct-mapped layers' fused (block << 16 | pid) tag holds.
+     */
+    bool wide() const { return (addrBits >> 48) != 0; }
 };
 
 /**
@@ -422,6 +431,7 @@ drivePass(RefSource &source, bool pair, Sink &&sink)
 
             const std::uint64_t measured = measuring ? 1 : 0;
             const Ref &first = buffer[head];
+            counts.addrBits |= first.addr;
             if (first.kind == RefKind::IFetch) {
                 sink(first, true, false, measured);
                 counts.ifetch += measured;
@@ -430,6 +440,7 @@ drivePass(RefSource &source, bool pair, Sink &&sink)
                 if (pair && head < n && isData(buffer[head].kind)) {
                     const Ref &data = buffer[head];
                     const bool write = data.kind == RefKind::Store;
+                    counts.addrBits |= data.addr;
                     sink(data, false, write, measured);
                     (write ? counts.store : counts.load) += measured;
                     ++head;
@@ -686,6 +697,8 @@ runStackSweep(const std::vector<SystemConfig> &configs,
                                       views.deepData, ref.addr,
                                       ref.pid, write, measured);
             });
+        if (counts.wide())
+            return simulateBatch(configs, source);
         fillCommon(out, configs, source.name(), split, counts);
         addMissCounters(out, split, iPlan, dPlan, layers);
         return out;
@@ -765,6 +778,8 @@ runStackSweep(const std::vector<SystemConfig> &configs,
                 flush();
         });
     flush();
+    if (counts.wide())
+        return simulateBatch(configs, source);
 
     fillCommon(out, configs, source.name(), split, counts);
     for (const Shard &shard : shards)

@@ -102,6 +102,11 @@ unsigned stackShardBits(const std::vector<SystemConfig> &configs);
  * measured reference counts) are exact - bit-identical to a full
  * run - and every timing field is zero.
  *
+ * The direct-mapped layers fuse (block, pid) into one 64-bit tag,
+ * which is exact only for word addresses below 2^48.  A stream
+ * reaching past that is answered by simulateBatch (core/sweep.hh)
+ * instead, returning full results after the wasted pass.
+ *
  * Preconditions: every config is stackEligible(), and all share
  * `split` and effective pair-issue (the two knobs that shape issue
  * groups and hence the measured windows).  Configs may differ

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "core/sim_cache.hh"
-#include "sim/coherent.hh"
 #include "stats/progress.hh"
 #include "stats/trace_event.hh"
 
@@ -53,31 +52,10 @@ simulateBatch(const std::vector<SystemConfig> &configs,
         "batch n=" + std::to_string(configs.size()) +
             " trace=" + source.name());
 
-    // The per-config machine state is a contiguous arena: one
-    // vector<System>, each machine's cache arrays allocated
-    // back-to-back at construction.  Coherent configs ride the same
-    // feeder through their own engine (their resumable interface is
-    // span-split-invariant like System's), kept in a side vector so
-    // the classic machines stay contiguous.
-    std::vector<System> systems;
-    std::vector<std::unique_ptr<CoherentSystem>> coherents;
-    struct Slot
-    {
-        bool coherent;
-        std::size_t index;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(configs.size());
-    for (const SystemConfig &config : configs) {
-        if (config.coherent()) {
-            slots.push_back({true, coherents.size()});
-            coherents.push_back(
-                std::make_unique<CoherentSystem>(config));
-        } else {
-            slots.push_back({false, systems.size()});
-            systems.emplace_back(config);
-        }
-    }
+    std::vector<std::unique_ptr<Simulator>> machines;
+    machines.reserve(configs.size());
+    for (const SystemConfig &config : configs)
+        machines.push_back(makeSimulator(config));
 
     // One decode, many replays: every span the feeder produces is
     // fed to each machine before the next span is pulled, so stream
@@ -87,26 +65,19 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     // only; resident streams are consumed zero-copy), producing the
     // same span sequence byte for byte.
     PipelinedFeeder feeder(source);
-    for (System &system : systems)
-        system.beginRun(source);
-    for (auto &coherent : coherents)
-        coherent->beginRun(source);
+    for (auto &machine : machines)
+        machine->beginRun(source);
     ProgressMeter *meter = progress::global();
     while (ChunkFeeder::Span span = feeder.next()) {
-        for (System &system : systems)
-            system.feedChunk(span.data, span.size);
-        for (auto &coherent : coherents)
-            coherent->feedChunk(span.data, span.size);
+        for (auto &machine : machines)
+            machine->feedChunk(span.data, span.size);
         if (meter)
             meter->bump(span.size * configs.size());
     }
 
     out.reserve(configs.size());
-    for (const Slot &slot : slots) {
-        out.push_back(slot.coherent
-                          ? coherents[slot.index]->endRun()
-                          : systems[slot.index].endRun());
-    }
+    for (auto &machine : machines)
+        out.push_back(machine->endRun());
     return out;
 }
 

@@ -4,15 +4,16 @@
  *
  * Grid sweeps historically cost O(configs x refs) because every grid
  * point re-consumed the whole reference stream.  This module is the
- * batched counterpart, built on System's resumable run interface
- * (beginRun / feedChunk / endRun): a ChunkFeeder decodes each span
- * of the stream once and replays it across a batch of machines whose
- * state lives in one contiguous arena, so trace I/O, decode and
- * synthetic-stream generation are paid once per span instead of once
- * per config.  Results are bit-identical to running each config
- * alone - a machine's evolution depends only on its own state and
- * the reference sequence, and tests/test_differential.cc holds the
- * batched path to exact agreement at 1 and 8 threads.
+ * batched counterpart, built on the Simulator interface's resumable
+ * run (beginRun / feedChunk / endRun, sim/simulator.hh): a
+ * ChunkFeeder decodes each span of the stream once and replays it
+ * across a batch of machines, each built by makeSimulator(), so
+ * trace I/O, decode and synthetic-stream generation are paid once
+ * per span instead of once per config.  Coherent and classic
+ * machines share a batch.  Results are bit-identical to running
+ * each config alone - a machine's evolution depends only on its own
+ * state and the reference sequence, and tests/test_differential.cc
+ * holds the batched path to exact agreement at 1 and 8 threads.
  *
  * The cycle-accurate lattice here is one of the sweep engine's two
  * cooperating paths; the other is the stack-simulation kernel
@@ -65,8 +66,10 @@ simulateBatch(const std::vector<SystemConfig> &configs,
               RefSource &source);
 
 /**
- * Batched counterpart of simulateSourceCached: probe the global
- * SimCache per (config, stream) first, fuse only the misses into
+ * simulateBatch through the global SimCache: probe it per (config,
+ * stream) first - keyed by the source's contentHash(), which equals
+ * the materialized trace's identity hash, so streamed and eager runs
+ * of one stream share entries - fuse only the misses into
  * memory-bounded sub-batches, and memoize each finished result, so a
  * partially-cached lattice re-simulates exactly its missing points.
  * Results are index-aligned with @p configs.

@@ -430,35 +430,6 @@ CoherentSystem::endRun()
     return result;
 }
 
-SimResult
-CoherentSystem::run(RefSource &source)
-{
-    source.reset();
-    beginRun(source);
-    std::vector<Ref> buffer;
-    while (true) {
-        const Ref *borrowed = nullptr;
-        if (std::size_t n = source.borrow(&borrowed)) {
-            feedChunk(borrowed, n);
-            continue;
-        }
-        if (buffer.empty())
-            buffer.resize(std::size_t{1} << 16);
-        std::size_t n = source.fill(buffer.data(), buffer.size());
-        if (n == 0)
-            break;
-        feedChunk(buffer.data(), n);
-    }
-    return endRun();
-}
-
-SimResult
-CoherentSystem::run(const Trace &trace)
-{
-    TraceRefSource source(trace);
-    return run(source);
-}
-
 void
 CoherentSystem::captureState(StateWriter &w) const
 {

@@ -46,62 +46,42 @@
 #include "memory/main_memory.hh"
 #include "memory/memory_timing.hh"
 #include "sim/core_map.hh"
-#include "sim/sim_result.hh"
-#include "sim/system_config.hh"
+#include "sim/simulator.hh"
 #include "stats/interval.hh"
-#include "trace/ref_source.hh"
-#include "trace/trace.hh"
 
 namespace cachetime
 {
 
-class StateReader;
-class StateWriter;
-
 /**
- * One coherent multi-core machine.  Same run shape as System:
- * run(Trace) / run(RefSource) one-shot, or the resumable
- * beginRun() / feedChunk() / endRun() triple, with the interval
- * collector and captureState()/restoreState() hanging off the
- * resumable form.  Sampled traces (warm segments) are not
+ * One coherent multi-core machine, behind the same Simulator
+ * interface as System.  Sampled traces (warm segments) are not
  * supported in coherent mode.
  */
-class CoherentSystem
+class CoherentSystem final : public Simulator
 {
   public:
     /** @param config validated; config.coherent() must hold. */
     explicit CoherentSystem(const SystemConfig &config);
-    ~CoherentSystem();
+    ~CoherentSystem() override;
 
-    SimResult run(const Trace &trace);
-    SimResult run(RefSource &source);
-
-    /** Arm the machine for @p source's stream. */
-    void beginRun(const RefSource &source);
-
-    /** Replay a span of the armed stream. */
-    void feedChunk(const Ref *refs, std::size_t n);
-
-    /** Close the armed run and take its result. */
-    SimResult endRun();
-
-    /** Attach @p collector (nullptr detaches) before beginRun(). */
-    void setIntervalCollector(IntervalCollector *collector);
+    void beginRun(const RefSource &source) override;
+    void feedChunk(const Ref *refs, std::size_t n) override;
+    SimResult endRun() override;
+    void setIntervalCollector(IntervalCollector *collector) override;
 
     /**
-     * Serialize everything the next reference's outcome can depend
-     * on: per-core clocks and L1 contents (MESI states included),
-     * the classifiers' shadow structures and pending-invalidation
-     * marks, the shared L2, the bus horizon and the run cursor.
-     * Statistics are not state: counters restart at zero on a
-     * restore, exactly like the classic engine.
+     * The warm state is everything the next reference's outcome can
+     * depend on: per-core clocks and L1 contents (MESI states
+     * included), the classifiers' shadow structures and
+     * pending-invalidation marks, the shared L2, the bus horizon and
+     * the run cursor.
      */
-    void captureState(StateWriter &w) const;
+    void captureState(StateWriter &w) const override;
 
-    /** Restore into a same-config machine; fatal() on mismatch. */
-    void restoreState(StateReader &r);
+    /** fatal() when the checkpoint's config shape differs. */
+    void restoreState(StateReader &r) override;
 
-    const SystemConfig &config() const { return config_; }
+    const SystemConfig &config() const override { return config_; }
 
   private:
     struct Core

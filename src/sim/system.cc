@@ -357,13 +357,6 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
     return done;
 }
 
-SimResult
-System::run(const Trace &trace)
-{
-    TraceRefSource source(trace);
-    return run(source);
-}
-
 void
 System::foldMeasured(Tick now)
 {
@@ -707,16 +700,6 @@ System::endRun()
         static_cast<unsigned long long>(result_.cycles),
         static_cast<unsigned long long>(result_.refs));
     return std::move(result_);
-}
-
-SimResult
-System::run(RefSource &source)
-{
-    ChunkFeeder feeder(source);
-    beginRun(source);
-    while (ChunkFeeder::Span span = feeder.next())
-        feedChunk(span.data, span.size);
-    return endRun();
 }
 
 namespace

@@ -29,100 +29,53 @@
 #include "memory/tlb.hh"
 #include "util/histogram.hh"
 #include "memory/write_buffer.hh"
-#include "sim/sim_result.hh"
-#include "sim/system_config.hh"
-#include "trace/trace.hh"
+#include "sim/simulator.hh"
 
 namespace cachetime
 {
 
-class IntervalCollector;
 struct IntervalCounters;
-class StateReader;
-class StateWriter;
 
-/** One simulated machine instance. */
-class System
+/**
+ * One simulated uniprocessor machine.  A System may run several
+ * streams; beginRun() resets state (cache contents, clock) between
+ * runs.  References inside the source's warm segments are issued
+ * (state and clock advance) but excluded from every measured
+ * counter.
+ */
+class System final : public Simulator
 {
   public:
     /** Build the machine; the configuration is validated here. */
     explicit System(const SystemConfig &config);
 
-    /**
-     * Run @p trace to completion and return measurements taken
-     * after its warm-start boundary.  A System may run several
-     * traces; state (cache contents, clock) is reset between runs.
-     * Adapts the trace and delegates to the streaming overload, so
-     * eager and streamed runs share one simulation loop.
-     */
-    SimResult run(const Trace &trace);
+    void beginRun(const RefSource &source) override;
+    void feedChunk(const Ref *refs, std::size_t n) override;
+    SimResult endRun() override;
 
     /**
-     * Run @p source to completion, pulling bounded chunks, so peak
-     * memory is independent of stream length.  References inside the
-     * source's warm segments are issued (state and clock advance)
-     * but excluded from every measured counter.  The source is
-     * reset() at the start of the run.
-     */
-    SimResult run(RefSource &source);
-
-    /**
-     * Resumable run interface, the building block of the batched
-     * sweep engine: beginRun() arms the machine for @p source's
-     * stream, feedChunk() replays a span of its references, and
-     * endRun() folds the final measured segment and yields the
-     * result.  run(RefSource&) is exactly beginRun + one feedChunk
-     * per ChunkFeeder span + endRun; feeding the same spans to many
-     * Systems interleaved produces results bit-identical to running
-     * each alone, because a machine's evolution depends only on its
-     * own state and the reference sequence.
-     *
-     * Chunks must partition the stream in order.  When couplet
-     * pairing is on, a chunk may not end on an IFetch unless it is
-     * the last chunk (ChunkFeeder's trim rule guarantees this).
-     */
-    void beginRun(const RefSource &source);
-
-    /** Replay @p n references continuing the armed run. */
-    void feedChunk(const Ref *refs, std::size_t n);
-
-    /** Finish the armed run and return its measurements. */
-    SimResult endRun();
-
-    /**
-     * Attach @p collector (nullptr to detach): every windowRefs()
-     * issued references the run snapshots its cumulative measured
-     * counters into the collector (stats/interval.hh).  Attaching a
+     * Every windowRefs() issued references the run snapshots its
+     * cumulative measured counters into the collector.  Attaching a
      * collector never changes a simulated counter - the engine only
      * splits chunks at window boundaries (already bit-identical by
      * the resumable-run design) and snapshots read-only; couplets
-     * straddling a boundary are kept whole.  Takes effect at the
-     * next beginRun().
+     * straddling a boundary are kept whole.
      */
-    void setIntervalCollector(IntervalCollector *collector)
+    void setIntervalCollector(IntervalCollector *collector) override
     {
         interval_ = collector;
     }
 
     /**
-     * Serialize the machine's complete warm state - simulated clock,
-     * L1 busy horizons, cache contents (tags, LRU, dirty bits,
-     * victim buffers, replacement streams), TLB, write-buffer
-     * queues, intermediate levels and memory bank horizons - into
-     * tagged sections (live-points checkpoints, DESIGN.md section
-     * 12).  Valid between feedChunk() calls of an armed run.
-     * Statistics are not captured: the measurement boundary resets
-     * them on restore anyway.
+     * The warm state is the simulated clock, L1 busy horizons, cache
+     * contents (tags, LRU, dirty bits, victim buffers, replacement
+     * streams), TLB, write-buffer queues, intermediate levels and
+     * memory bank horizons, in tagged sections.
      */
-    void captureState(StateWriter &w) const;
+    void captureState(StateWriter &w) const override;
 
-    /**
-     * Restore everything captureState() wrote.  Must be called
-     * after beginRun() and before the first feedChunk(); the config
-     * must equal the capturing machine's (exactStateKey() match).
-     * The continued run is bit-identical to the uninterrupted one.
-     */
-    void restoreState(StateReader &r);
+    /** The config must match the capturing machine's exactStateKey(). */
+    void restoreState(StateReader &r) override;
 
     /**
      * Restore only the timing-independent warm state: L1 cache(s)
@@ -136,8 +89,7 @@ class System
      */
     void restoreWarmState(StateReader &r);
 
-    /** @return the configuration this machine was built from. */
-    const SystemConfig &config() const { return config_; }
+    const SystemConfig &config() const override { return config_; }
 
   private:
     /**

@@ -1,7 +1,6 @@
 #include "trace/ref_source.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "util/parallel.hh"
@@ -186,30 +185,14 @@ ChunkFeeder::next()
     return {storage_.data(), count};
 }
 
-namespace
-{
-
-/** CACHETIME_PIPELINE=0 forces every PipelinedFeeder serial. */
-bool
-pipelineEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("CACHETIME_PIPELINE");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    return enabled;
-}
-
-} // namespace
-
 PipelinedFeeder::PipelinedFeeder(RefSource &source) : feeder_(source)
 {
     // No thread when there is nothing to overlap (resident stream),
     // nowhere to run it usefully (single-threaded process), or when
     // the caller is itself pool work (the pool is already saturated
     // and an extra thread would oversubscribe it).
-    if (feeder_.zeroCopy() || !pipelineEnabled() ||
-        parallelThreads() == 1 || parallelInWorker())
+    if (feeder_.zeroCopy() || parallelThreads() == 1 ||
+        parallelInWorker())
         return;
     ring_.resize(4);
     for (Slot &slot : ring_)

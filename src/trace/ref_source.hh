@@ -17,8 +17,8 @@
  *    the fixed-record binary trace format v2.
  *
  * A source is single-consumer and replayable: reset() rewinds to the
- * first reference, and System::run(RefSource&) resets before every
- * run.  The streamed and materialized paths are required to agree
+ * first reference, and Simulator::run(RefSource&) resets before
+ * every run.  The streamed and materialized paths are required to agree
  * bit for bit; tests/test_differential.cc enforces it.
  */
 
@@ -264,8 +264,7 @@ class ChunkFeeder
  * remainder is already resident (borrow()) is consumed zero-copy
  * through the inner feeder with no thread at all, as is any use
  * from inside a pool worker (the extra thread would oversubscribe
- * the pool) or a single-threaded run.  CACHETIME_PIPELINE=0
- * disables it process-wide.
+ * the pool) or a single-threaded run.
  *
  * Same contract as ChunkFeeder: single consumer, each span valid
  * until the following next() call.

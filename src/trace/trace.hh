@@ -11,8 +11,9 @@
  * Sampled traces additionally carry *warm segments*: index ranges
  * after the warm-start boundary whose references are issued (they
  * advance the clock and update cache state) but are excluded from
- * every measured counter.  trace/sampling.cc uses them to discard
- * each sampling window's warm-up, not just the first one's.
+ * every measured counter.  The SMARTS engine (core/smarts.hh) marks
+ * the gaps between its measurement units this way, so one pass
+ * counts exactly the sampled units.
  */
 
 #ifndef CACHETIME_TRACE_TRACE_HH

@@ -115,8 +115,15 @@ class ThreadPool
     startWorkers()
     {
         stop_ = false;
+        // New workers wait for the next dispatch.  Joining the last,
+        // already finished one would count them done twice in the
+        // next, so run() could return early or never.  No run() can
+        // move generation_ here: the caller holds submitMutex_ or is
+        // the constructor.
         for (unsigned i = 1; i < threads_; ++i)
-            workers_.emplace_back([this, i] { workerLoop(i); });
+            workers_.emplace_back([this, i, seen = generation_] {
+                workerLoop(i, seen);
+            });
     }
 
     void
@@ -132,15 +139,15 @@ class ThreadPool
         workers_.clear();
     }
 
+    /** @param seen the last generation dispatched before this worker. */
     void
-    workerLoop(unsigned index)
+    workerLoop(unsigned index, std::uint64_t seen)
     {
         isPoolWorker = true;
         // Name the worker's span track up front so a trace session
         // opened at any later point labels it correctly.
         trace_event::setThreadName("pool-worker-" +
                                    std::to_string(index));
-        std::uint64_t seen = 0;
         std::unique_lock<std::mutex> lock(mutex_);
         for (;;) {
             wake_.wait(lock, [this, seen] {

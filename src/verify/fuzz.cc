@@ -6,8 +6,7 @@
 #include <functional>
 #include <sstream>
 
-#include "sim/coherent.hh"
-#include "sim/system.hh"
+#include "sim/simulator.hh"
 #include "stats/progress.hh"
 #include "trace/trace_io.hh"
 #include "util/logging.hh"
@@ -617,13 +616,7 @@ CaseOutcome
 checkCase(const FuzzCase &fuzz_case)
 {
     CaseOutcome outcome;
-    if (fuzz_case.config.coherent()) {
-        CoherentSystem fast(fuzz_case.config);
-        outcome.fast = fast.run(fuzz_case.trace);
-    } else {
-        System fast(fuzz_case.config);
-        outcome.fast = fast.run(fuzz_case.trace);
-    }
+    outcome.fast = makeSimulator(fuzz_case.config)->run(fuzz_case.trace);
     outcome.oracle = oracleRun(fuzz_case.config, fuzz_case.trace);
     outcome.diffs = diffResults(outcome.fast, outcome.oracle);
     outcome.mismatch = !outcome.diffs.empty();

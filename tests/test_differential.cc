@@ -221,15 +221,9 @@ TEST(Differential, FusedBatchMatchesSerialRuns)
         ASSERT_EQ(batch.size(), configs.size());
         for (std::size_t c = 0; c < configs.size(); ++c) {
             // The fuzzer draws coherent machines too; the serial
-            // reference must dispatch the way the batch engine does.
-            SimResult expected;
-            if (configs[c].coherent()) {
-                CoherentSystem serial(configs[c]);
-                expected = serial.run(corpus[t].trace);
-            } else {
-                System serial(configs[c]);
-                expected = serial.run(corpus[t].trace);
-            }
+            // reference comes from the same factory as the batch's.
+            SimResult expected =
+                makeSimulator(configs[c])->run(corpus[t].trace);
             EXPECT_EQ(fingerprint(batch[c]), fingerprint(expected))
                 << "trace seed " << base_seed + t << " config seed "
                 << base_seed + c;
@@ -424,6 +418,59 @@ TEST(Differential, CoherentBitIdenticalAcrossThreadCounts)
     ASSERT_EQ(one.size(), eight.size());
     for (std::size_t i = 0; i < one.size(); ++i)
         EXPECT_EQ(one[i], eight[i]) << "seed " << base_seed + i;
+}
+
+/** The factory is the one place the engine is chosen. */
+TEST(Differential, FactoryPicksEngineByCoherence)
+{
+    std::size_t coherent = 0;
+    for (std::uint64_t seed = 42001; seed < 42041; ++seed) {
+        SystemConfig config = verify::generateCase(seed).config;
+        coherent += config.coherent();
+        std::unique_ptr<Simulator> machine = makeSimulator(config);
+        EXPECT_EQ(dynamic_cast<CoherentSystem *>(machine.get()) !=
+                      nullptr,
+                  config.coherent())
+            << "seed " << seed;
+        EXPECT_EQ(dynamic_cast<System *>(machine.get()) != nullptr,
+                  !config.coherent())
+            << "seed " << seed;
+    }
+    // The corpus exercises both engines.
+    EXPECT_GT(coherent, 0u);
+    EXPECT_LT(coherent, 40u);
+}
+
+/**
+ * The one run loop serves the coherent engine too: a non-borrowing
+ * source (a v2 file, delivered in trimmed fill() chunks) must give
+ * the same coherent result as the resident trace's single span.
+ */
+TEST(Differential, CoherentStreamedMatchesEager)
+{
+    for (std::uint64_t seed = 43001; seed < 43007; ++seed) {
+        verify::FuzzCase fuzz_case =
+            verify::generateCoherentCase(seed);
+        // Repeat the case's references so the stream spans several
+        // fill() chunks.
+        std::vector<Ref> refs;
+        while (refs.size() < 3 * refChunkSize)
+            refs.insert(refs.end(), fuzz_case.trace.refs().begin(),
+                        fuzz_case.trace.refs().end());
+        Trace trace(fuzz_case.trace.name(), std::move(refs),
+                    fuzz_case.trace.warmStart());
+        std::string path = ::testing::TempDir() + "/coherent_" +
+                           std::to_string(seed) + ".trace";
+        writeV2(trace, path);
+
+        SimResult eager = makeSimulator(fuzz_case.config)->run(trace);
+        V2FileSource source(path);
+        SimResult streamed =
+            makeSimulator(fuzz_case.config)->run(source);
+        EXPECT_EQ(fingerprint(streamed), fingerprint(eager))
+            << "seed " << seed;
+        std::remove(path.c_str());
+    }
 }
 
 /**

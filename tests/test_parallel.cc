@@ -74,6 +74,32 @@ TEST(Parallel, ParallelForVisitsEveryIndexOnce)
     }
 }
 
+/**
+ * Workers started by a resize must wait for the next dispatch: one
+ * that joined the already-finished last dispatch could count itself
+ * done twice in the next one, so parallelFor either returned while
+ * another worker was still running indices or hung.  Heavily
+ * oversubscribed pools widen the race window enough that a pool
+ * with the bug hangs in about a third of runs of this test.
+ */
+TEST(Parallel, ResizeThenDispatchWaitsForEveryIndex)
+{
+    ParallelGuard guard;
+    for (int round = 0; round < 300; ++round) {
+        setParallelThreads(round % 2 ? 64 : 48);
+        std::vector<std::atomic<int>> visits(32);
+        parallelFor(visits.size(), [&](std::size_t i) {
+            // Long enough that an early return finds work pending.
+            for (int spin = 0; spin < 2000; ++spin)
+                visits[i].fetch_add(0, std::memory_order_relaxed);
+            visits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (std::size_t i = 0; i < visits.size(); ++i)
+            ASSERT_EQ(visits[i].load(), 1)
+                << "round " << round << " index " << i;
+    }
+}
+
 TEST(Parallel, ParallelMapPreservesOrder)
 {
     ParallelGuard guard;

@@ -15,7 +15,6 @@
 #include "sim/system.hh"
 #include "trace/interleave.hh"
 #include "trace/ref_source.hh"
-#include "trace/sampling.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 #include "util/rng.hh"
@@ -265,13 +264,19 @@ TEST(RefSource, WarmSegmentsExcludedFromCounters)
 
 TEST(RefSource, SampledTraceAgreesWithOracle)
 {
-    Trace trace = generate(table1Workloads()[2], 0.01);
-    SamplingConfig sampling;
-    sampling.periodRefs = 4000;
-    sampling.windowRefs = 1000;
-    sampling.windowWarmupRefs = 200;
-    Trace sampled = sampleTime(trace, sampling);
-    ASSERT_GT(sampled.warmSegments().size(), 0u);
+    // A workload trace with a 200-ref warm segment opening every
+    // 1000-ref window after the first, the layout periodic sampling
+    // produces.
+    Trace workload = generate(table1Workloads()[2], 0.01);
+    const std::size_t warm = 1200;
+    ASSERT_GT(workload.size(), warm + 5000);
+    Trace sampled("sampled", workload.refs(), warm);
+    std::vector<WarmSegment> segments;
+    for (std::size_t at = warm + 800; at + 200 <= workload.size();
+         at += 1000)
+        segments.push_back({at, at + 200});
+    sampled.setWarmSegments(segments);
+    ASSERT_GT(sampled.warmSegments().size(), 4u);
 
     SystemConfig config = SystemConfig::paperDefault();
     System system(config);

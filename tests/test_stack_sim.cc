@@ -15,6 +15,7 @@
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
+#include "util/parallel.hh"
 #include "verify/fuzz.hh"
 
 namespace cachetime
@@ -233,6 +234,38 @@ TEST(StackSim, WarmSegmentsMatchBruteForce)
              {2 * third, 2 * third + trace.size() / 12 + 1}});
         sweepAndCompare(configs, warmed, seed);
     }
+}
+
+/**
+ * Word addresses past 2^48 overflow the direct-mapped layers' fused
+ * (block << 16 | pid) tag.  Two loads whose block addresses differ
+ * only in bit 60 share a set of a 1K-word direct-mapped cache, so
+ * alternating them misses every time; both the serial and the
+ * sharded kernel, and the miss-ratio front end, must say so.
+ */
+TEST(StackSim, WideAddressesDoNotAlias)
+{
+    SystemConfig config =
+        unifiedConfig(1024, 4, 1, AllocPolicy::NoWriteAllocate, true);
+    const Addr low = 0x40;
+    const Addr high = low | (Addr{1} << 62); // block bit 60
+    std::vector<Ref> refs;
+    for (int i = 0; i < 1000; ++i) {
+        refs.push_back({low, RefKind::Load, 0});
+        refs.push_back({high, RefKind::Load, 0});
+    }
+    Trace trace("wide", std::move(refs), 0);
+    ASSERT_EQ(simulateOne(config, trace).dcache.readMisses, 2000u);
+
+    for (unsigned threads : {1u, 4u}) {
+        setParallelThreads(threads);
+        sweepAndCompare({config}, trace, threads);
+        std::vector<MissRatioMetrics> ratios =
+            runMissRatioMany({config}, {trace});
+        EXPECT_EQ(ratios[0].loadMissRatio, 1.0)
+            << threads << " threads";
+    }
+    setParallelThreads(0);
 }
 
 /**

@@ -68,9 +68,8 @@
 #include "cache/coherence.hh"
 #include "core/experiment.hh"
 #include "core/smarts.hh"
-#include "sim/coherent.hh"
 #include "sim/core_map.hh"
-#include "sim/system.hh"
+#include "sim/simulator.hh"
 #include "stats/interval.hh"
 #include "stats/progress.hh"
 #include "stats/stats.hh"
@@ -164,11 +163,10 @@ printResult(const SimResult &r, bool csv, bool verbose)
  * Drive one run feeding bounded slices so @p meter sees per-chunk
  * updates.  Slices follow the same couplet rule as ChunkFeeder (a
  * cut never separates an IFetch from the data reference it pairs
- * with), so the run is bit-identical to System::run().
+ * with), so the run is bit-identical to Simulator::run().
  */
-template <typename SystemT>
 SimResult
-runWithProgress(SystemT &system, RefSource &source,
+runWithProgress(Simulator &system, RefSource &source,
                 ProgressMeter &meter)
 {
     meter.setLabel(source.name());
@@ -548,24 +546,12 @@ main(int argc, char **argv)
                 runSampled(source);
                 return;
             }
-            std::shared_ptr<const SimResult> r;
-            if (config.coherent()) {
-                CoherentSystem system(config);
-                if (interval_refs)
-                    system.setIntervalCollector(&collector);
-                r = std::make_shared<const SimResult>(
-                    meter.active()
-                        ? runWithProgress(system, source, meter)
-                        : system.run(source));
-            } else {
-                System system(config);
-                if (interval_refs)
-                    system.setIntervalCollector(&collector);
-                r = std::make_shared<const SimResult>(
-                    meter.active()
-                        ? runWithProgress(system, source, meter)
-                        : system.run(source));
-            }
+            std::unique_ptr<Simulator> system = makeSimulator(config);
+            if (interval_refs)
+                system->setIntervalCollector(&collector);
+            auto r = std::make_shared<const SimResult>(
+                meter.active() ? runWithProgress(*system, source, meter)
+                               : system->run(source));
             consume(*r);
             results.push_back(std::move(r));
         };
