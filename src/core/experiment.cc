@@ -2,12 +2,8 @@
 
 #include <algorithm>
 
-#include "core/sim_cache.hh"
 #include "core/sweep.hh"
-#include "stats/telemetry.hh"
-#include "util/logging.hh"
 #include "util/mathutil.hh"
-#include "util/parallel.hh"
 
 namespace cachetime
 {
@@ -80,70 +76,6 @@ AggregateMetrics
 runGeoMean(const SystemConfig &config, const std::vector<Trace> &traces)
 {
     return runGeoMeanMany({config}, traces)[0];
-}
-
-std::vector<AggregateMetrics>
-runGeoMeanMany(const std::vector<SystemConfig> &configs,
-               const std::vector<Trace> &traces)
-{
-    if (configs.empty())
-        return {};
-    if (traces.empty())
-        fatal("runGeoMeanMany: no traces supplied");
-
-    telemetry::PhaseTimer timer("simulate");
-    const std::size_t T = traces.size();
-    const std::size_t C = configs.size();
-    if (SimCache::global().enabled()) {
-        for (const Trace &trace : traces)
-            traceIdentityHash(trace); // memoize before the fan-out
-    }
-
-    // Fused-batch width: replay each trace across up to maxBatch
-    // configs per pass, but never let batching starve the thread
-    // pool - keep at least two tasks per worker, degrading to the
-    // old one-task-per-(config, trace) shape for small sweeps.
-    BatchOptions options;
-    const std::size_t threads = std::max(parallelThreads(), 1u);
-    const std::size_t width = std::min(
-        {options.maxBatch, std::max<std::size_t>(1, C * T / (2 * threads)),
-         C});
-    const std::size_t groups = (C + width - 1) / width;
-
-    auto batches = parallelMap<std::vector<SimResultPtr>>(
-        groups * T, [&](std::size_t task) {
-            std::size_t g = task / T;
-            std::size_t t = task % T;
-            std::size_t begin = g * width;
-            std::size_t end = std::min(C, begin + width);
-            std::vector<SystemConfig> part(
-                configs.begin() + static_cast<std::ptrdiff_t>(begin),
-                configs.begin() + static_cast<std::ptrdiff_t>(end));
-            TraceRefSource source(traces[t]);
-            return simulateSourceCachedMany(part, source, options);
-        });
-
-    // Scatter the batch slices back into (config-major, trace-minor)
-    // order; results are index-aligned, so output is independent of
-    // the thread count and the batch width.
-    std::vector<SimResultPtr> results(C * T);
-    for (std::size_t task = 0; task < batches.size(); ++task) {
-        std::size_t g = task / T;
-        std::size_t t = task % T;
-        std::size_t begin = g * width;
-        for (std::size_t k = 0; k < batches[task].size(); ++k)
-            results[(begin + k) * T + t] = std::move(batches[task][k]);
-    }
-
-    std::vector<AggregateMetrics> out;
-    out.reserve(C);
-    for (std::size_t c = 0; c < C; ++c) {
-        std::vector<SimResultPtr> slice(
-            results.begin() + static_cast<std::ptrdiff_t>(c * T),
-            results.begin() + static_cast<std::ptrdiff_t>((c + 1) * T));
-        out.push_back(aggregateResults(configs[c], slice));
-    }
-    return out;
 }
 
 } // namespace cachetime

@@ -5,11 +5,12 @@
  * the geometric mean ("Numerical results in this paper are the
  * geometric mean of warm start runs for all eight traces").
  *
- * Trace runs are independent, so every entry point dispatches its
- * (config, trace) pairs through the process-wide thread pool
- * (util/parallel.hh) and memoizes results in the global SimCache;
- * results land in slots indexed by (config, trace), so the
- * aggregated output is bit-identical at any thread count.
+ * Trace runs are independent, so the grid driver behind
+ * runGeoMeanMany (core/sweep.hh) dispatches its (config group, trace)
+ * tasks through the process-wide thread pool (util/parallel.hh) and
+ * memoizes results in the global SimCache; results land in slots
+ * indexed by (config, trace), so the aggregated output is
+ * bit-identical at any thread count.
  */
 
 #ifndef CACHETIME_CORE_EXPERIMENT_HH
@@ -23,15 +24,23 @@
 namespace cachetime
 {
 
-/** Geometric-mean metrics over a trace set for one configuration. */
-struct AggregateMetrics
+/** The four miss ratios of a grid point (Figures 3-1 and 4-1). */
+struct MissRatioMetrics
 {
-    double cyclesPerRef = 0.0;
-    double execNsPerRef = 0.0;
     double readMissRatio = 0.0;
     double ifetchMissRatio = 0.0;
     double loadMissRatio = 0.0;
     double writeMissRatio = 0.0;
+};
+
+/**
+ * Geometric-mean metrics over a trace set for one configuration: the
+ * four miss ratios plus execution time and memory traffic.
+ */
+struct AggregateMetrics : MissRatioMetrics
+{
+    double cyclesPerRef = 0.0;
+    double execNsPerRef = 0.0;
     double readTrafficRatio = 0.0;
     double writeTrafficBlockRatio = 0.0;
     double writeTrafficWordRatio = 0.0;
@@ -40,8 +49,8 @@ struct AggregateMetrics
 /**
  * Geometric mean with every value floored at the tiny epsilon used
  * by all aggregate ratios, so one perfectly-cached trace cannot
- * annihilate the product.  Exposed so alternate aggregation paths
- * (core/stack_sim.hh) produce bit-identical doubles.
+ * annihilate the product.  Exposed so callers that aggregate by hand
+ * produce doubles bit-identical to aggregateResults().
  */
 double geoMeanFloored(std::vector<double> values);
 
@@ -58,10 +67,11 @@ std::shared_ptr<const SimResult>
 simulateOneCached(const SystemConfig &config, const Trace &trace);
 
 /**
- * Geometric-mean the per-result metrics (same flooring as
- * runGeoMeanMany).  For callers that already hold results - e.g.
- * from streamed sources, which runGeoMeanMany's Trace interface
- * cannot express without materializing.
+ * Geometric-mean the per-result metrics, in the order given: the one
+ * aggregation behind runGeoMeanMany and runMissRatioMany.  Also for
+ * callers that already hold results - e.g. from streamed sources,
+ * which runGeoMeanMany's Trace interface cannot express without
+ * materializing.
  */
 AggregateMetrics
 aggregateResults(const SystemConfig &config,
@@ -76,12 +86,13 @@ AggregateMetrics runGeoMean(const SystemConfig &config,
                             const std::vector<Trace> &traces);
 
 /**
- * Aggregate metrics for every configuration in @p configs.  All
- * (config, trace) pairs are flattened into one parallel dispatch,
- * so a sweep of N points parallelizes across N x traces tasks
- * rather than traces at a time.  Element i of the result
- * corresponds to configs[i]; output is independent of the thread
- * count.
+ * Aggregate metrics for every configuration in @p configs: the grid
+ * driver (core/sweep.hh) over the fused timing lattice.  Configs are
+ * fused in groups per trace pass and every (group, trace) task goes
+ * into one parallel dispatch, so a sweep of N points parallelizes
+ * across the grid rather than traces at a time.  Element i of the
+ * result corresponds to configs[i]; output is independent of the
+ * thread count.  Defined in core/sweep.cc.
  *
  * Ratios that are zero for some trace are floored at a tiny epsilon
  * before entering the geometric mean so one perfectly-cached trace

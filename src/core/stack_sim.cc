@@ -1,13 +1,9 @@
 #include "core/stack_sim.hh"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <limits>
-#include <memory>
 
-#include "core/experiment.hh"
-#include "core/sim_cache.hh"
 #include "core/sweep.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -230,16 +226,6 @@ l1Eligible(const CacheConfig &config)
            (config.fetchWords == 0 ||
             config.fetchWords == config.blockWords) &&
            (config.replPolicy == ReplPolicy::LRU || config.assoc == 1);
-}
-
-/** Key for memoized counter-only results, disjoint from simKey's. */
-SimKey
-missRatioKey(const SystemConfig &config, std::uint64_t trace_hash)
-{
-    SimKey key = simKey(config, trace_hash);
-    key.lo = mix64(key.lo ^ 0x6d697373726b6579ULL); // "missrkey"
-    key.hi = mix64(key.hi ^ 0x737461636b73696dULL); // "stacksim"
-    return key;
 }
 
 /** One config's L1 role mapped onto a shared layer. */
@@ -784,160 +770,6 @@ runStackSweep(const std::vector<SystemConfig> &configs,
     fillCommon(out, configs, source.name(), split, counts);
     for (const Shard &shard : shards)
         addMissCounters(out, split, iPlan, dPlan, shard.layers);
-    return out;
-}
-
-std::vector<MissRatioMetrics>
-runMissRatioMany(const std::vector<SystemConfig> &configs,
-                 const std::vector<Trace> &traces)
-{
-    using SimResultPtr = std::shared_ptr<const SimResult>;
-    if (configs.empty())
-        return {};
-    if (traces.empty())
-        fatal("runMissRatioMany: no traces supplied");
-
-    const std::size_t C = configs.size();
-    const std::size_t T = traces.size();
-
-    // Mode selection: stack-eligible configs are grouped by issue
-    // shape (the knobs that define measurement windows); the rest
-    // fall back to the fused cycle-accurate lattice.
-    auto shapeOf = [](const SystemConfig &config) {
-        return !config.split ? 0
-               : (config.cpu.pairIssue ? 2 : 1);
-    };
-    std::array<std::vector<std::size_t>, 3> shapes;
-    std::vector<std::size_t> fused;
-    for (std::size_t c = 0; c < C; ++c) {
-        if (stackEligible(configs[c]))
-            shapes[static_cast<std::size_t>(shapeOf(configs[c]))]
-                .push_back(c);
-        else
-            fused.push_back(c);
-    }
-
-    // One task per (trace, stack group) plus fused sub-batches; the
-    // flattening parallelizes sweeps across traces.  With a single
-    // stack task the outer parallelFor degrades to a plain call on
-    // this thread *without* marking it pool work, so the sharded
-    // kernel inside still gets the whole pool - one big pass uses
-    // intra-pass parallelism, many passes parallelize across tasks.
-    struct SweepTask
-    {
-        std::size_t trace = 0;
-        bool stack = false;
-        std::vector<std::size_t> members;
-    };
-    BatchOptions options;
-    std::vector<SweepTask> tasks;
-    for (std::size_t t = 0; t < T; ++t) {
-        for (const std::vector<std::size_t> &group : shapes) {
-            if (!group.empty())
-                tasks.push_back({t, true, group});
-        }
-        for (std::size_t at = 0; at < fused.size();
-             at += options.maxBatch) {
-            std::size_t end =
-                std::min(fused.size(), at + options.maxBatch);
-            tasks.push_back(
-                {t, false,
-                 std::vector<std::size_t>(fused.begin() +
-                                              static_cast<std::ptrdiff_t>(at),
-                                          fused.begin() +
-                                              static_cast<std::ptrdiff_t>(end))});
-        }
-    }
-
-    if (SimCache::global().enabled()) {
-        for (const Trace &trace : traces)
-            traceIdentityHash(trace); // memoize before the fan-out
-    }
-
-    auto outputs = parallelMap<std::vector<SimResultPtr>>(
-        tasks.size(), [&](std::size_t index) {
-            const SweepTask &task = tasks[index];
-            const Trace &trace = traces[task.trace];
-            TraceRefSource source(trace);
-
-            std::vector<SystemConfig> part;
-            part.reserve(task.members.size());
-            for (std::size_t idx : task.members)
-                part.push_back(configs[idx]);
-
-            if (!task.stack)
-                return simulateSourceCachedMany(part, source, options);
-
-            // Stack path with memoization: full timing results
-            // satisfy a counters-only query, partial results live
-            // under their own key; only genuinely missing points
-            // join the single-pass sweep.
-            SimCache &cache = SimCache::global();
-            std::vector<SimResultPtr> out(part.size());
-            std::vector<std::size_t> missing;
-            std::uint64_t hash = 0;
-            if (cache.enabled()) {
-                hash = traceIdentityHash(trace);
-                for (std::size_t j = 0; j < part.size(); ++j) {
-                    if (SimResultPtr hit =
-                            cache.find(simKey(part[j], hash)))
-                        out[j] = hit;
-                    else if (SimResultPtr partial = cache.find(
-                                 missRatioKey(part[j], hash)))
-                        out[j] = partial;
-                    else
-                        missing.push_back(j);
-                }
-            } else {
-                missing.resize(part.size());
-                for (std::size_t j = 0; j < part.size(); ++j)
-                    missing[j] = j;
-            }
-            if (!missing.empty()) {
-                std::vector<SystemConfig> todo;
-                todo.reserve(missing.size());
-                for (std::size_t j : missing)
-                    todo.push_back(part[j]);
-                std::vector<SimResult> swept =
-                    runStackSweep(todo, source);
-                for (std::size_t k = 0; k < swept.size(); ++k) {
-                    auto result = std::make_shared<const SimResult>(
-                        std::move(swept[k]));
-                    if (cache.enabled())
-                        cache.insert(missRatioKey(todo[k], hash),
-                                     result);
-                    out[missing[k]] = std::move(result);
-                }
-            }
-            return out;
-        });
-
-    std::vector<SimResultPtr> results(C * T);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        for (std::size_t j = 0; j < tasks[i].members.size(); ++j)
-            results[tasks[i].members[j] * T + tasks[i].trace] =
-                std::move(outputs[i][j]);
-    }
-
-    // Aggregate with exactly runGeoMeanMany's math (same accessors,
-    // same trace order, same flooring), so the doubles match the
-    // cycle-accurate path bit for bit.
-    std::vector<MissRatioMetrics> out(C);
-    for (std::size_t c = 0; c < C; ++c) {
-        std::vector<double> rmiss, imiss, lmiss, wmiss;
-        rmiss.reserve(T);
-        for (std::size_t t = 0; t < T; ++t) {
-            const SimResultPtr &r = results[c * T + t];
-            rmiss.push_back(r->readMissRatio());
-            imiss.push_back(r->ifetchMissRatio());
-            lmiss.push_back(r->loadMissRatio());
-            wmiss.push_back(r->dcache.writeMissRatio());
-        }
-        out[c].readMissRatio = geoMeanFloored(std::move(rmiss));
-        out[c].ifetchMissRatio = geoMeanFloored(std::move(imiss));
-        out[c].loadMissRatio = geoMeanFloored(std::move(lmiss));
-        out[c].writeMissRatio = geoMeanFloored(std::move(wmiss));
-    }
     return out;
 }
 

@@ -49,11 +49,11 @@
  * nothing propagates back up into L1 contents, so miss counts do
  * not depend on the L2 or memory configuration.
  *
- * runMissRatioMany() is the mode-selecting front end for
- * miss-ratio-only queries (fig3/fig4-style grids): stack-eligible
- * configs ride one pass per (group, trace), the rest fall back to
- * the fused timing lattice (core/sweep.hh), and both produce
- * ratios bit-identical to runGeoMeanMany's.
+ * runMissRatioMany() answers miss-ratio-only queries (fig3/fig4-style
+ * grids) through the grid driver (core/sweep.hh), the one place that
+ * picks an engine per point: stack-eligible configs ride one pass per
+ * (issue shape, trace), the rest the fused timing lattice, and both
+ * produce ratios bit-identical to runGeoMeanMany's.
  *
  * A single pass is itself parallel when the process has threads to
  * spare: set-indexed simulation is embarrassingly parallel across
@@ -73,6 +73,7 @@
 
 #include <vector>
 
+#include "core/experiment.hh"
 #include "sim/system.hh"
 
 namespace cachetime
@@ -118,26 +119,19 @@ std::vector<SimResult>
 runStackSweep(const std::vector<SystemConfig> &configs,
               RefSource &source);
 
-/** The four miss ratios of a fig3/fig4-style grid point. */
-struct MissRatioMetrics
-{
-    double readMissRatio = 0.0;
-    double ifetchMissRatio = 0.0;
-    double loadMissRatio = 0.0;
-    double writeMissRatio = 0.0;
-};
-
 /**
  * Miss-ratio-only counterpart of runGeoMeanMany(): aggregate the
  * four miss ratios for every config over the geometric mean of
- * @p traces, choosing the cheapest exact engine per config -
- * stack-eligible configs are grouped into single-pass stack sweeps,
- * the rest run through the fused cycle-accurate batch.  Results are
- * bit-identical (as doubles) to the corresponding runGeoMeanMany
- * fields.  Finished stack counters are memoized in the global
- * SimCache under a miss-ratio-specific key (full timing results
- * also satisfy miss-ratio queries, but never vice versa), so a
- * partially-swept lattice re-simulates only its missing points.
+ * @p traces through the same grid driver (core/sweep.hh), which
+ * picks the cheapest exact engine per config - stack-eligible
+ * configs are grouped into single-pass stack sweeps, the rest run
+ * through the fused cycle-accurate batch.  Results are the
+ * MissRatioMetrics part of the aggregates runGeoMeanMany returns,
+ * bit-identical as doubles.  Finished stack counters are memoized in
+ * the global SimCache under a miss-ratio-specific key (full timing
+ * results also satisfy miss-ratio queries, but never vice versa),
+ * so a partially-swept lattice re-simulates only its missing points.
+ * Defined in core/sweep.cc.
  */
 std::vector<MissRatioMetrics>
 runMissRatioMany(const std::vector<SystemConfig> &configs,

@@ -1,16 +1,25 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
+#include <array>
 #include <string>
 
+#include "core/experiment.hh"
 #include "core/sim_cache.hh"
+#include "core/stack_sim.hh"
 #include "stats/progress.hh"
+#include "stats/telemetry.hh"
 #include "stats/trace_event.hh"
+#include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace cachetime
 {
 
 namespace
 {
+
+using SimResultPtr = std::shared_ptr<const SimResult>;
 
 /** Per-line cost of the SoA cache arrays (keys + flags + cold Line). */
 constexpr std::size_t bytesPerLine = 80;
@@ -22,6 +31,223 @@ cacheFootprintBytes(const CacheConfig &config)
         config.blockWords ? config.sizeWords / config.blockWords : 0;
     return lines * bytesPerLine + config.victimEntries * bytesPerLine +
            4096; // allocator slack and the object itself
+}
+
+/** Key for memoized counter-only results, disjoint from simKey's. */
+SimKey
+missRatioKey(const SystemConfig &config, std::uint64_t trace_hash)
+{
+    SimKey key = simKey(config, trace_hash);
+    key.lo = mix64(key.lo ^ 0x6d697373726b6579ULL); // "missrkey"
+    key.hi = mix64(key.hi ^ 0x737461636b73696dULL); // "stacksim"
+    return key;
+}
+
+/**
+ * The one SimCache probe, shared by every engine.  Each config is
+ * looked up under its full key first - a full timing result answers
+ * any query - and, for a @p counters_only engine, under missRatioKey
+ * next.  The misses go to @p engine in one call, and its results are
+ * memoized under the key of their kind, so a counter-only result
+ * never answers a timing lookup.  Results are index-aligned with
+ * @p configs.
+ */
+template <typename Engine>
+std::vector<SimResultPtr>
+cachedRun(const std::vector<SystemConfig> &configs, RefSource &source,
+          bool counters_only, Engine &&engine)
+{
+    SimCache &cache = SimCache::global();
+    const bool memo = cache.enabled();
+    const std::uint64_t hash = memo ? source.contentHash() : 0;
+
+    std::vector<SimResultPtr> out(configs.size());
+    std::vector<std::size_t> missing;
+    std::vector<SystemConfig> todo;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        if (memo) {
+            SimResultPtr hit = cache.find(simKey(configs[i], hash));
+            if (!hit && counters_only)
+                hit = cache.find(missRatioKey(configs[i], hash));
+            if (hit) {
+                out[i] = std::move(hit);
+                continue;
+            }
+        }
+        missing.push_back(i);
+        todo.push_back(configs[i]);
+    }
+    if (todo.empty())
+        return out;
+
+    std::vector<SimResult> results = engine(todo);
+    for (std::size_t k = 0; k < results.size(); ++k) {
+        auto result =
+            std::make_shared<const SimResult>(std::move(results[k]));
+        if (memo)
+            cache.insert(counters_only ? missRatioKey(todo[k], hash)
+                                       : simKey(todo[k], hash),
+                         result);
+        out[missing[k]] = std::move(result);
+    }
+    return out;
+}
+
+/**
+ * simulateBatch over consecutive sub-batches of at most
+ * BatchOptions::maxBatch configs whose summed footprint fits
+ * BatchOptions::memoryBudgetBytes (one config always fits).
+ */
+std::vector<SimResult>
+simulateBounded(const std::vector<SystemConfig> &configs,
+                RefSource &source)
+{
+    std::vector<SimResult> out;
+    out.reserve(configs.size());
+    std::size_t at = 0;
+    while (at < configs.size()) {
+        std::size_t end = at;
+        std::size_t bytes = 0;
+        while (end < configs.size() &&
+               end - at < BatchOptions::maxBatch) {
+            std::size_t foot = configFootprintBytes(configs[end]);
+            if (end > at &&
+                bytes + foot > BatchOptions::memoryBudgetBytes)
+                break;
+            bytes += foot;
+            ++end;
+        }
+
+        trace_event::Span span(
+            trace_event::Cat::Sweep,
+            "sub-batch [" + std::to_string(at) + "," +
+                std::to_string(end) + ") of " +
+                std::to_string(configs.size()) + " missing");
+        std::vector<SystemConfig> batch(
+            configs.begin() + static_cast<std::ptrdiff_t>(at),
+            configs.begin() + static_cast<std::ptrdiff_t>(end));
+        for (SimResult &result : simulateBatch(batch, source))
+            out.push_back(std::move(result));
+        at = end;
+    }
+    return out;
+}
+
+/** One unit of a grid query's task plan, run once per trace. */
+struct GridGroup
+{
+    bool stack = false; ///< stack kernel, else the fused lattice
+    std::vector<std::size_t> members; ///< indices into the configs
+};
+
+/**
+ * The task plan.  In a miss-ratio query every stack-eligible point
+ * joins the one stack pass of its issue shape (split and pair issue,
+ * the knobs that define measurement windows).  Every other point
+ * rides the fused lattice in groups of `width`: up to maxBatch
+ * configs per trace pass, but never so wide that batching starves
+ * the pool - at least two tasks per worker, degrading to one config
+ * per task for small sweeps.
+ */
+std::vector<GridGroup>
+planGrid(const std::vector<SystemConfig> &configs, std::size_t traces,
+         bool miss_ratios_only)
+{
+    std::array<std::vector<std::size_t>, 3> shapes;
+    std::vector<std::size_t> fused;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const SystemConfig &config = configs[c];
+        if (miss_ratios_only && stackEligible(config))
+            shapes[!config.split ? 0 : config.cpu.pairIssue ? 2 : 1]
+                .push_back(c);
+        else
+            fused.push_back(c);
+    }
+
+    std::vector<GridGroup> groups;
+    for (std::vector<std::size_t> &shape : shapes) {
+        if (!shape.empty())
+            groups.push_back({true, std::move(shape)});
+    }
+    const std::size_t F = fused.size();
+    const std::size_t threads = std::max(parallelThreads(), 1u);
+    const std::size_t width = std::min(
+        {BatchOptions::maxBatch,
+         std::max<std::size_t>(1, F * traces / (2 * threads)), F});
+    for (std::size_t at = 0; at < F; at += width) {
+        groups.push_back(
+            {false, std::vector<std::size_t>(
+                        fused.begin() + static_cast<std::ptrdiff_t>(at),
+                        fused.begin() + static_cast<std::ptrdiff_t>(
+                                            std::min(F, at + width)))});
+    }
+    return groups;
+}
+
+/**
+ * The grid driver behind runGeoMeanMany and runMissRatioMany: one
+ * task per (group, trace) on the pool, each answered through
+ * cachedRun by its group's engine, then every config aggregated over
+ * the traces in trace order.  Results land in (config, trace) slots,
+ * so the output is independent of the thread count and the batch
+ * width.  In a miss-ratio query the stack points' results carry
+ * counters only, so only the MissRatioMetrics part of their
+ * aggregates is meaningful.
+ */
+std::vector<AggregateMetrics>
+runGrid(const std::vector<SystemConfig> &configs,
+        const std::vector<Trace> &traces, bool miss_ratios_only)
+{
+    if (configs.empty())
+        return {};
+    if (traces.empty())
+        fatal("%s: no traces supplied",
+              miss_ratios_only ? "runMissRatioMany" : "runGeoMeanMany");
+
+    telemetry::PhaseTimer timer("simulate");
+    const std::size_t C = configs.size();
+    const std::size_t T = traces.size();
+    const std::vector<GridGroup> groups =
+        planGrid(configs, T, miss_ratios_only);
+    if (SimCache::global().enabled()) {
+        for (const Trace &trace : traces)
+            traceIdentityHash(trace); // memoize before the fan-out
+    }
+
+    // A lone task runs on this thread without being marked pool
+    // work, so a single stack pass still shards across the pool.
+    auto outputs = parallelMap<std::vector<SimResultPtr>>(
+        groups.size() * T, [&](std::size_t task) {
+            const GridGroup &group = groups[task / T];
+            std::vector<SystemConfig> part;
+            part.reserve(group.members.size());
+            for (std::size_t c : group.members)
+                part.push_back(configs[c]);
+            TraceRefSource source(traces[task % T]);
+            return cachedRun(
+                part, source, group.stack,
+                [&](const std::vector<SystemConfig> &todo) {
+                    return group.stack ? runStackSweep(todo, source)
+                                       : simulateBounded(todo, source);
+                });
+        });
+
+    std::vector<SimResultPtr> results(C * T);
+    for (std::size_t task = 0; task < outputs.size(); ++task) {
+        const GridGroup &group = groups[task / T];
+        for (std::size_t k = 0; k < group.members.size(); ++k)
+            results[group.members[k] * T + task % T] =
+                std::move(outputs[task][k]);
+    }
+    std::vector<AggregateMetrics> out;
+    out.reserve(C);
+    for (std::size_t c = 0; c < C; ++c) {
+        std::vector<SimResultPtr> slice(
+            results.begin() + static_cast<std::ptrdiff_t>(c * T),
+            results.begin() + static_cast<std::ptrdiff_t>((c + 1) * T));
+        out.push_back(aggregateResults(configs[c], slice));
+    }
+    return out;
 }
 
 } // namespace
@@ -81,66 +307,29 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     return out;
 }
 
-std::vector<std::shared_ptr<const SimResult>>
+std::vector<SimResultPtr>
 simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
-                         RefSource &source,
-                         const BatchOptions &options)
+                         RefSource &source, const BatchOptions &)
 {
-    using SimResultPtr = std::shared_ptr<const SimResult>;
-    std::vector<SimResultPtr> out(configs.size());
+    return cachedRun(configs, source, false,
+                     [&](const std::vector<SystemConfig> &todo) {
+                         return simulateBounded(todo, source);
+                     });
+}
 
-    SimCache &cache = SimCache::global();
-    std::uint64_t hash = 0;
-    std::vector<std::size_t> missing;
-    missing.reserve(configs.size());
-    if (cache.enabled()) {
-        hash = source.contentHash();
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            if (SimResultPtr hit = cache.find(simKey(configs[i], hash)))
-                out[i] = hit;
-            else
-                missing.push_back(i);
-        }
-    } else {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            missing.push_back(i);
-    }
+std::vector<AggregateMetrics>
+runGeoMeanMany(const std::vector<SystemConfig> &configs,
+               const std::vector<Trace> &traces)
+{
+    return runGrid(configs, traces, false);
+}
 
-    const std::size_t max_batch = options.maxBatch ? options.maxBatch : 1;
-    std::size_t at = 0;
-    while (at < missing.size()) {
-        std::vector<SystemConfig> batch;
-        std::size_t bytes = 0;
-        std::size_t end = at;
-        while (end < missing.size() && batch.size() < max_batch) {
-            std::size_t foot = configFootprintBytes(configs[missing[end]]);
-            if (!batch.empty() && bytes + foot > options.memoryBudgetBytes)
-                break;
-            bytes += foot;
-            batch.push_back(configs[missing[end]]);
-            ++end;
-        }
-
-        std::vector<SimResult> results;
-        {
-            trace_event::Span span(
-                trace_event::Cat::Sweep,
-                "sub-batch [" + std::to_string(at) + "," +
-                    std::to_string(end) + ") of " +
-                    std::to_string(missing.size()) + " missing");
-            results = simulateBatch(batch, source);
-        }
-        for (std::size_t k = 0; k < results.size(); ++k) {
-            std::size_t i = missing[at + k];
-            auto result = std::make_shared<const SimResult>(
-                std::move(results[k]));
-            if (cache.enabled())
-                cache.insert(simKey(configs[i], hash), result);
-            out[i] = std::move(result);
-        }
-        at = end;
-    }
-    return out;
+std::vector<MissRatioMetrics>
+runMissRatioMany(const std::vector<SystemConfig> &configs,
+                 const std::vector<Trace> &traces)
+{
+    std::vector<AggregateMetrics> grid = runGrid(configs, traces, true);
+    return std::vector<MissRatioMetrics>(grid.begin(), grid.end());
 }
 
 } // namespace cachetime

@@ -1,6 +1,7 @@
 /**
  * @file
- * The config-batched sweep engine: one trace pass, many caches.
+ * The sweep engine: one trace pass, many caches, and the one grid
+ * driver every design-grid query runs through.
  *
  * Grid sweeps historically cost O(configs x refs) because every grid
  * point re-consumed the whole reference stream.  This module is the
@@ -15,13 +16,15 @@
  * state and the reference sequence, and tests/test_differential.cc
  * holds the batched path to exact agreement at 1 and 8 threads.
  *
- * The cycle-accurate lattice here is one of the sweep engine's two
- * cooperating paths; the other is the stack-simulation kernel
- * (core/stack_sim.hh), which answers miss-ratio-only queries for
- * whole power-of-two size/assoc grids in a single pass.  The
- * mode-selecting entry points that choose between them live in
- * core/experiment.hh (runGeoMeanMany) and core/stack_sim.hh
- * (runMissRatioMany).
+ * The grid driver (sweep.cc) answers both of the paper's grid
+ * queries: runGeoMeanMany (core/experiment.hh) for execution time and
+ * runMissRatioMany (core/stack_sim.hh) for miss ratios are thin
+ * wrappers over it.  It is the one place that picks the engine for a
+ * grid point - the single-pass stack kernel (core/stack_sim.hh) for
+ * stack-eligible points of a miss-ratio query, this fused timing
+ * lattice for everything else - and it probes the SimCache, runs one
+ * task per (config group, trace) on the pool, and aggregates every
+ * config with aggregateResults, all inside one "simulate" phase.
  */
 
 #ifndef CACHETIME_CORE_SWEEP_HH
@@ -35,7 +38,7 @@
 namespace cachetime
 {
 
-/** Tuning knobs for the fused batch driver. */
+/** The fused batch driver's limits; constants, tuned once. */
 struct BatchOptions
 {
     /**
@@ -43,7 +46,7 @@ struct BatchOptions
      * decode further but dilute per-machine cache locality; eight is
      * past the knee for every stream family benchmarked.
      */
-    std::size_t maxBatch = 8;
+    static constexpr std::size_t maxBatch = 8;
 
     /**
      * Cap on the summed state-arena footprint of one sub-batch, so a
@@ -51,7 +54,8 @@ struct BatchOptions
      * memory (a 2MB-word cache costs ~40MB of simulator state).  A
      * sub-batch always admits at least one config.
      */
-    std::size_t memoryBudgetBytes = std::size_t{256} << 20;
+    static constexpr std::size_t memoryBudgetBytes = std::size_t{256}
+                                                     << 20;
 };
 
 /**
@@ -70,9 +74,11 @@ simulateBatch(const std::vector<SystemConfig> &configs,
  * stream) first - keyed by the source's contentHash(), which equals
  * the materialized trace's identity hash, so streamed and eager runs
  * of one stream share entries - fuse only the misses into
- * memory-bounded sub-batches, and memoize each finished result, so a
- * partially-cached lattice re-simulates exactly its missing points.
- * Results are index-aligned with @p configs.
+ * memory-bounded sub-batches of at most BatchOptions::maxBatch, and
+ * memoize each finished result, so a partially-cached lattice
+ * re-simulates exactly its missing points.  Results are
+ * index-aligned with @p configs.  The limits are BatchOptions'
+ * constants; the parameter only names them.
  */
 std::vector<std::shared_ptr<const SimResult>>
 simulateSourceCachedMany(const std::vector<SystemConfig> &configs,

@@ -18,9 +18,10 @@
  * Thread-safe: concurrent bump()/update() serialize on a mutex
  * whose hold time is one clock read on the throttled path.
  *
- * Deep engines (the sweep batch driver) report through the global
- * registration hook instead of threading a pointer through every
- * layer: tools call progress::setGlobal(&meter) around the work.
+ * Deep engines (the sweep batch driver, the verify fuzz campaigns)
+ * report through the global registration hook instead of threading
+ * a pointer through every layer: tools call
+ * progress::setGlobal(&meter) around the work.
  */
 
 #ifndef CACHETIME_STATS_PROGRESS_HH

@@ -205,6 +205,11 @@ enableManifestAtExit(const std::string &tool)
     exitPath = path;
     if (!exitRegistered) {
         exitRegistered = true;
+        // Build every function-local singleton the manifest samples
+        // first: one constructed after std::atexit is destroyed
+        // before the hook runs.
+        SimCache::global();
+        poolStats();
         std::atexit(writeExitManifest);
     }
 }

@@ -44,6 +44,7 @@ std::vector<Event> events;
 std::vector<ThreadMeta> threadMetas;
 std::string sessionPath;
 std::uint64_t sessionEpoch = 0; ///< bumped by beginSession
+std::uint32_t openerTid = 0;    ///< the thread named "main"
 
 std::atomic<std::uint32_t> nextTid{0};
 
@@ -86,7 +87,7 @@ announceLocked(Cat cat)
         return;
     threadState.announced |= bit;
     std::string name = threadState.name.empty()
-                           ? (threadState.tid == 0
+                           ? (threadState.tid == openerTid
                                   ? std::string("main")
                                   : "thread-" +
                                         std::to_string(threadState.tid))
@@ -141,7 +142,7 @@ beginSession(const std::string &path)
     threadMetas.clear();
     sessionPath = path;
     ++sessionEpoch;
-    myTid(); // the opening thread is tid of record for "main"
+    openerTid = myTid();
     detail::sessionOpen.store(true, std::memory_order_relaxed);
     return true;
 }
@@ -202,6 +203,8 @@ void
 emitComplete(Cat cat, const std::string &name, std::uint64_t ts_us,
              std::uint64_t dur_us)
 {
+    if (!enabled())
+        return;
     std::uint32_t tid = myTid();
     std::lock_guard<std::mutex> lock(mutex);
     if (!detail::sessionOpen.load(std::memory_order_relaxed))
@@ -213,6 +216,8 @@ emitComplete(Cat cat, const std::string &name, std::uint64_t ts_us,
 void
 emitInstant(Cat cat, const char *name)
 {
+    if (!enabled())
+        return;
     std::uint64_t ts = nowMicros();
     std::uint32_t tid = myTid();
     std::lock_guard<std::mutex> lock(mutex);

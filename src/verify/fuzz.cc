@@ -712,15 +712,16 @@ FuzzReport
 runFuzz(const FuzzOptions &options)
 {
     FuzzReport report;
-    if (options.progress)
-        options.progress->setTotal(options.cases, "cases");
+    ProgressMeter *meter = progress::global();
+    if (meter)
+        meter->setTotal(options.cases, "cases");
     for (std::uint64_t i = 0; i < options.cases; ++i) {
         std::uint64_t seed = options.seed + i;
         FuzzCase fuzz_case = generateCase(seed);
         CaseOutcome outcome = checkCase(fuzz_case);
         ++report.casesRun;
-        if (options.progress)
-            options.progress->update(report.casesRun);
+        if (meter)
+            meter->update(report.casesRun);
         if (options.progressEvery != 0 &&
             report.casesRun % options.progressEvery == 0) {
             std::fprintf(stderr, "fuzz: %llu/%llu cases ok\n",
@@ -746,8 +747,8 @@ runFuzz(const FuzzOptions &options)
                        formatDiffs(shrunk_outcome.diffs));
         break; // one shrunk failure beats a count of raw ones
     }
-    if (options.progress)
-        options.progress->finish();
+    if (meter)
+        meter->finish();
     return report;
 }
 

@@ -29,9 +29,6 @@
 
 namespace cachetime
 {
-
-class ProgressMeter;
-
 namespace verify
 {
 
@@ -95,8 +92,6 @@ struct FuzzOptions
     bool minimize = true;        ///< shrink before writing the repro
     /** Print a progress line every this many cases (0 = quiet). */
     std::uint64_t progressEvery = 0;
-    /** NDJSON progress sink, one update per case (optional). */
-    ProgressMeter *progress = nullptr;
 };
 
 /** Campaign result; `mismatches == 0` means the property held. */
@@ -112,7 +107,8 @@ struct FuzzReport
 /**
  * Run @p options.cases consecutive seeds; on the first mismatch,
  * minimize, dump a repro and stop (one shrunk failure is worth more
- * than a count of unshrunk ones).
+ * than a count of unshrunk ones).  Reports one update per case to
+ * the registered progress::global() meter, if any.
  */
 FuzzReport runFuzz(const FuzzOptions &options);
 

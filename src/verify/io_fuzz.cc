@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/checkpoint.hh"
+#include "stats/progress.hh"
 #include "trace/ref_source.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
@@ -219,6 +220,9 @@ IoFuzzReport
 runIoFuzz(const IoFuzzOptions &options)
 {
     IoFuzzReport report;
+    ProgressMeter *meter = progress::global();
+    if (meter)
+        meter->setTotal(options.cases, "cases");
     for (std::uint64_t i = 0; i < options.cases; ++i) {
         std::uint64_t seed = options.seed + i;
         Rng rng(seed * 0x2545f4914f6cdd1dULL + 0x1005);
@@ -232,19 +236,18 @@ runIoFuzz(const IoFuzzOptions &options)
 
         ChildResult result = loadInChild(path);
         ++report.casesRun;
-        switch (result) {
-        case ChildResult::Accepted:
-            ++report.accepted;
-            break;
-        case ChildResult::Rejected:
-            ++report.rejected;
-            break;
-        case ChildResult::Failed:
+        if (meter)
+            meter->update(report.casesRun);
+        if (result == ChildResult::Failed) {
             ++report.failures;
             report.firstBadSeed = seed;
             report.reproPath = path;
-            return report; // keep the file as the repro
+            break; // keep the file as the repro
         }
+        if (result == ChildResult::Accepted)
+            ++report.accepted;
+        else
+            ++report.rejected;
         std::remove(path.c_str());
 
         if (options.progressEvery &&
@@ -257,6 +260,8 @@ runIoFuzz(const IoFuzzOptions &options)
                    static_cast<unsigned long long>(report.rejected));
         }
     }
+    if (meter)
+        meter->finish();
     return report;
 }
 

@@ -49,7 +49,8 @@ struct IoFuzzReport
 /**
  * Run @p options.cases consecutive seeds.  Stops at the first
  * failure, keeping the input file; intermediate files from clean
- * cases are deleted.
+ * cases are deleted.  Reports one update per case to the registered
+ * progress::global() meter, if any.
  */
 IoFuzzReport runIoFuzz(const IoFuzzOptions &options);
 

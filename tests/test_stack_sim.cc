@@ -15,6 +15,7 @@
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
+#include "stats/telemetry.hh"
 #include "util/parallel.hh"
 #include "verify/fuzz.hh"
 
@@ -269,11 +270,11 @@ TEST(StackSim, WideAddressesDoNotAlias)
 }
 
 /**
- * The mode-selecting front end: a grid mixing stack-eligible points
- * with fused-lattice fallbacks (random-replacement set-associative)
- * must aggregate to exactly runGeoMeanMany's doubles.
+ * A grid mixing stack-eligible points of two issue shapes with
+ * fused-lattice fallbacks (random-replacement set-associative).
  */
-TEST(StackSim, MissRatioManyMatchesGeoMeanMany)
+std::vector<SystemConfig>
+mixedGrid()
 {
     std::vector<SystemConfig> configs;
     SystemConfig base = SystemConfig::paperDefault();
@@ -290,19 +291,26 @@ TEST(StackSim, MissRatioManyMatchesGeoMeanMany)
         unified.split = false;
         configs.push_back(unified); // eligible, second shape
     }
+    return configs;
+}
 
+/** The fuzzer's traces for @p count consecutive seeds. */
+std::vector<Trace>
+fuzzTraces(std::uint64_t first_seed, std::size_t count)
+{
     std::vector<Trace> traces;
-    for (std::uint64_t seed = 94001; seed < 94005; ++seed)
+    for (std::uint64_t seed = first_seed; seed < first_seed + count;
+         ++seed)
         traces.push_back(verify::generateCase(seed).trace);
+    return traces;
+}
 
-    bool cache_was_enabled = SimCache::global().enabled();
-    SimCache::global().setEnabled(false);
-    std::vector<MissRatioMetrics> fast =
-        runMissRatioMany(configs, traces);
-    std::vector<AggregateMetrics> reference =
-        runGeoMeanMany(configs, traces);
-    SimCache::global().setEnabled(cache_was_enabled);
-
+/** The four miss ratios of @p fast equal @p reference's, exactly. */
+void
+expectSameMissRatios(const std::vector<MissRatioMetrics> &fast,
+                     const std::vector<AggregateMetrics> &reference,
+                     const std::vector<SystemConfig> &configs)
+{
     ASSERT_EQ(fast.size(), reference.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         EXPECT_EQ(fast[c].readMissRatio, reference[c].readMissRatio)
@@ -316,6 +324,70 @@ TEST(StackSim, MissRatioManyMatchesGeoMeanMany)
                   reference[c].writeMissRatio)
             << configs[c].describe();
     }
+}
+
+/**
+ * The mode-selecting front end: a grid mixing stack-eligible points
+ * with fused-lattice fallbacks must aggregate to exactly
+ * runGeoMeanMany's doubles.
+ */
+TEST(StackSim, MissRatioManyMatchesGeoMeanMany)
+{
+    std::vector<SystemConfig> configs = mixedGrid();
+    std::vector<Trace> traces = fuzzTraces(94001, 4);
+
+    bool cache_was_enabled = SimCache::global().enabled();
+    SimCache::global().setEnabled(false);
+    std::vector<MissRatioMetrics> fast =
+        runMissRatioMany(configs, traces);
+    std::vector<AggregateMetrics> reference =
+        runGeoMeanMany(configs, traces);
+    SimCache::global().setEnabled(cache_was_enabled);
+
+    expectSameMissRatios(fast, reference, configs);
+}
+
+/**
+ * Full timing results answer a later miss-ratio query over the same
+ * grid, stack points and fused points alike: one SimCache hit per
+ * (config, trace), no new miss, and exactly the timing query's
+ * ratios.
+ */
+TEST(StackSim, FullResultsAnswerMissRatioQueries)
+{
+    std::vector<SystemConfig> configs = mixedGrid();
+    std::vector<Trace> traces = fuzzTraces(96001, 3);
+
+    SimCache &cache = SimCache::global();
+    bool cache_was_enabled = cache.enabled();
+    cache.setEnabled(true);
+    cache.clear();
+
+    std::vector<AggregateMetrics> timed =
+        runGeoMeanMany(configs, traces);
+    const std::uint64_t hits = cache.hits();
+    const std::uint64_t misses = cache.misses();
+    std::vector<MissRatioMetrics> ratios =
+        runMissRatioMany(configs, traces);
+    EXPECT_EQ(cache.hits() - hits, configs.size() * traces.size());
+    EXPECT_EQ(cache.misses(), misses);
+    expectSameMissRatios(ratios, timed, configs);
+
+    cache.clear();
+    cache.setEnabled(cache_was_enabled);
+}
+
+/** A miss-ratio query is timed in the manifest's "simulate" phase. */
+TEST(StackSim, MissRatioQueryRecordsSimulatePhase)
+{
+    telemetry::resetPhases();
+    runMissRatioMany({SystemConfig::paperDefault()}, fuzzTraces(97001, 1));
+    std::uint64_t count = 0;
+    for (const telemetry::PhaseRecord &phase : telemetry::phases()) {
+        if (phase.name == "simulate")
+            count = phase.count;
+    }
+    EXPECT_EQ(count, 1u);
 }
 
 /**

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
+#include "core/sim_cache.hh"
 #include "json_check.hh"
 #include "sim/system.hh"
 #include "stats/stats.hh"
@@ -351,6 +354,40 @@ TEST(StatsTelemetry, ManifestParsesEndToEnd)
         doc.path("trace_stats.system.missPenaltyCycles.p95");
     ASSERT_NE(p95, nullptr);
     EXPECT_TRUE(p95->isNumber());
+}
+
+/**
+ * The at-exit manifest is written after main returns, so everything
+ * it samples must still be alive then - even in a process that first
+ * touches the SimCache after arming the hook, as every bench does.
+ * The fresh process a threadsafe death test re-executes is exactly
+ * that process.
+ */
+TEST(StatsTelemetryDeathTest, AtExitManifestSeesLiveSimCache)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::string path = testing::TempDir() + "exit_manifest.json";
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            setenv("CACHETIME_MANIFEST", path.c_str(), 1);
+            telemetry::enableManifestAtExit("exit-test");
+            SimCache::global().setEnabled(true);
+            SimCache::global().insert(
+                SimKey{1, 2}, std::make_shared<const SimResult>());
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    json_check::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(json_check::parseJson(ss.str(), &doc, &error)) << error;
+    ASSERT_NE(doc.path("sim_cache.entries"), nullptr);
+    EXPECT_EQ(doc.path("sim_cache.entries")->number, 1.0);
 }
 
 TEST(StatsTelemetry, PoolCountersAdvance)

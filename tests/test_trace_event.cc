@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -67,6 +69,60 @@ TEST(TraceEvent, DisabledHooksAreNoOps)
     trace_event::emitInstant(trace_event::Cat::SimCacheT, "hit");
     { trace_event::Span span(trace_event::Cat::Sweep, "scope"); }
     EXPECT_FALSE(trace_event::endSession());
+}
+
+/**
+ * A disabled hook is one relaxed load and nothing else: it must not
+ * hand its thread a track id.  The early thread below only calls
+ * hooks while no session is open, so its first id is drawn at its
+ * first enabled event - after the late thread's - and the session's
+ * opener is "main" whatever ids other threads drew first.
+ */
+TEST(TraceEvent, DisabledHooksTakeNoTrackId)
+{
+    ASSERT_FALSE(trace_event::enabled());
+    std::promise<void> probed;
+    std::promise<void> opened;
+    std::thread early([&] {
+        trace_event::emitInstant(trace_event::Cat::SimCacheT, "miss");
+        trace_event::emitComplete(trace_event::Cat::Sweep, "x", 0, 1);
+        { trace_event::Span span(trace_event::Cat::Sweep, "scope"); }
+        probed.set_value();
+        opened.get_future().wait();
+        trace_event::emitInstant(trace_event::Cat::SimCacheT, "early");
+    });
+    probed.get_future().wait();
+
+    std::string path = testing::TempDir() + "trace_track_ids.json";
+    const bool began = trace_event::beginSession(path);
+    std::thread late([] {
+        trace_event::emitInstant(trace_event::Cat::SimCacheT, "late");
+    });
+    late.join();
+    opened.set_value();
+    early.join();
+    trace_event::emitInstant(trace_event::Cat::SimCacheT, "opener");
+    ASSERT_TRUE(began);
+    json_check::JsonValue doc = endAndParse(path);
+
+    std::map<std::string, double> tid;
+    for (const json_check::JsonValue &e :
+         doc.find("traceEvents")->items) {
+        if (e.find("ph")->text == "i")
+            tid[e.find("name")->text] = e.find("tid")->number;
+    }
+    ASSERT_EQ(tid.size(), 3u);
+    EXPECT_LT(tid["late"], tid["early"]);
+
+    std::string opener_name;
+    for (const json_check::JsonValue &e :
+         doc.find("traceEvents")->items) {
+        if (e.find("ph")->text == "M" &&
+            e.find("name")->text == "thread_name" &&
+            e.find("tid")->number == tid["opener"])
+            opener_name = e.path("args.name")->text;
+    }
+    EXPECT_EQ(opener_name, "main");
 }
 
 TEST(TraceEvent, SessionCollectsSpansInstantsAndMetadata)

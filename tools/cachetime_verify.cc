@@ -124,7 +124,7 @@ main(int argc, char **argv)
                   "'%s'", progress_spec.c_str());
         meter.setTool("cachetime_verify");
         meter.setLabel(io_fuzz ? "io-fuzz" : "fuzz");
-        options.progress = &meter;
+        progress::setGlobal(&meter);
     }
     if (io_fuzz) {
         verify::IoFuzzOptions io_options;
