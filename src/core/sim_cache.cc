@@ -182,6 +182,19 @@ warmStateKey(const SystemConfig &config)
 }
 
 SimKey
+frontEndKey(const SystemConfig &config)
+{
+    SimKey warm = warmStateKey(config);
+    KeyBuilder kb;
+    kb.u64(0x66726f6e746b6579ULL); // "frontkey"
+    kb.u64(warm.lo);
+    kb.u64(warm.hi);
+    // Pair issue only shapes split machines (System's runPair_).
+    kb.b(config.split && config.cpu.pairIssue);
+    return kb.key();
+}
+
+SimKey
 exactStateKey(const SystemConfig &config, std::uint64_t trace_hash)
 {
     return simKey(config, trace_hash);

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,7 +42,7 @@ struct SimKey
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
 
-    bool operator==(const SimKey &other) const = default;
+    auto operator<=>(const SimKey &other) const = default;
 };
 
 /**
@@ -77,6 +78,18 @@ SimKey simKey(const SystemConfig &config, const Trace &trace);
  * restoreWarmState()).
  */
 SimKey warmStateKey(const SystemConfig &config);
+
+/**
+ * @return the key of @p config's front end - warmStateKey() plus the
+ * issue shape (split and pair issue).  Measurement windows are
+ * decided per issue group, so the shape decides where the L1 and TLB
+ * counters are folded; with it, two classic configs of equal key see
+ * identical answers, in identical order, from their L1s and TLB on
+ * any stream, and a fused batch lets them share one front end
+ * (System::follower()).  Coherent configs never share: their L1
+ * evolution depends on per-core clocks.
+ */
+SimKey frontEndKey(const SystemConfig &config);
 
 /**
  * @return the key under which a full-state checkpoint is valid:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <numeric>
 #include <string>
 
 #include "core/experiment.hh"
@@ -24,6 +26,9 @@ using SimResultPtr = std::shared_ptr<const SimResult>;
 /** Per-line cost of the SoA cache arrays (keys + flags + cold Line). */
 constexpr std::size_t bytesPerLine = 80;
 
+std::atomic<std::uint64_t> machinesBuilt{0};
+std::atomic<std::uint64_t> followersBuilt{0};
+
 std::size_t
 cacheFootprintBytes(const CacheConfig &config)
 {
@@ -31,6 +36,55 @@ cacheFootprintBytes(const CacheConfig &config)
         config.blockWords ? config.sizeWords / config.blockWords : 0;
     return lines * bytesPerLine + config.victimEntries * bytesPerLine +
            4096; // allocator slack and the object itself
+}
+
+/** The L1 arrays of @p config: what a follower does not allocate. */
+std::size_t
+frontFootprintBytes(const SystemConfig &config)
+{
+    return (config.split ? cacheFootprintBytes(config.icache) : 0) +
+           cacheFootprintBytes(config.dcache);
+}
+
+/** @return whether @p a and @p b can share one front end. */
+bool
+shareFront(const SystemConfig &a, const SystemConfig &b)
+{
+    return !a.coherent() && !b.coherent() &&
+           frontEndKey(a) == frontEndKey(b);
+}
+
+/**
+ * Stably sort @p indices into @p configs by frontEndKey(), so
+ * configs that can share a front end are adjacent.
+ */
+void
+sortByFrontEnd(const std::vector<SystemConfig> &configs,
+               std::vector<std::size_t> &indices)
+{
+    std::vector<SimKey> keys(configs.size());
+    for (std::size_t i : indices)
+        keys[i] = frontEndKey(configs[i]);
+    std::stable_sort(indices.begin(), indices.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return keys[a] < keys[b];
+                     });
+}
+
+/**
+ * @return how many of @p n refs to take for a span of at most about
+ * @p want: @p want itself, or one more when the cut would separate an
+ * IFetch from the data reference it pairs with, so every pairing
+ * decision matches the uncut stream.
+ */
+std::size_t
+coupletSafeCut(const Ref *refs, std::size_t n, std::size_t want)
+{
+    if (want >= n)
+        return n;
+    if (refs[want - 1].kind == RefKind::IFetch && isData(refs[want].kind))
+        ++want;
+    return want;
 }
 
 /** Key for memoized counter-only results, disjoint from simKey's. */
@@ -94,28 +148,45 @@ cachedRun(const std::vector<SystemConfig> &configs, RefSource &source,
 }
 
 /**
- * simulateBatch over consecutive sub-batches of at most
- * BatchOptions::maxBatch configs whose summed footprint fits
- * BatchOptions::memoryBudgetBytes (one config always fits).
+ * simulateBatch over sub-batches of at most BatchOptions::maxBatch
+ * configs whose summed footprint fits BatchOptions::memoryBudgetBytes
+ * (one config always fits).  The configs are taken in frontEndKey()
+ * order, a follower's footprint leaves out the L1 arrays it shares,
+ * and a cut falls between front ends rather than inside one whenever
+ * the sub-batch holds another, so followers ride with their leader.
  */
 std::vector<SimResult>
 simulateBounded(const std::vector<SystemConfig> &configs,
                 RefSource &source)
 {
-    std::vector<SimResult> out;
-    out.reserve(configs.size());
+    std::vector<std::size_t> order(configs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    sortByFrontEnd(configs, order);
+    auto follows = [&](std::size_t k) {
+        return shareFront(configs[order[k - 1]], configs[order[k]]);
+    };
+    std::vector<SimResult> out(configs.size());
     std::size_t at = 0;
-    while (at < configs.size()) {
+    while (at < order.size()) {
         std::size_t end = at;
         std::size_t bytes = 0;
-        while (end < configs.size() &&
-               end - at < BatchOptions::maxBatch) {
-            std::size_t foot = configFootprintBytes(configs[end]);
+        while (end < order.size() && end - at < BatchOptions::maxBatch) {
+            const SystemConfig &config = configs[order[end]];
+            std::size_t foot = configFootprintBytes(config);
+            if (end > at && follows(end))
+                foot -= frontFootprintBytes(config);
             if (end > at &&
                 bytes + foot > BatchOptions::memoryBudgetBytes)
                 break;
             bytes += foot;
             ++end;
+        }
+        if (end < order.size() && follows(end)) {
+            std::size_t front = end - 1;
+            while (front > at && follows(front))
+                --front;
+            if (front > at)
+                end = front;
         }
 
         trace_event::Span span(
@@ -123,11 +194,12 @@ simulateBounded(const std::vector<SystemConfig> &configs,
             "sub-batch [" + std::to_string(at) + "," +
                 std::to_string(end) + ") of " +
                 std::to_string(configs.size()) + " missing");
-        std::vector<SystemConfig> batch(
-            configs.begin() + static_cast<std::ptrdiff_t>(at),
-            configs.begin() + static_cast<std::ptrdiff_t>(end));
-        for (SimResult &result : simulateBatch(batch, source))
-            out.push_back(std::move(result));
+        std::vector<SystemConfig> batch;
+        for (std::size_t k = at; k < end; ++k)
+            batch.push_back(configs[order[k]]);
+        std::vector<SimResult> results = simulateBatch(batch, source);
+        for (std::size_t k = at; k < end; ++k)
+            out[order[k]] = std::move(results[k - at]);
         at = end;
     }
     return out;
@@ -147,7 +219,10 @@ struct GridGroup
  * rides the fused lattice in groups of `width`: up to maxBatch
  * configs per trace pass, but never so wide that batching starves
  * the pool - at least two tasks per worker, degrading to one config
- * per task for small sweeps.
+ * per task for small sweeps.  The fused points are cut into groups
+ * in frontEndKey() order, so points sharing an L1 organization share
+ * a group - and a front end - whatever order the caller listed them
+ * in.
  */
 std::vector<GridGroup>
 planGrid(const std::vector<SystemConfig> &configs, std::size_t traces,
@@ -163,6 +238,7 @@ planGrid(const std::vector<SystemConfig> &configs, std::size_t traces,
         else
             fused.push_back(c);
     }
+    sortByFrontEnd(configs, fused);
 
     std::vector<GridGroup> groups;
     for (std::vector<std::size_t> &shape : shapes) {
@@ -256,13 +332,24 @@ std::size_t
 configFootprintBytes(const SystemConfig &config)
 {
     std::size_t bytes = 64 * 1024; // CPU, buffers, TLB, result
-    if (config.split)
-        bytes += cacheFootprintBytes(config.icache);
-    bytes += cacheFootprintBytes(config.dcache);
+    bytes += frontFootprintBytes(config);
     for (const SystemConfig::MidLevelConfig &mid :
          config.resolvedMidLevels())
         bytes += cacheFootprintBytes(mid.cache);
     return bytes;
+}
+
+SweepCounters
+sweepCounters()
+{
+    return {machinesBuilt.load(), followersBuilt.load()};
+}
+
+void
+resetSweepCounters()
+{
+    machinesBuilt.store(0);
+    followersBuilt.store(0);
 }
 
 std::vector<SimResult>
@@ -273,15 +360,43 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     if (configs.empty())
         return out;
 
+    // One front end per frontEndKey: the first classic config of a
+    // key leads, and every later one follows it, replaying the
+    // leader's L1 and TLB answers instead of probing its own.
+    // lead[i] is the machine config i follows, or i itself.
+    const std::size_t n = configs.size();
+    std::vector<std::size_t> lead(n);
+    std::size_t followers = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        lead[i] = i;
+        for (std::size_t j = 0; j < i; ++j) {
+            if (lead[j] == j && shareFront(configs[j], configs[i])) {
+                lead[i] = j;
+                ++followers;
+                break;
+            }
+        }
+    }
+    machinesBuilt.fetch_add(n, std::memory_order_relaxed);
+    followersBuilt.fetch_add(followers, std::memory_order_relaxed);
+
     trace_event::Span batchSpan(
         trace_event::Cat::Sweep,
-        "batch n=" + std::to_string(configs.size()) +
+        "batch n=" + std::to_string(n) +
+            " fronts=" + std::to_string(n - followers) +
             " trace=" + source.name());
 
+    // makeSimulator picks every engine; a follower is a System built
+    // by its leader, which makeSimulator made a System too.
     std::vector<std::unique_ptr<Simulator>> machines;
-    machines.reserve(configs.size());
-    for (const SystemConfig &config : configs)
-        machines.push_back(makeSimulator(config));
+    machines.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (lead[i] == i)
+            machines.push_back(makeSimulator(configs[i]));
+        else
+            machines.push_back(dynamic_cast<System &>(*machines[lead[i]])
+                                   .follower(configs[i]));
+    }
 
     // One decode, many replays: every span the feeder produces is
     // fed to each machine before the next span is pulled, so stream
@@ -289,16 +404,25 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     // wide the batch is.  The pipelined feeder moves that decode
     // off-thread when threads are available (file-backed sources
     // only; resident streams are consumed zero-copy), producing the
-    // same span sequence byte for byte.
+    // same span sequence byte for byte.  A resident stream arrives
+    // as one span, so it is cut into pieces of about refChunkSize:
+    // that bounds a leader's tape, and machines are
+    // span-split-invariant.  Batch order feeds each leader a piece
+    // before its followers.
     PipelinedFeeder feeder(source);
     for (auto &machine : machines)
         machine->beginRun(source);
     ProgressMeter *meter = progress::global();
     while (ChunkFeeder::Span span = feeder.next()) {
-        for (auto &machine : machines)
-            machine->feedChunk(span.data, span.size);
+        for (std::size_t at = 0; at < span.size;) {
+            std::size_t take =
+                coupletSafeCut(span.data + at, span.size - at, refChunkSize);
+            for (auto &machine : machines)
+                machine->feedChunk(span.data + at, take);
+            at += take;
+        }
         if (meter)
-            meter->bump(span.size * configs.size());
+            meter->bump(span.size * n);
     }
 
     out.reserve(configs.size());

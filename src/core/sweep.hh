@@ -16,6 +16,18 @@
  * state and the reference sequence, and tests/test_differential.cc
  * holds the batched path to exact agreement at 1 and 8 threads.
  *
+ * Probe once, time many: classic configs of equal frontEndKey()
+ * (core/sim_cache.hh) - the same L1 and TLB organization and issue
+ * shape, differing only in timing - share one front end inside a
+ * batch.  The first such config leads and records every L1 and TLB
+ * answer on a per-span tape; the others follow, replaying it with no
+ * L1 or TLB arrays of their own (System::follower()).  The cache
+ * model is time-free, so a follower sees exactly the answers it
+ * would have computed itself.  The grid driver orders fused points
+ * by that key before cutting groups, so equal organizations land in
+ * one batch, and a Fig 3-3 speed-size grid probes each L1
+ * organization once per trace instead of once per cycle time.
+ *
  * The grid driver (sweep.cc) answers both of the paper's grid
  * queries: runGeoMeanMany (core/experiment.hh) for execution time and
  * runMissRatioMany (core/stack_sim.hh) for miss ratios are thin
@@ -63,7 +75,9 @@ struct BatchOptions
  * the per-config results, index-aligned with @p configs.  The caller
  * sizes the batch (see BatchOptions and configFootprintBytes); this
  * driver builds all machines up front, so its peak memory is the sum
- * of their footprints.
+ * of their footprints, with each shared front end counted once.
+ * Spans longer than refChunkSize are cut at couplet-safe points, so
+ * a leader's tape stays bounded.
  */
 std::vector<SimResult>
 simulateBatch(const std::vector<SystemConfig> &configs,
@@ -88,9 +102,23 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
 /**
  * @return an estimate of one machine's simulation-state footprint
  * (cache arrays dominate), used to pack sub-batches under
- * BatchOptions::memoryBudgetBytes.
+ * BatchOptions::memoryBudgetBytes.  A follower costs this less its
+ * L1 arrays, which its leader's footprint already counts.
  */
 std::size_t configFootprintBytes(const SystemConfig &config);
+
+/** Process-wide counts of the machines simulateBatch() has built. */
+struct SweepCounters
+{
+    std::uint64_t machines = 0;  ///< every machine, followers included
+    std::uint64_t followers = 0; ///< machines replaying a shared front end
+};
+
+/** @return the counts so far (the run manifest's "sweep" entry). */
+SweepCounters sweepCounters();
+
+/** Zero the counts (tests). */
+void resetSweepCounters();
 
 } // namespace cachetime
 

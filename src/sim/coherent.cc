@@ -18,11 +18,19 @@ CoherentSystem::CoherentSystem(const SystemConfig &config)
     config_.validate();
     if (!config_.coherent())
         fatal("CoherentSystem: config has no coherence protocol");
+    build();
+}
 
+CoherentSystem::~CoherentSystem() = default;
+
+void
+CoherentSystem::build()
+{
     auto mids = config_.resolvedMidLevels();
     l2_ = std::make_unique<Cache>(mids.front().cache, "L2");
     l2Timing_ = mids.front().timing;
 
+    cores_.clear();
     cores_.resize(config_.cores);
     for (unsigned c = 0; c < config_.cores; ++c) {
         std::string suffix = std::to_string(c);
@@ -43,9 +51,14 @@ CoherentSystem::CoherentSystem(const SystemConfig &config)
                 1, config_.dcache.sizeWords / config_.dcache.blockWords),
             config_.dcache.blockWords);
     }
-}
 
-CoherentSystem::~CoherentSystem() = default;
+    memStats_ = MainMemoryStats{};
+    coh_.reset();
+    bus_ = 0;
+    missPenalty_.reset();
+    stallRead_ = 0;
+    stallWrite_ = 0;
+}
 
 Tick
 CoherentSystem::wall() const
@@ -331,6 +344,11 @@ CoherentSystem::beginRun(const RefSource &source)
     if (!source.warmSegments().empty())
         fatal("coherent mode does not support sampled traces "
               "(warm segments)");
+    // A fresh machine is in its built state already; only one that
+    // has run is rebuilt.
+    if (ran_)
+        build();
+    ran_ = true;
     traceName_ = source.name();
     warmStart_ = source.warmStart();
     consumed_ = 0;
@@ -338,9 +356,6 @@ CoherentSystem::beginRun(const RefSource &source)
     measureStart_ = 0;
     mReads_ = 0;
     mWrites_ = 0;
-    bus_ = 0;
-    for (Core &core : cores_)
-        core.now = 0;
     if (interval_) {
         interval_->beginRun(traceName_);
         nextIntervalBoundary_ = interval_->firstBoundaryAfter(0);

@@ -93,6 +93,13 @@ class CoherentSystem final : public Simulator
         Tick now = 0;
     };
 
+    /**
+     * (Re)build the machine's fresh state: every core's L1s (with
+     * their coherence states), clock and miss classifiers, the shared
+     * L2, the bus horizon and every counter.
+     */
+    void build();
+
     /** @return the run's wall clock: the furthest core clock. */
     Tick wall() const;
 
@@ -139,6 +146,7 @@ class CoherentSystem final : public Simulator
     Tick stallWrite_ = 0;
 
     // Armed-run cursor.
+    bool ran_ = false; ///< beginRun() has armed this machine before
     std::string traceName_;
     std::size_t warmStart_ = 0;
     std::size_t consumed_ = 0;

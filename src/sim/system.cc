@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
+#include "core/sim_cache.hh" // frontEndKey
 #include "stats/interval.hh"
 #include "trace_debug/trace_debug.hh"
 #include "util/logging.hh"
@@ -12,7 +14,46 @@
 namespace cachetime
 {
 
-System::System(const SystemConfig &config) : config_(config)
+/** A front end's L1 and TLB counters at one measure-off fold. */
+struct System::FrontCounters
+{
+    CacheStats icache;
+    CacheStats dcache;
+    TlbStats tlb;
+};
+
+/**
+ * Everything a leader's timing code read from its front end during
+ * the current span, one stream per kind of answer, each in call
+ * order.  The leader clears it at every span start and each follower
+ * replays the span from the top, so it holds one span: about
+ * refChunkSize demand answers, the span's translations, and an
+ * outcome per miss or prefetch.
+ */
+struct System::FrontTape
+{
+    std::vector<HitKind> kinds;          ///< every readFast/writeFast
+    std::vector<AccessOutcome> outcomes; ///< every miss and prefetch
+    std::vector<Tlb::Translation> translations;
+    /** Every fold of the span, then the end-of-run fold. */
+    std::vector<FrontCounters> folds;
+
+    void
+    clear()
+    {
+        kinds.clear();
+        outcomes.clear();
+        translations.clear();
+        folds.clear();
+    }
+};
+
+System::System(const SystemConfig &config) : System(config, nullptr) {}
+
+System::System(const SystemConfig &config, std::shared_ptr<FrontTape> tape)
+    : config_(config),
+      mode_(tape ? FrontMode::Follow : FrontMode::Own),
+      tape_(std::move(tape))
 {
     config_.validate();
 
@@ -23,6 +64,37 @@ System::System(const SystemConfig &config) : config_(config)
         config_.l2cache.virtualTags = false;
     }
     buildHierarchy();
+}
+
+std::unique_ptr<System>
+System::follower(const SystemConfig &config)
+{
+    if (mode_ == FrontMode::Follow || ran_)
+        panic("System: only a machine that owns its front end and has "
+              "not run yet can lead");
+    if (config.coherent() || frontEndKey(config) != frontEndKey(config_))
+        panic("System: %s cannot follow the front end of %s",
+              config.describe().c_str(), config_.describe().c_str());
+    if (!tape_) {
+        tape_ = std::make_shared<FrontTape>();
+        mode_ = FrontMode::Lead;
+    }
+    return std::unique_ptr<System>(new System(config, tape_));
+}
+
+void
+System::requireFront(const char *what) const
+{
+    if (mode_ == FrontMode::Follow)
+        panic("System: %s needs the L1s and TLB a follower does not own",
+              what);
+}
+
+void
+System::setIntervalCollector(IntervalCollector *collector)
+{
+    requireFront("setIntervalCollector");
+    interval_ = collector;
 }
 
 void
@@ -49,12 +121,17 @@ System::buildHierarchy()
                                               below, "L1.wbuf");
     l1Down_ = l1Buffer_.get();
 
-    if (config_.addressing == AddressMode::Physical)
-        tlb_ = std::make_unique<Tlb>(config_.tlb);
-    if (config_.split)
-        icache_ = std::make_unique<Cache>(config_.icache, "L1I");
-    dcache_ = std::make_unique<Cache>(
-        config_.dcache, config_.split ? "L1D" : "L1");
+    const char *dname = config_.split ? "L1D" : "L1";
+    if (mode_ != FrontMode::Follow) {
+        if (config_.addressing == AddressMode::Physical)
+            tlb_ = std::make_unique<Tlb>(config_.tlb);
+        if (config_.split)
+            icache_ = std::make_unique<Cache>(config_.icache, "L1I");
+        dcache_ = std::make_unique<Cache>(config_.dcache, dname);
+    }
+    dport_ = {dcache_.get(), &config_.dcache, dname};
+    iport_ = config_.split ? L1Port{icache_.get(), &config_.icache, "L1I"}
+                           : dport_;
 }
 
 void
@@ -73,9 +150,11 @@ System::reset()
 void
 System::resetStats()
 {
+    // A follower's L1 and TLB counters arrive per fold on the tape.
     if (icache_)
         icache_->resetStats();
-    dcache_->resetStats();
+    if (dcache_)
+        dcache_->resetStats();
     for (auto &level : midLevels_)
         level->resetStats();
     for (auto &buffer : midBuffers_)
@@ -92,13 +171,59 @@ System::resetStats()
     stallTlb_ = 0;
 }
 
+template <FrontMode Mode, bool Write>
+HitKind
+System::probe(const L1Port &l1, Addr addr, Pid pid, AccessOutcome &outcome)
+{
+    if constexpr (Mode == FrontMode::Follow) {
+        HitKind kind = tape_->kinds[cursor_.kind++];
+        if (kind == HitKind::Miss)
+            outcome = tape_->outcomes[cursor_.outcome++];
+        return kind;
+    } else {
+        HitKind kind;
+        if constexpr (Write)
+            kind = l1.cache->writeFast(addr, 1, pid, outcome);
+        else
+            kind = l1.cache->readFast(addr, 1, pid, outcome);
+        if constexpr (Mode == FrontMode::Lead) {
+            tape_->kinds.push_back(kind);
+            if (kind == HitKind::Miss)
+                tape_->outcomes.push_back(outcome);
+        }
+        return kind;
+    }
+}
+
+template <FrontMode Mode>
+Tlb::Translation
+System::translate(const Ref &ref)
+{
+    if constexpr (Mode == FrontMode::Follow) {
+        return tape_->translations[cursor_.translation++];
+    } else {
+        Tlb::Translation t = tlb_->translate(ref.addr, ref.pid);
+        if constexpr (Mode == FrontMode::Lead)
+            tape_->translations.push_back(t);
+        return t;
+    }
+}
+
+template <FrontMode Mode>
 void
-System::maybePrefetch(Cache &cache, Tick &busy, Addr addr, Pid pid,
+System::maybePrefetch(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
                       Tick when)
 {
-    Addr next = (addr / cache.config().blockWords + 1) *
-                cache.config().blockWords;
-    AccessOutcome outcome = cache.prefetch(next, pid);
+    const unsigned block = l1.config->blockWords;
+    Addr next = (addr / block + 1) * block;
+    AccessOutcome outcome{AccessOutcome::Uninit{}};
+    if constexpr (Mode == FrontMode::Follow) {
+        outcome = tape_->outcomes[cursor_.outcome++];
+    } else {
+        outcome = l1.cache->prefetch(next, pid);
+        if constexpr (Mode == FrontMode::Lead)
+            tape_->outcomes.push_back(outcome);
+    }
     if (!outcome.filled)
         return; // already resident
     ReadReply reply = l1Down_->readBlock(when, outcome.fetchAddr,
@@ -106,7 +231,6 @@ System::maybePrefetch(Cache &cache, Tick &busy, Addr addr, Pid pid,
                                          pid);
     Tick victim_ready = when;
     if (outcome.victimDirty) {
-        unsigned block = cache.config().blockWords;
         victim_ready = when + block;
         Tick stall = l1Down_->writeBlock(
             victim_ready, outcome.victimBlockAddr, block,
@@ -117,16 +241,16 @@ System::maybePrefetch(Cache &cache, Tick &busy, Addr addr, Pid pid,
     busy = std::max(busy, std::max(reply.complete, victim_ready));
 }
 
-template <bool TraceOn, bool HasTlb>
+template <bool TraceOn, bool HasTlb, FrontMode Mode>
 Tick
-System::accessRead(Cache &cache, Tick &busy, const Ref &ref,
+System::accessRead(const L1Port &l1, Tick &busy, const Ref &ref,
                    Tick issue)
 {
     Tick start = std::max(issue, busy);
     Pid pid = ref.pid;
     Addr addr = ref.addr;
     if constexpr (HasTlb) {
-        Tlb::Translation t = tlb_->translate(ref.addr, ref.pid);
+        Tlb::Translation t = translate<Mode>(ref);
         if (!t.hit) {
             start += config_.tlb.missPenaltyCycles;
             stallTlb_ += config_.tlb.missPenaltyCycles;
@@ -137,7 +261,7 @@ System::accessRead(Cache &cache, Tick &busy, const Ref &ref,
     }
 
     AccessOutcome outcome{AccessOutcome::Uninit{}};
-    HitKind kind = cache.readFast(addr, 1, pid, outcome);
+    HitKind kind = probe<Mode, false>(l1, addr, pid, outcome);
     if (kind != HitKind::Miss) [[likely]] {
         // Hit fast path: the outcome was never written; only the
         // one-byte discriminant came back.
@@ -145,26 +269,26 @@ System::accessRead(Cache &cache, Tick &busy, const Ref &ref,
         if constexpr (TraceOn) {
             CACHETIME_TRACE_EVENT(
                 trace_debug::Cache, "%s t=%llu read hit addr=%llx",
-                cache.name().c_str(),
-                static_cast<unsigned long long>(start),
+                l1.name, static_cast<unsigned long long>(start),
                 static_cast<unsigned long long>(addr));
         }
         busy = std::max(busy, done);
         if (kind == HitKind::HitPrefetched &&
-            cache.config().prefetchPolicy == PrefetchPolicy::Tagged)
+            l1.config->prefetchPolicy == PrefetchPolicy::Tagged)
             [[unlikely]] {
             // Tagged prefetch: first use of a prefetched block
             // triggers the next lookahead.
-            maybePrefetch(cache, busy, addr, pid, done);
+            maybePrefetch<Mode>(l1, busy, addr, pid, done);
         }
         return done;
     }
 
-    return readMissTail(cache, busy, addr, pid, start, outcome);
+    return readMissTail<Mode>(l1, busy, addr, pid, start, outcome);
 }
 
+template <FrontMode Mode>
 Tick
-System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
+System::readMissTail(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
                      Tick start, AccessOutcome &outcome)
 {
     if (outcome.victimCacheHit && !outcome.filled) {
@@ -174,7 +298,7 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
                     config_.cpu.victimSwapCycles;
         if (outcome.victimDirty) {
             l1Down_->writeBlock(done, outcome.victimBlockAddr,
-                                cache.config().blockWords,
+                                l1.config->blockWords,
                                 outcome.victimPid);
         }
         busy = std::max(busy, done);
@@ -184,8 +308,7 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
         CACHETIME_TRACE_EVENT(
             trace_debug::Cache,
             "%s t=%llu read victim-hit addr=%llx latency=%llu",
-            cache.name().c_str(),
-            static_cast<unsigned long long>(start),
+            l1.name, static_cast<unsigned long long>(start),
             static_cast<unsigned long long>(addr),
             static_cast<unsigned long long>(done - start));
         return done;
@@ -204,7 +327,7 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
     // the block transfer into the buffer.
     Tick victim_ready = request;
     if (outcome.victimDirty) {
-        unsigned block = cache.config().blockWords;
+        unsigned block = l1.config->blockWords;
         victim_ready = request + block; // one word per cycle
         Tick stall = l1Down_->writeBlock(
             victim_ready, outcome.victimBlockAddr, block,
@@ -230,28 +353,28 @@ System::readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
     CACHETIME_TRACE_EVENT(
         trace_debug::Cache,
         "%s t=%llu read miss%s addr=%llx latency=%llu%s",
-        cache.name().c_str(), static_cast<unsigned long long>(start),
+        l1.name, static_cast<unsigned long long>(start),
         outcome.tagMatch ? " (sub-block)" : "",
         static_cast<unsigned long long>(addr),
         static_cast<unsigned long long>(done - start),
         outcome.victimDirty ? " writeback" : "");
-    if (cache.config().prefetchPolicy != PrefetchPolicy::None) {
+    if (l1.config->prefetchPolicy != PrefetchPolicy::None) {
         // One-block lookahead behind the demand fill.
-        maybePrefetch(cache, busy, addr, pid, fill_done);
+        maybePrefetch<Mode>(l1, busy, addr, pid, fill_done);
     }
     return done;
 }
 
-template <bool TraceOn, bool HasTlb>
+template <bool TraceOn, bool HasTlb, FrontMode Mode>
 Tick
-System::accessWrite(Cache &cache, Tick &busy, const Ref &ref,
+System::accessWrite(const L1Port &l1, Tick &busy, const Ref &ref,
                     Tick issue)
 {
     Tick start = std::max(issue, busy);
     Pid pid = ref.pid;
     Addr addr = ref.addr;
     if constexpr (HasTlb) {
-        Tlb::Translation t = tlb_->translate(ref.addr, ref.pid);
+        Tlb::Translation t = translate<Mode>(ref);
         if (!t.hit) {
             start += config_.tlb.missPenaltyCycles;
             stallTlb_ += config_.tlb.missPenaltyCycles;
@@ -262,11 +385,11 @@ System::accessWrite(Cache &cache, Tick &busy, const Ref &ref,
     }
 
     AccessOutcome outcome{AccessOutcome::Uninit{}};
-    HitKind kind = cache.writeFast(addr, 1, pid, outcome);
+    HitKind kind = probe<Mode, true>(l1, addr, pid, outcome);
     Tick done = start + config_.cpu.writeHitCycles;
 
     if (kind != HitKind::Miss) [[likely]] {
-        if (cache.config().writePolicy == WritePolicy::WriteThrough) {
+        if (l1.config->writePolicy == WritePolicy::WriteThrough) {
             Tick stall =
                 l1Down_->writeBlock(done, addr, 1, pid);
             done = std::max(done, stall);
@@ -277,19 +400,19 @@ System::accessWrite(Cache &cache, Tick &busy, const Ref &ref,
             CACHETIME_TRACE_EVENT(
                 trace_debug::Cache,
                 "%s t=%llu write hit addr=%llx latency=%llu",
-                cache.name().c_str(),
-                static_cast<unsigned long long>(start),
+                l1.name, static_cast<unsigned long long>(start),
                 static_cast<unsigned long long>(addr),
                 static_cast<unsigned long long>(done - start));
         }
         return done;
     }
 
-    return writeMissTail(cache, busy, addr, pid, start, outcome);
+    return writeMissTail<Mode>(l1, busy, addr, pid, start, outcome);
 }
 
+template <FrontMode Mode>
 Tick
-System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
+System::writeMissTail(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
                       Tick start, AccessOutcome &outcome)
 {
     Tick done = start + config_.cpu.writeHitCycles;
@@ -300,7 +423,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
         done += config_.cpu.victimSwapCycles;
         if (outcome.victimDirty) {
             l1Down_->writeBlock(done, outcome.victimBlockAddr,
-                                cache.config().blockWords,
+                                l1.config->blockWords,
                                 outcome.victimPid);
         }
         busy = std::max(busy, done);
@@ -318,8 +441,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
             trace_debug::Cache,
             "%s t=%llu write miss (no-allocate) addr=%llx "
             "latency=%llu",
-            cache.name().c_str(),
-            static_cast<unsigned long long>(start),
+            l1.name, static_cast<unsigned long long>(start),
             static_cast<unsigned long long>(addr),
             static_cast<unsigned long long>(done - start));
         return done;
@@ -333,7 +455,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
                            outcome.fetchCriticalOffset, pid);
     Tick victim_ready = request;
     if (outcome.victimDirty) {
-        unsigned block = cache.config().blockWords;
+        unsigned block = l1.config->blockWords;
         victim_ready = request + block;
         Tick stall = l1Down_->writeBlock(
             victim_ready, outcome.victimBlockAddr, block,
@@ -341,7 +463,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
         victim_ready = std::max(victim_ready, stall);
     }
     done = std::max(reply.complete, victim_ready) + 1;
-    if (cache.config().writePolicy == WritePolicy::WriteThrough) {
+    if (l1.config->writePolicy == WritePolicy::WriteThrough) {
         Tick stall = l1Down_->writeBlock(done, addr, 1, pid);
         done = std::max(done, stall);
     }
@@ -350,7 +472,7 @@ System::writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
     CACHETIME_TRACE_EVENT(
         trace_debug::Cache,
         "%s t=%llu write miss (allocate) addr=%llx latency=%llu%s",
-        cache.name().c_str(), static_cast<unsigned long long>(start),
+        l1.name, static_cast<unsigned long long>(start),
         static_cast<unsigned long long>(addr),
         static_cast<unsigned long long>(done - start),
         outcome.victimDirty ? " writeback" : "");
@@ -370,9 +492,25 @@ System::foldMeasured(Tick now)
     result_.readRefs += progress_.reads;
     result_.writeRefs += progress_.writes;
     progress_.groups = progress_.reads = progress_.writes = 0;
-    if (config_.split)
-        result_.icache.merge(icache_->stats());
-    result_.dcache.merge(dcache_->stats());
+
+    // The front end's counters; absent components stay zero.
+    FrontCounters front;
+    if (mode_ == FrontMode::Follow) {
+        if (cursor_.fold == tape_->folds.size())
+            panic("System: a follower folded where its leader did not");
+        front = tape_->folds[cursor_.fold++];
+    } else {
+        if (icache_)
+            front.icache = icache_->stats();
+        front.dcache = dcache_->stats();
+        if (tlb_)
+            front.tlb = tlb_->stats();
+        if (mode_ == FrontMode::Lead)
+            tape_->folds.push_back(front);
+    }
+    result_.icache.merge(front.icache);
+    result_.dcache.merge(front.dcache);
+    result_.tlb.merge(front.tlb);
     // midLevels_ is ordered memory-first; expose CPU-first.
     for (std::size_t i = midLevels_.size(); i-- > 0;) {
         std::size_t out = midLevels_.size() - 1 - i;
@@ -381,21 +519,20 @@ System::foldMeasured(Tick now)
     }
     result_.l1Buffer.merge(l1Buffer_->stats());
     result_.memory.merge(memory_->stats());
-    if (tlb_)
-        result_.tlb.merge(tlb_->stats());
     result_.missPenaltyCycles.merge(missPenalty_);
     result_.stallReadCycles += stallRead_;
     result_.stallWriteCycles += stallWrite_;
     result_.stallTlbCycles += stallTlb_;
 }
 
-template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
+template <bool TraceOn, bool Pair, bool Split, bool HasTlb,
+          FrontMode Mode>
 void
 System::consumeChunk(const Ref *buffer, std::size_t n)
 {
     static_assert(Split || !Pair, "paired issue requires a split L1");
-    Cache &iside = Split ? *icache_ : *dcache_;
-    Cache &dside = *dcache_;
+    const L1Port iside = iport_;
+    const L1Port dside = dport_;
     // Busy horizons live in locals for the duration of the span so
     // the per-access load/max/store cycle stays in registers; they
     // are written back below for the next span and for drain().
@@ -472,8 +609,8 @@ System::consumeChunk(const Ref *buffer, std::size_t n)
         Tick done;
         if (first.kind == RefKind::IFetch) {
             ++greads;
-            done = accessRead<TraceOn, HasTlb>(iside, ibusy, first,
-                                               now);
+            done = accessRead<TraceOn, HasTlb, Mode>(iside, ibusy, first,
+                                                     now);
             ++head;
             ++consumed;
             if (Pair && head < n && isData(buffer[head].kind)) {
@@ -481,12 +618,12 @@ System::consumeChunk(const Ref *buffer, std::size_t n)
                 Tick d;
                 if (data.kind == RefKind::Store) {
                     ++gwrites;
-                    d = accessWrite<TraceOn, HasTlb>(dside, dbusy,
-                                                     data, now);
+                    d = accessWrite<TraceOn, HasTlb, Mode>(dside, dbusy,
+                                                           data, now);
                 } else {
                     ++greads;
-                    d = accessRead<TraceOn, HasTlb>(dside, dbusy,
-                                                    data, now);
+                    d = accessRead<TraceOn, HasTlb, Mode>(dside, dbusy,
+                                                          data, now);
                 }
                 done = std::max(done, d);
                 ++head;
@@ -494,14 +631,14 @@ System::consumeChunk(const Ref *buffer, std::size_t n)
             }
         } else if (first.kind == RefKind::Store) {
             ++gwrites;
-            done = accessWrite<TraceOn, HasTlb>(dside, dbusy, first,
-                                                now);
+            done = accessWrite<TraceOn, HasTlb, Mode>(dside, dbusy, first,
+                                                      now);
             ++head;
             ++consumed;
         } else {
             ++greads;
-            done = accessRead<TraceOn, HasTlb>(dside, dbusy, first,
-                                               now);
+            done = accessRead<TraceOn, HasTlb, Mode>(dside, dbusy, first,
+                                                     now);
             ++head;
             ++consumed;
         }
@@ -533,7 +670,11 @@ System::consumeChunk(const Ref *buffer, std::size_t n)
 void
 System::beginRun(const RefSource &source)
 {
-    reset();
+    // A fresh machine is in its built state already; only one that
+    // has run is rebuilt.
+    if (ran_)
+        reset();
+    ran_ = true;
     CACHETIME_TRACE_EVENT(
         trace_debug::Sim, "run start trace=%s refs=%llu warm=%zu",
         source.name().c_str(),
@@ -546,7 +687,7 @@ System::beginRun(const RefSource &source)
     result_.cycleNs = config_.cycleNs;
     result_.midLevels.resize(midLevels_.size());
     result_.midBuffers.resize(midBuffers_.size());
-    result_.physical = tlb_ != nullptr;
+    result_.physical = config_.addressing == AddressMode::Physical;
 
     progress_ = RunProgress{};
     runWarmStart_ = source.warmStart();
@@ -618,11 +759,14 @@ System::captureIntervalCounters() const
 void
 System::feedChunk(const Ref *refs, std::size_t n)
 {
-    if (!interval_) [[likely]] {
+    // A leader's tape holds one span: cleared here, then replayed
+    // from the top by each follower, which must consume all of it.
+    if (mode_ == FrontMode::Lead)
+        tape_->clear();
+    cursor_ = TapeCursor{};
+    if (!interval_) [[likely]]
         dispatchChunk(refs, n);
-        return;
-    }
-    while (n != 0) {
+    while (interval_ && n != 0) {
         std::size_t take = n;
         if (nextIntervalBoundary_ > progress_.consumed) {
             std::uint64_t room =
@@ -648,40 +792,54 @@ System::feedChunk(const Ref *refs, std::size_t n)
                 interval_->firstBoundaryAfter(progress_.consumed);
         }
     }
+    if (mode_ == FrontMode::Follow &&
+        (cursor_.kind != tape_->kinds.size() ||
+         cursor_.outcome != tape_->outcomes.size() ||
+         cursor_.translation != tape_->translations.size() ||
+         cursor_.fold != tape_->folds.size()))
+        panic("System: a follower diverged from its leader's tape");
 }
 
 void
 System::dispatchChunk(const Ref *refs, std::size_t n)
 {
-    const bool has_tlb = tlb_ != nullptr;
-    auto dispatch = [&](auto trace_c, auto pair_c, auto split_c) {
-        has_tlb ? consumeChunk<trace_c.value, pair_c.value,
-                               split_c.value, true>(refs, n)
-                : consumeChunk<trace_c.value, pair_c.value,
-                               split_c.value, false>(refs, n);
-    };
     using std::bool_constant;
-    if (runTraceOn_) {
+    // Pair implies Split, so three issue shapes cover both flags.
+    auto shape = [&](auto trace_c, auto tlb_c, auto mode_c) {
         if (runPair_)
-            dispatch(bool_constant<true>{}, bool_constant<true>{},
-                     bool_constant<true>{});
+            consumeChunk<trace_c.value, true, true, tlb_c.value,
+                         mode_c.value>(refs, n);
         else if (config_.split)
-            dispatch(bool_constant<true>{}, bool_constant<false>{},
-                     bool_constant<true>{});
+            consumeChunk<trace_c.value, false, true, tlb_c.value,
+                         mode_c.value>(refs, n);
         else
-            dispatch(bool_constant<true>{}, bool_constant<false>{},
-                     bool_constant<false>{});
-    } else {
-        if (runPair_)
-            dispatch(bool_constant<false>{}, bool_constant<true>{},
-                     bool_constant<true>{});
-        else if (config_.split)
-            dispatch(bool_constant<false>{}, bool_constant<false>{},
-                     bool_constant<true>{});
+            consumeChunk<trace_c.value, false, false, tlb_c.value,
+                         mode_c.value>(refs, n);
+    };
+    auto mode = [&](auto trace_c, auto tlb_c) {
+        using M = FrontMode;
+        switch (mode_) {
+          case M::Own:
+            return shape(trace_c, tlb_c,
+                         std::integral_constant<M, M::Own>{});
+          case M::Lead:
+            return shape(trace_c, tlb_c,
+                         std::integral_constant<M, M::Lead>{});
+          case M::Follow:
+            return shape(trace_c, tlb_c,
+                         std::integral_constant<M, M::Follow>{});
+        }
+    };
+    auto tlb = [&](auto trace_c) {
+        if (config_.addressing == AddressMode::Physical)
+            mode(trace_c, bool_constant<true>{});
         else
-            dispatch(bool_constant<false>{}, bool_constant<false>{},
-                     bool_constant<false>{});
-    }
+            mode(trace_c, bool_constant<false>{});
+    };
+    if (runTraceOn_)
+        tlb(bool_constant<true>{});
+    else
+        tlb(bool_constant<false>{});
 }
 
 SimResult
@@ -727,6 +885,7 @@ expectSection(StateReader &r, const char want[4])
 void
 System::captureState(StateWriter &w) const
 {
+    requireFront("captureState");
     w.beginSection("CLK");
     w.u64(static_cast<std::uint64_t>(progress_.now));
     w.u64(static_cast<std::uint64_t>(icacheBusy_));
@@ -763,6 +922,7 @@ System::captureState(StateWriter &w) const
 void
 System::restoreState(StateReader &r)
 {
+    requireFront("restoreState");
     expectSection(r, "CLK");
     progress_.now = static_cast<Tick>(r.u64());
     icacheBusy_ = static_cast<Tick>(r.u64());
@@ -804,6 +964,7 @@ System::restoreState(StateReader &r)
 void
 System::restoreWarmState(StateReader &r)
 {
+    requireFront("restoreWarmState");
     bool saw_d = false;
     bool saw_i = false;
     bool saw_tlb = false;

@@ -15,6 +15,17 @@
  *    the write buffer;
  *  - I and D references issue as couplets and both must complete
  *    before the next group issues.
+ *
+ * The front end - the L1 cache(s) and, under physical addressing,
+ * the TLB - is time-free: what it answers depends only on the
+ * reference stream, its organization and the issue shape, never on a
+ * latency.  So machines that differ only in timing can share one.
+ * Inside a fused batch (core/sweep.hh) the first machine of a front
+ * end leads: it probes its own L1s and TLB and records every answer
+ * its timing code reads on a per-span tape.  The others follow: they
+ * own no L1 or TLB arrays and replay the tape through the same
+ * reference loop, keeping their own clock, busy horizons, write
+ * buffers, lower levels and stall counters.
  */
 
 #ifndef CACHETIME_SIM_SYSTEM_HH
@@ -36,18 +47,38 @@ namespace cachetime
 
 struct IntervalCounters;
 
+/** How a System's front end (L1 cache(s) and TLB) answers probes. */
+enum class FrontMode : std::uint8_t
+{
+    Own,    ///< probes its own L1s and TLB (every lone machine)
+    Lead,   ///< probes its own and records each answer on the tape
+    Follow, ///< owns no L1 or TLB; replays its leader's tape
+};
+
 /**
  * One simulated uniprocessor machine.  A System may run several
- * streams; beginRun() resets state (cache contents, clock) between
- * runs.  References inside the source's warm segments are issued
- * (state and clock advance) but excluded from every measured
- * counter.
+ * streams; beginRun() returns a machine that has already run to its
+ * freshly built state (cache contents, clock, buffers).  References
+ * inside the source's warm segments are issued (state and clock
+ * advance) but excluded from every measured counter.
  */
 class System final : public Simulator
 {
   public:
     /** Build the machine; the configuration is validated here. */
     explicit System(const SystemConfig &config);
+
+    /**
+     * @return a machine for @p config that shares this machine's
+     * front end, which must be built from an equal frontEndKey()
+     * (core/sim_cache.hh) and not yet have run; this machine becomes
+     * its leader.  The follower owns no L1 or TLB arrays.  Drive the
+     * two in lockstep: every beginRun(), feedChunk() and endRun() of
+     * the leader comes before the followers' matching call, and each
+     * span is fed to the leader and its followers before the next.
+     * simulateBatch() is the one caller.
+     */
+    std::unique_ptr<System> follower(const SystemConfig &config);
 
     void beginRun(const RefSource &source) override;
     void feedChunk(const Ref *refs, std::size_t n) override;
@@ -59,22 +90,23 @@ class System final : public Simulator
      * collector never changes a simulated counter - the engine only
      * splits chunks at window boundaries (already bit-identical by
      * the resumable-run design) and snapshots read-only; couplets
-     * straddling a boundary are kept whole.
+     * straddling a boundary are kept whole.  Panics on a follower.
      */
-    void setIntervalCollector(IntervalCollector *collector) override
-    {
-        interval_ = collector;
-    }
+    void setIntervalCollector(IntervalCollector *collector) override;
 
     /**
      * The warm state is the simulated clock, L1 busy horizons, cache
      * contents (tags, LRU, dirty bits, victim buffers, replacement
      * streams), TLB, write-buffer queues, intermediate levels and
-     * memory bank horizons, in tagged sections.
+     * memory bank horizons, in tagged sections.  Panics on a
+     * follower, which has no cache contents of its own.
      */
     void captureState(StateWriter &w) const override;
 
-    /** The config must match the capturing machine's exactStateKey(). */
+    /**
+     * The config must match the capturing machine's exactStateKey().
+     * Panics on a follower.
+     */
     void restoreState(StateReader &r) override;
 
     /**
@@ -85,18 +117,52 @@ class System final : public Simulator
      * them for any other.  Timing-entangled state - clock, write
      * buffers, L2 contents, busy horizons - stays cold; the sampling
      * engine's detailed warm-up before each measurement unit exists
-     * to re-warm exactly that remainder.
+     * to re-warm exactly that remainder.  Panics on a follower.
      */
     void restoreWarmState(StateReader &r);
 
     const SystemConfig &config() const override { return config_; }
 
   private:
+    struct FrontTape;
+    struct FrontCounters;
+
+    /**
+     * A follower of the front end recorded on @p tape, or, when
+     * @p tape is null, a machine that owns its front end.
+     */
+    System(const SystemConfig &config, std::shared_ptr<FrontTape> tape);
+
+    /**
+     * One L1 as the timing code sees it: every mode reads its
+     * organizational config and name, and only a machine that owns
+     * its front end probes the cache itself.
+     */
+    struct L1Port
+    {
+        Cache *cache = nullptr;              ///< null on a follower
+        const CacheConfig *config = nullptr;
+        const char *name = "";
+    };
+
+    /** Where a follower stands in the current span of its tape. */
+    struct TapeCursor
+    {
+        std::size_t kind = 0;
+        std::size_t outcome = 0;
+        std::size_t translation = 0;
+        std::size_t fold = 0;
+    };
+
+    /** panic() naming @p what unless this machine owns a front end. */
+    void requireFront(const char *what) const;
+
     /**
      * (Re)build every stateful component from config_: memory, the
      * intermediate levels with their write buffers (memory-first so
      * each level drains into the one below), the L1 write buffer,
-     * the TLB when addressing is physical, and the L1 cache(s).
+     * and - unless this machine follows - the TLB when addressing is
+     * physical and the L1 cache(s).
      */
     void buildHierarchy();
 
@@ -114,11 +180,13 @@ class System final : public Simulator
      * @tparam TraceOn  emit per-reference debug trace events
      * @tparam Pair     split caches with couplet issue enabled
      * @tparam HasTlb   physical addressing (translate every ref)
+     * @tparam Mode     how the front end answers (FrontMode)
      * feedChunk() dispatches to the right instantiation per span;
      * cross-span progress lives in progress_ and is staged through
      * locals so the steady-state loop still runs out of registers.
      */
-    template <bool TraceOn, bool Pair, bool Split, bool HasTlb>
+    template <bool TraceOn, bool Pair, bool Split, bool HasTlb,
+              FrontMode Mode>
     void consumeChunk(const Ref *refs, std::size_t n);
 
     /** Dispatch one span to the right consumeChunk instantiation. */
@@ -136,21 +204,39 @@ class System final : public Simulator
     /**
      * Fold the measured span ending at @p now into result_ (counter
      * accumulators are taken from progress_, which the chunk loop
-     * synchronizes before the call).
+     * synchronizes before the call).  The L1 and TLB counters come
+     * from the front end: read live and, by a leader, recorded; read
+     * back from the tape by a follower.
      */
     void foldMeasured(Tick now);
+
+    /**
+     * The front end's answer to one demand access (a store when
+     * @p Write): probed, probed and recorded, or replayed, per
+     * @p Mode.  @p outcome is filled only on HitKind::Miss.
+     */
+    template <FrontMode Mode, bool Write>
+    [[gnu::always_inline]] inline HitKind
+    probe(const L1Port &l1, Addr addr, Pid pid, AccessOutcome &outcome);
+
+    /** The TLB's translation of @p ref, likewise per @p Mode. */
+    template <FrontMode Mode>
+    [[gnu::always_inline]] inline Tlb::Translation
+    translate(const Ref &ref);
 
     /**
      * @return completion time of a read issued at @p issue.  The
      * probe + hit path is forced inline into runLoop(); everything
      * past the HitKind check lives out of line in readMissTail().
      */
-    template <bool TraceOn, bool HasTlb>
+    template <bool TraceOn, bool HasTlb, FrontMode Mode>
     [[gnu::always_inline]] inline Tick
-    accessRead(Cache &cache, Tick &busy, const Ref &ref, Tick issue);
+    accessRead(const L1Port &l1, Tick &busy, const Ref &ref,
+               Tick issue);
 
     /** Victim-swap / fetch / early-continuation miss timing. */
-    Tick readMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
+    template <FrontMode Mode>
+    Tick readMissTail(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
                       Tick start, AccessOutcome &outcome);
 
     /**
@@ -159,24 +245,35 @@ class System final : public Simulator
      * occupies the downstream path and the cache's fill port, but
      * the CPU does not wait for it.
      */
-    void maybePrefetch(Cache &cache, Tick &busy, Addr addr, Pid pid,
+    template <FrontMode Mode>
+    void maybePrefetch(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
                        Tick when);
 
     /** @return completion time of a write issued at @p issue. */
-    template <bool TraceOn, bool HasTlb>
+    template <bool TraceOn, bool HasTlb, FrontMode Mode>
     [[gnu::always_inline]] inline Tick
-    accessWrite(Cache &cache, Tick &busy, const Ref &ref,
+    accessWrite(const L1Port &l1, Tick &busy, const Ref &ref,
                 Tick issue);
 
     /** Victim-swap / no-allocate / write-allocate miss timing. */
-    Tick writeMissTail(Cache &cache, Tick &busy, Addr addr, Pid pid,
+    template <FrontMode Mode>
+    Tick writeMissTail(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
                        Tick start, AccessOutcome &outcome);
 
     SystemConfig config_;
 
-    std::unique_ptr<Cache> icache_;
-    std::unique_ptr<Cache> dcache_;
-    std::unique_ptr<Tlb> tlb_;
+    FrontMode mode_ = FrontMode::Own;
+    /** Shared by a leader and its followers; null for Own. */
+    std::shared_ptr<FrontTape> tape_;
+    TapeCursor cursor_; ///< a follower's replay position
+    /** True once beginRun() has armed this machine. */
+    bool ran_ = false;
+
+    std::unique_ptr<Cache> icache_; ///< null when unified or following
+    std::unique_ptr<Cache> dcache_; ///< null when following
+    std::unique_ptr<Tlb> tlb_;      ///< null when virtual or following
+    L1Port iport_; ///< the I side; the D side's when unified
+    L1Port dport_;
     std::unique_ptr<MainMemory> memory_;
     /** Intermediate levels, nearest to memory first when built. */
     std::vector<std::unique_ptr<CacheLevel>> midLevels_;

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "core/sim_cache.hh"
+#include "core/sweep.hh"
 #include "stats/stats.hh"
 #include "stats/trace_event.hh"
 #include "trace_debug/trace_debug.hh"
@@ -176,6 +177,10 @@ writeManifest(std::ostream &os, const RunManifest &manifest)
        << ",\"misses\":" << sim_cache.misses()
        << ",\"dropped\":" << sim_cache.dropped()
        << ",\"entries\":" << sim_cache.size() << '}';
+
+    SweepCounters sweep = sweepCounters();
+    os << ",\"sweep\":{\"machines\":" << sweep.machines
+       << ",\"followers\":" << sweep.followers << '}';
 
     for (const auto &[key, json] : manifest.extra)
         os << ",\"" << stats::jsonEscape(key) << "\":" << json;

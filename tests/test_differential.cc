@@ -232,6 +232,34 @@ TEST(Differential, FusedBatchMatchesSerialRuns)
 }
 
 /**
+ * A machine that has run must restart from its built state: a second
+ * run on one machine equals a fresh machine's run, for both engines
+ * (the coherent one once kept every core's L1 lines, its miss
+ * classifiers and the shared L2 across runs).
+ */
+TEST(Differential, ReusedMachineMatchesFresh)
+{
+    for (std::uint64_t seed = 47001; seed < 47021; ++seed) {
+        for (const verify::FuzzCase &fuzz_case :
+             {verify::generateCase(seed),
+              verify::generateCoherentCase(seed)}) {
+            std::unique_ptr<Simulator> reused =
+                makeSimulator(fuzz_case.config);
+            reused->run(fuzz_case.trace);
+            SimResult again = reused->run(fuzz_case.trace);
+            SimResult fresh =
+                makeSimulator(fuzz_case.config)->run(fuzz_case.trace);
+            std::vector<verify::FieldDiff> diffs =
+                verify::diffResults(again, fresh);
+            EXPECT_TRUE(diffs.empty())
+                << "seed " << seed << " "
+                << fuzz_case.config.describe() << "\n"
+                << verify::formatDiffs(diffs);
+        }
+    }
+}
+
+/**
  * The batched sweep entry point must aggregate to the same doubles
  * at any thread count (the batch width depends on the pool size, so
  * this pins width-independence too).

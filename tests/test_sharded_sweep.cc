@@ -9,7 +9,10 @@
  * must aggregate to the same doubles whichever engine and thread
  * count each point rode (including coherent configs, which the
  * stack kernel rejects onto the fused lattice), and PipelinedFeeder
- * must produce ChunkFeeder's span sequence byte for byte.
+ * must produce ChunkFeeder's span sequence byte for byte.  In the
+ * fused lattice, configs sharing a front end (frontEndKey) must get
+ * exactly the results they get running alone, whichever sources
+ * feed the batch and whichever machines sit between them.
  *
  * Every test here saves and restores the process-wide pool size, so
  * the suite is safe to interleave with the other parallel suites
@@ -20,15 +23,23 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
+#include "core/sweep.hh"
+#include "json_check.hh"
+#include "stats/telemetry.hh"
 #include "trace/ref_source.hh"
+#include "trace/trace_v2.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
+#include "util/serialize.hh"
 #include "verify/fuzz.hh"
 
 namespace cachetime
@@ -434,6 +445,276 @@ TEST(ShardedSweep, PipelinedFeederMatchesChunkFeeder)
     PipelinedFeeder serial(serial_source);
     EXPECT_FALSE(serial.pipelined());
     EXPECT_TRUE(drain(serial) == reference);
+}
+
+/** RAII SimCache switch-off: restores the previous setting on exit. */
+class SimCacheOff
+{
+  public:
+    SimCacheOff() : was_(SimCache::global().enabled())
+    {
+        SimCache::global().setEnabled(false);
+    }
+    ~SimCacheOff() { SimCache::global().setEnabled(was_); }
+    SimCacheOff(const SimCacheOff &) = delete;
+    SimCacheOff &operator=(const SimCacheOff &) = delete;
+
+  private:
+    bool was_;
+};
+
+/**
+ * Timing-only variants of @p config, each differing in one latency
+ * or buffer knob, so each shares its front end.  Coherent machines
+ * are single-issue, virtual and bufferless, so only their clock and
+ * memory vary (and they never share anyway).
+ */
+std::vector<SystemConfig>
+timingVariants(const SystemConfig &config)
+{
+    std::vector<SystemConfig> out(2, config);
+    out[0].cycleNs = 2 * config.cycleNs;
+    out[1].memory.readLatencyNs += 120;
+    if (config.coherent())
+        return out;
+    out.push_back(config);
+    out.back().l1Buffer.depth += 2;
+    out.push_back(config);
+    out.back().cpu.earlyContinuation = !config.cpu.earlyContinuation;
+    if (config.addressing == AddressMode::Physical) {
+        out.push_back(config);
+        out.back().tlb.missPenaltyCycles += 7;
+    }
+    if (config.hasL2) {
+        out.push_back(config);
+        out.back().l2Timing.hitCycles += 3;
+    }
+    return out;
+}
+
+/**
+ * Case @p i's machine: the fuzz config of @p seed with physical
+ * addressing, both prefetch policies and victim caches mixed in, so
+ * every stream a front-end tape carries is exercised.
+ */
+SystemConfig
+frontEndCase(std::uint64_t seed, std::size_t i)
+{
+    SystemConfig config = verify::generateCase(seed).config;
+    if (config.coherent())
+        return config;
+    if (i % 5 == 0)
+        config.addressing = AddressMode::Physical;
+    for (CacheConfig *cache : {&config.icache, &config.dcache}) {
+        if (i % 4 == 1)
+            cache->prefetchPolicy = PrefetchPolicy::OnMiss;
+        else if (i % 4 == 2)
+            cache->prefetchPolicy = PrefetchPolicy::Tagged;
+        else if (i % 4 == 3)
+            cache->victimEntries = 2 + static_cast<unsigned>(i % 3);
+    }
+    return config;
+}
+
+/** @p trace repeated past refChunkSize, keeping its warm start. */
+Trace
+longTrace(const Trace &trace)
+{
+    std::vector<Ref> refs;
+    while (refs.size() <= refChunkSize + 100)
+        refs.insert(refs.end(), trace.refs().begin(), trace.refs().end());
+    return Trace(trace.name() + "-long", std::move(refs),
+                 trace.warmStart());
+}
+
+/** Every config run alone over @p trace. */
+std::vector<SimResult>
+loneRuns(const std::vector<SystemConfig> &configs, const Trace &trace)
+{
+    std::vector<SimResult> out;
+    for (const SystemConfig &config : configs)
+        out.push_back(makeSimulator(config)->run(trace));
+    return out;
+}
+
+/** @return copies of the memoized results @p shared points at. */
+std::vector<SimResult>
+values(const std::vector<std::shared_ptr<const SimResult>> &shared)
+{
+    std::vector<SimResult> out;
+    for (const auto &result : shared)
+        out.push_back(*result);
+    return out;
+}
+
+void
+expectLone(const std::vector<SimResult> &got,
+           const std::vector<SimResult> &lone,
+           const std::vector<SystemConfig> &configs,
+           const std::string &context)
+{
+    ASSERT_EQ(got.size(), lone.size()) << context;
+    for (std::size_t c = 0; c < lone.size(); ++c) {
+        std::vector<verify::FieldDiff> diffs =
+            verify::diffResults(got[c], lone[c]);
+        EXPECT_TRUE(diffs.empty())
+            << context << " config " << c << " "
+            << configs[c].describe() << "\n"
+            << verify::formatDiffs(diffs);
+    }
+}
+
+/**
+ * The fused lattice's shared front ends against lone machines: each
+ * fuzz machine is batched with its timing-only variants, a
+ * pair-issue-flipped twin and unrelated machines in between, over a
+ * resident stream longer than one span, the same stream from a
+ * CTTRACE2 file, and a stream with warm segments, at 1 and 8
+ * threads.  Every result must equal the config's lone run.
+ */
+TEST(SweepSharedFrontEnd, BatchesMatchLoneMachines)
+{
+    ThreadGuard guard;
+    SimCacheOff off;
+    resetSweepCounters();
+    const std::string path =
+        ::testing::TempDir() + "/shared_front_end.cttrace2";
+    for (std::size_t i = 0; i < 50; ++i) {
+        const std::uint64_t seed = 97101 + i;
+        const SystemConfig base = frontEndCase(seed, i);
+        std::vector<SystemConfig> variants = timingVariants(base);
+        for (const SystemConfig &variant : variants)
+            ASSERT_TRUE(frontEndKey(variant) == frontEndKey(base));
+
+        std::vector<SystemConfig> configs{
+            base, verify::generateCase(seed + 5000).config};
+        configs.insert(configs.end(), variants.begin(),
+                       variants.begin() + 2);
+        if (!base.coherent()) {
+            SystemConfig flipped = base;
+            flipped.cpu.pairIssue = !base.cpu.pairIssue;
+            configs.push_back(flipped);
+        }
+        configs.push_back(verify::generateCase(seed + 6000).config);
+        configs.insert(configs.end(), variants.begin() + 2,
+                       variants.end());
+        // Coherent machines reject warm segments.
+        std::vector<SystemConfig> classic;
+        for (const SystemConfig &config : configs)
+            if (!config.coherent())
+                classic.push_back(config);
+
+        const Trace trace = longTrace(verify::generateCase(seed).trace);
+        writeV2(trace, path);
+        Trace segmented(trace.name(), trace.refs(), trace.size() / 8);
+        const std::size_t third = trace.size() / 3;
+        segmented.setWarmSegments(
+            {{third, third + trace.size() / 10 + 1},
+             {2 * third, 2 * third + trace.size() / 12 + 1}});
+        const std::vector<SimResult> lone = loneRuns(configs, trace);
+        const std::vector<SimResult> lone_segmented =
+            loneRuns(classic, segmented);
+
+        for (unsigned threads : {1u, 8u}) {
+            setParallelThreads(threads);
+            const std::string context = "seed " + std::to_string(seed) +
+                                        " threads " +
+                                        std::to_string(threads);
+            TraceRefSource resident(trace);
+            expectLone(simulateBatch(configs, resident), lone, configs,
+                       context + " resident");
+            V2FileSource streamed(path);
+            expectLone(values(simulateSourceCachedMany(configs, streamed)),
+                       lone, configs, context + " v2 file");
+            TraceRefSource warm(segmented);
+            expectLone(values(simulateSourceCachedMany(classic, warm)),
+                       lone_segmented, classic,
+                       context + " warm segments");
+        }
+    }
+    std::remove(path.c_str());
+    EXPECT_GT(sweepCounters().followers, 0u);
+}
+
+/**
+ * A follower owns no L1s or TLB, so everything that needs them
+ * panics, and only a machine of the same front end can follow.
+ */
+TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SystemConfig config = SystemConfig::paperDefault();
+    SystemConfig slower = config;
+    slower.cycleNs = 2 * config.cycleNs;
+    System leader(config);
+    std::unique_ptr<System> follower = leader.follower(slower);
+
+    StateWriter writer;
+    StateReader reader(nullptr, 0, "empty");
+    EXPECT_DEATH(follower->captureState(writer), "follower");
+    EXPECT_DEATH(follower->restoreState(reader), "follower");
+    EXPECT_DEATH(follower->restoreWarmState(reader), "follower");
+    EXPECT_DEATH(follower->setIntervalCollector(nullptr), "follower");
+
+    SystemConfig bigger = config;
+    bigger.setL1SizeWordsEach(2 * config.dcache.sizeWords);
+    EXPECT_DEATH(leader.follower(bigger), "cannot follow");
+}
+
+/**
+ * A grid of 2 L1 sizes x 3 cycle times over one trace at one thread
+ * is cut into two groups of one organization each, so it builds six
+ * machines of which four follow; the run manifest reports both
+ * counts, and every aggregate equals the lone machine's.
+ */
+TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
+{
+    ThreadGuard guard;
+    SimCacheOff off;
+    setParallelThreads(1);
+
+    std::vector<SystemConfig> configs;
+    for (double cycle : {20.0, 40.0, 60.0}) {
+        for (std::uint64_t words : {1024u, 4096u}) {
+            SystemConfig config = SystemConfig::paperDefault();
+            config.setL1SizeWordsEach(words);
+            config.cycleNs = cycle;
+            configs.push_back(config);
+        }
+    }
+    const std::vector<Trace> traces{
+        longTrace(verify::generateCase(97301).trace)};
+
+    resetSweepCounters();
+    std::vector<AggregateMetrics> grid = runGeoMeanMany(configs, traces);
+
+    telemetry::RunManifest run;
+    run.tool = "sweep-shared-front-end";
+    std::stringstream manifest;
+    telemetry::writeManifest(manifest, run);
+    json_check::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(json_check::parseJson(manifest.str(), &doc, &error))
+        << error;
+    const json_check::JsonValue *machines = doc.path("sweep.machines");
+    const json_check::JsonValue *followers = doc.path("sweep.followers");
+    ASSERT_NE(machines, nullptr);
+    ASSERT_NE(followers, nullptr);
+    EXPECT_EQ(machines->number, 6.0);
+    EXPECT_EQ(followers->number, 4.0);
+
+    ASSERT_EQ(grid.size(), configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        AggregateMetrics lone = aggregateResults(
+            configs[c], {std::make_shared<const SimResult>(
+                            makeSimulator(configs[c])->run(traces[0]))});
+        EXPECT_EQ(grid[c].cyclesPerRef, lone.cyclesPerRef) << c;
+        EXPECT_EQ(grid[c].execNsPerRef, lone.execNsPerRef) << c;
+        EXPECT_EQ(grid[c].readMissRatio, lone.readMissRatio) << c;
+        EXPECT_EQ(grid[c].writeTrafficWordRatio,
+                  lone.writeTrafficWordRatio)
+            << c;
+    }
 }
 
 } // namespace
