@@ -131,6 +131,39 @@ emit(const TablePrinter &table, const std::string &title)
     std::cout << '\n';
 }
 
+/** A bench driver's `--json` flag, as parsed by jsonFlag(). */
+struct JsonFlag
+{
+    bool given = false; ///< the flag was on the command line
+    std::string path;   ///< where to write the report
+};
+
+/**
+ * Parse the `--json` flag of the bench drivers in any spelling:
+ * `--json` (report to @p path), `--json=PATH` or `--json PATH`.
+ * Another argument is fatal for @p tool unless @p others_ok, which
+ * leaves it to the caller.
+ */
+inline JsonFlag
+jsonFlag(int argc, char **argv, const char *tool, std::string path,
+         bool others_ok = false)
+{
+    JsonFlag flag{false, std::move(path)};
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--json=", 0) == 0) {
+            flag = {true, arg.substr(7)};
+        } else if (arg == "--json") {
+            flag.given = true;
+            if (i + 1 < argc && argv[i + 1][0] != '-')
+                flag.path = argv[++i];
+        } else if (!others_ok) {
+            fatal("%s: unknown argument %s", tool, arg.c_str());
+        }
+    }
+    return flag;
+}
+
 /**
  * @return the directory to write gnuplot figures into, set via
  * CACHETIME_PLOTS; empty means figures are not emitted.

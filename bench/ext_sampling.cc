@@ -21,7 +21,8 @@
  *    mean relative CI half-width, and the replay fraction of the
  *    checkpointed config-B runs.
  *
- * Invoked as `ext_sampling [--json[=path]]`; the JSON report asserts
+ * Invoked as `ext_sampling [--json [PATH]]` (or `--json=PATH`;
+ * PATH defaults to BENCH_sampling.json); the JSON report asserts
  * that checkpointed replays re-simulate under 10% of the stream
  * (exit code 2 when they do not).  CACHETIME_BENCH_SCALE resizes
  * the traces.
@@ -120,20 +121,8 @@ key(const SimKey &k, std::uint64_t trace_hash)
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    std::string json_path = "BENCH_sampling.json";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json")
-            json = true;
-        else if (arg.rfind("--json=", 0) == 0) {
-            json = true;
-            json_path = arg.substr(7);
-        } else {
-            warn("ext_sampling: unknown argument %s", arg.c_str());
-            return 1;
-        }
-    }
+    const JsonFlag json =
+        jsonFlag(argc, argv, "ext_sampling", "BENCH_sampling.json");
 
     auto traces = standardTraces(0.10);
     auto sizes = sizeAxisWordsEach();
@@ -227,11 +216,11 @@ main(int argc, char **argv)
               << ", pinned reuses: " << truth_hits << '\n';
 
     bool replay_ok = replay.maxReplay() < 0.10;
-    if (json) {
-        std::ofstream out(json_path);
+    if (json.given) {
+        std::ofstream out(json.path);
         if (!out) {
             warn("ext_sampling: cannot open %s for writing",
-                 json_path.c_str());
+                 json.path.c_str());
             return 1;
         }
         out << "{\n"

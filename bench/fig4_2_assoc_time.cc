@@ -9,6 +9,8 @@
  * percentage drop in misses is a shrinking share of execution time.
  */
 
+#include <utility>
+
 #include "bench/common.hh"
 #include "core/experiment.hh"
 
@@ -22,23 +24,31 @@ main()
     auto sizes = sizeAxisWordsEach(1, 9); // 4KB .. 1MB total
     SystemConfig base = SystemConfig::paperDefault();
     const std::vector<unsigned> assocs{1, 2, 4, 8};
+    const std::vector<double> cycles{30.0, 40.0, 60.0};
 
-    for (double t : {30.0, 40.0, 60.0}) {
+    // One parallel query over (cycle time, size) x assoc: points that
+    // differ only in cycle time share an L1 front end.
+    std::vector<std::pair<double, std::uint64_t>> rows;
+    for (double t : cycles)
+        for (std::uint64_t words_each : sizes)
+            rows.emplace_back(t, words_each);
+    auto metrics = sweepGrid(
+        runGeoMeanMany, rows, assocs, traces,
+        [&](const std::pair<double, std::uint64_t> &row, unsigned a) {
+            SystemConfig config = base;
+            config.cycleNs = row.first;
+            config.setL1SizeWordsEach(row.second);
+            config.setL1Assoc(a);
+            return config;
+        });
+
+    for (std::size_t c = 0; c < cycles.size(); ++c) {
+        const double t = cycles[c];
         std::vector<std::string> headers{"total L1"};
         for (unsigned a : assocs)
             headers.push_back(std::to_string(a) + "-way (ns/ref)");
         headers.push_back("1->2 gain");
         TablePrinter table(headers);
-        // One parallel batch per cycle time over (size, assoc).
-        auto metrics = sweepGrid(
-            runGeoMeanMany, sizes, assocs, traces,
-            [&](std::uint64_t words_each, unsigned a) {
-                SystemConfig config = base;
-                config.cycleNs = t;
-                config.setL1SizeWordsEach(words_each);
-                config.setL1Assoc(a);
-                return config;
-            });
         for (std::size_t s = 0; s < sizes.size(); ++s) {
             std::uint64_t words_each = sizes[s];
             std::vector<std::string> row{
@@ -46,7 +56,8 @@ main()
             double dm = 0.0, two = 0.0;
             for (std::size_t k = 0; k < assocs.size(); ++k) {
                 unsigned a = assocs[k];
-                const AggregateMetrics &m = metrics[s][k];
+                const AggregateMetrics &m =
+                    metrics[c * sizes.size() + s][k];
                 row.push_back(TablePrinter::fmt(m.execNsPerRef, 2));
                 if (a == 1)
                     dm = m.execNsPerRef;

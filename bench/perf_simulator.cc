@@ -14,9 +14,10 @@
  * BM_SweepGridMemoized reruns it against a warm SimCache,
  * reporting the hit rate as a counter.
  *
- * Invoked as `perf_simulator --json[=path]` the binary skips google
- * benchmark entirely and writes a JSON throughput report instead:
- * per-workload refs/sec of `simulateOne` under the paper-default
+ * Invoked as `perf_simulator --json [PATH]` (or `--json=PATH`) the
+ * binary skips google benchmark entirely and writes a JSON
+ * throughput report instead (to BENCH_simulator.json without a
+ * PATH): per-workload refs/sec of `simulateOne` under the paper-default
  * system, single-threaded and with eight concurrent simulations,
  * with the geomean over the Table 1 workloads.  EXPERIMENTS.md
  * documents the regen command.
@@ -32,6 +33,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/common.hh"
 #include "cache/cache.hh"
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
@@ -385,13 +387,11 @@ BENCHMARK(BM_SweepGridMemoized)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json")
-            return runJsonReport("BENCH_simulator.json");
-        if (arg.rfind("--json=", 0) == 0)
-            return runJsonReport(arg.substr(7));
-    }
+    // Without --json, the arguments are google benchmark's.
+    const bench::JsonFlag json = bench::jsonFlag(
+        argc, argv, "perf_simulator", "BENCH_simulator.json", true);
+    if (json.given)
+        return runJsonReport(json.path);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -24,7 +24,8 @@
  * the bit-identity booleans are the portable claim and the smoke
  * test's exit status enforces them.
  *
- * Invoked as `perf_sweep --json[=path]`; CACHETIME_BENCH_SCALE
+ * Invoked as `perf_sweep [--json [PATH]]` (or `--json=PATH`); the
+ * report goes to PATH, else BENCH_sweep.json.  CACHETIME_BENCH_SCALE
  * resizes the traces (default 0.05 keeps the smoke test quick).
  */
 
@@ -225,15 +226,7 @@ runReport(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string path = "BENCH_sweep.json";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0)
-            path = arg.substr(7);
-        else if (arg != "--json") {
-            warn("perf_sweep: unknown argument %s", arg.c_str());
-            return 1;
-        }
-    }
-    return runReport(path);
+    return runReport(
+        bench::jsonFlag(argc, argv, "perf_sweep", "BENCH_sweep.json")
+            .path);
 }

@@ -1,10 +1,11 @@
 #include "core/stack_sim.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
+#include <string>
 
 #include "core/sweep.hh"
+#include "stats/trace_event.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 
@@ -22,15 +23,6 @@ log2u(std::uint64_t value)
         ++shift;
     return shift;
 }
-
-/** One block tracked by a set's master list. */
-struct Entry
-{
-    Addr block = 0;
-    Pid pid = 0;
-    /** Minimum associativity at which the block is resident. */
-    std::uint32_t aStar = 0;
-};
 
 /**
  * The organizational identity of one stack layer.  Configs mapping
@@ -51,8 +43,13 @@ struct LayerKey
 };
 
 /**
- * Per-set master lists + reuse histograms for one layer (or, in the
+ * Per-set key rows + reuse histograms for one layer (or, in the
  * sharded pass, for one shard's slice of one layer).
+ *
+ * Every layer names a block by one fused (block << 16 | pid) key,
+ * the production cache's own layout.  The fusion is exact for block
+ * addresses below 2^48; runStackSweep re-answers wider streams with
+ * simulateBatch.
  *
  * A shard owns every set whose index contains its shard id in bits
  * [shardPos, shardPos + shardBits): finalize() then sizes the
@@ -73,17 +70,26 @@ struct Layer
     unsigned shardBits = 0;      ///< set-index bits owned pass-wide
     std::uint64_t lowMask = 0;   ///< set bits below the shard bits
 
-    /** sets x maxA entry slots; set s owns [s*maxA, s*maxA+len[s]). */
-    std::vector<Entry> slots;
+    /**
+     * Deep (maxA > 1) layers: sets x maxA key slots, set s's row
+     * [s*maxA, s*maxA+len[s]) in master-list order (most recent
+     * first).
+     */
+    std::vector<std::uint64_t> keys;
     std::vector<std::uint32_t> len;
 
     /**
+     * A-stars, parallel to keys, kept only where some touch does not
+     * allocate (no-write-allocate data layers).  Where every touch
+     * allocates, the level-A contents are the row's first A keys, so
+     * a-star is the row position + 1 and needs no storage.
+     */
+    std::vector<std::uint32_t> aStars;
+
+    /**
      * Direct-mapped (maxA == 1) layers - the whole paper-default
-     * grid - skip the master lists: one fused (block, pid) tag per
-     * set plus a validity bitmap, probed inline by the driver.  The
-     * fusion (block << 16 | pid) is exact for block addresses below
-     * 2^48, mirroring the production cache's own fused-key layout;
-     * runStackSweep re-answers wider streams with simulateBatch.
+     * grid - skip the rows: one fused tag per set plus a validity
+     * bitmap, probed inline by the driver.
      */
     std::vector<std::uint64_t> tags;
     std::vector<std::uint64_t> validBits;
@@ -129,8 +135,10 @@ struct Layer
             tags.assign(local_sets, 0);
             validBits.assign(local_sets / 64 + 1, 0);
         } else {
-            slots.resize(local_sets * maxA);
+            keys.assign(local_sets * maxA, 0);
             len.assign(local_sets, 0);
+            if (noWriteAllocate && !key.iside)
+                aStars.assign(local_sets * maxA, 0);
         }
         histRead.assign(maxA + 2, 0);
         histWrite.assign(maxA + 2, 0);
@@ -143,79 +151,93 @@ void
 Layer::touch(Addr addr, Pid pid, bool write, bool measuring)
 {
     const Addr block = addr >> blockShift;
-    const Pid p = static_cast<Pid>(pid & pidMask);
+    const std::uint64_t fused = (block << 16) | (pid & pidMask);
     const std::size_t set = localSet(block & setMask);
-    Entry *list = slots.data() + set * maxA;
+    std::uint64_t *row = keys.data() + set * maxA;
     std::uint32_t n = len[set];
 
-    std::uint32_t i = n;
-    for (std::uint32_t j = 0; j < n; ++j) {
-        if (list[j].block == block && list[j].pid == p) {
-            i = j;
-            break;
-        }
-    }
+    std::uint32_t i = 0;
+    while (i < n && row[i] != fused)
+        ++i;
     const bool found = i < n;
-    const std::uint32_t k = found ? list[i].aStar : maxA + 1;
-    if (measuring)
-        (write ? histWrite : histRead)[k] += 1;
 
-    if (write && noWriteAllocate) {
-        // Hit for levels >= k: recency updates there, and moving X
-        // to the front of M reorders exactly the lists X belongs
-        // to.  Levels < k miss without allocating - no state change,
-        // a-star untouched.  A full miss changes nothing at all.
-        if (found && i > 0) {
-            Entry x = list[i];
-            std::memmove(list + 1, list, i * sizeof(Entry));
-            list[0] = x;
+    if (aStars.empty()) {
+        // Every touch allocates, so this is plain LRU: level A holds
+        // the row's first A keys, X's reuse level is its position
+        // + 1, and X rotates to the front - past the deepest level's
+        // LRU key, which falls off a full row.  Rows are short, so
+        // the rotations are plain loops: a memmove call per touch
+        // costs more than the copy.
+        if (measuring)
+            (write ? histWrite : histRead)[found ? i + 1 : maxA + 1] += 1;
+        if (!found) {
+            if (n < maxA)
+                len[set] = n + 1;
+            else
+                i = n - 1;
         }
+        for (std::uint32_t j = i; j > 0; --j)
+            row[j] = row[j - 1];
+        row[0] = fused;
         return;
     }
 
-    // Allocating touch (read, or store under write-allocate): X
-    // becomes resident at every level.  Each full level below X's
-    // old a-star evicts its LRU member - the last entry in M order
-    // with a-star <= A - whose a-star bumps to A+1.  Ascending order
-    // matters: a victim pushed to level A+1 is immediately a
-    // candidate there.
-    const std::uint32_t cascade = std::min(k - 1, maxA);
-    for (std::uint32_t A = 1; A <= cascade; ++A) {
-        std::uint32_t count = 0;
-        std::uint32_t victim = n;
-        for (std::uint32_t j = 0; j < n; ++j) {
-            if (found && j == i)
-                continue;
-            if (list[j].aStar <= A) {
-                ++count;
-                victim = j;
-            }
+    std::uint32_t *stars = aStars.data() + set * maxA;
+    const std::uint32_t k = found ? stars[i] : maxA + 1;
+    if (measuring)
+        (write ? histWrite : histRead)[k] += 1;
+
+    // A-stars exist only on no-write-allocate layers: a read
+    // allocates, a store never does.
+    if (!write) {
+        // Allocating touch: X becomes resident at every level.  Each
+        // full level A below X's old a-star evicts its LRU member -
+        // the last entry with a-star <= A - whose a-star bumps to
+        // A+1; past the deepest level it is deleted.  Level A never
+        // shrinks and lacks a block allocated before only after
+        // evicting it while full, so it holds min(A, distinct blocks
+        // ever allocated in the set) entries and a row of n entries
+        // carries each a-star 1..n exactly once.  The levels below
+        // min(k, n+1) are thus all full, and a bump keeps its victim
+        // inside every deeper level, so level A's victim is the last
+        // entry with an a-star <= A before the cascade.  Entry j is
+        // the victim of levels [a_j, m_j), where m_j is the least
+        // a-star after it (capped at min(k, n+1)), and ends at
+        // max(a_j, m_j): one backward pass with a running minimum
+        // makes every bump.  X's own a-star k is never below the
+        // minimum, so X keeps it and leaves the minimum alone.
+        std::uint32_t least = std::min(k, n + 1);
+        for (std::uint32_t j = n; j-- > 0;) {
+            const std::uint32_t a = stars[j];
+            stars[j] = std::max(a, least);
+            least = std::min(least, a);
         }
-        if (count < A)
-            continue;
-        if (A == maxA) {
-            // Evicted from the deepest tracked level.  Only an
-            // absent X cascades this far (found implies k <= maxA,
-            // capping the cascade at k-1 < maxA), and every live
-            // entry has a-star <= maxA, so the victim is the
-            // physically last entry.
-            --n;
-        } else {
-            list[victim].aStar = A + 1;
+        if (!found) {
+            // A full row's last entry just fell past the deepest
+            // level (a-star maxA + 1).
+            if (n == maxA)
+                --n;
+            i = n++;
+            len[set] = n;
         }
+    } else if (!found) {
+        // A no-write-allocate store that misses everywhere changes
+        // nothing.
+        return;
     }
 
-    if (found) {
-        Entry x = list[i];
-        x.aStar = 1;
-        std::memmove(list + 1, list, i * sizeof(Entry));
-        list[0] = x;
-    } else {
-        std::memmove(list + 1, list, n * sizeof(Entry));
-        list[0] = Entry{block, p, 1};
-        ++n;
+    // X moves to the front: a hit for levels >= k updates recency
+    // there, and moving X to the front of the row reorders exactly
+    // the levels X belongs to.  A store leaves X's a-star alone (it
+    // missed levels < k without allocating); an allocating touch
+    // makes X resident at level 1.
+    const std::uint32_t star = write ? k : 1;
+    for (std::uint32_t j = i; j > 0; --j) {
+        row[j] = row[j - 1];
+        stars[j] = stars[j - 1];
     }
-    len[set] = n;
+    row[0] = fused;
+    stars[0] = star;
 }
 
 bool
@@ -237,7 +259,7 @@ struct RolePlan
 
 /**
  * Flat probe view of a direct-mapped layer, walked by the inner
- * loop without indirection; deeper layers keep the master lists.
+ * loop without indirection; deeper layers keep their key rows.
  */
 struct DirectView
 {
@@ -360,7 +382,7 @@ struct PassCounts
 
     /**
      * @return true when some address reaches past the 48 bits the
-     * direct-mapped layers' fused (block << 16 | pid) tag holds.
+     * layers' fused (block << 16 | pid) keys hold.
      */
     bool wide() const { return (addrBits >> 48) != 0; }
 };
@@ -662,6 +684,12 @@ runStackSweep(const std::vector<SystemConfig> &configs,
             {plan.bits, log2u(parallelThreads()) + 2, 6u});
     }
 
+    trace_event::Span span(
+        trace_event::Cat::Sweep,
+        "stack n=" + std::to_string(configs.size()) +
+            " layers=" + std::to_string(layers.size()) +
+            " shards=" + std::to_string(1u << shard_bits) +
+            " trace=" + source.name());
     std::vector<SimResult> out(configs.size());
 
     if (shard_bits == 0) {
@@ -685,6 +713,7 @@ runStackSweep(const std::vector<SystemConfig> &configs,
             });
         if (counts.wide())
             return simulateBatch(configs, source);
+        countStackPass(configs.size());
         fillCommon(out, configs, source.name(), split, counts);
         addMissCounters(out, split, iPlan, dPlan, layers);
         return out;
@@ -767,6 +796,7 @@ runStackSweep(const std::vector<SystemConfig> &configs,
     if (counts.wide())
         return simulateBatch(configs, source);
 
+    countStackPass(configs.size());
     fillCommon(out, configs, source.name(), split, counts);
     for (const Shard &shard : shards)
         addMissCounters(out, split, iPlan, dPlan, shard.layers);

@@ -34,12 +34,26 @@
  *
  * Both invariants are preserved by every transition: inclusion
  * (a-star <= A membership nests) and order consistency (M restricted
- * to level A is that cache's true LRU order).  Each access records
- * its reuse level k in a histogram; misses at level A are the
- * histogram mass above A, so one pass yields exact counters for
- * every (size, assoc) point sharing a set count - and layers for
- * different set counts, block sizes or tag regimes run side by side
- * in the same pass, sharing only the decoded reference stream.
+ * to level A is that cache's true LRU order).
+ *
+ * Each set's M is one dense row of fused (block << 16 | pid) keys in
+ * M order, the production cache's key layout, so a probe scans 64
+ * bytes at 8 ways.  Where every touch allocates (I-side layers and
+ * write-allocate data layers) the model is plain LRU - level A holds
+ * the row's first A keys, a-star is row position + 1 - and the row is
+ * all there is.  No-write-allocate data layers keep a-stars in a
+ * parallel array; since level A holds min(A, blocks ever allocated)
+ * entries, a row of n entries carries each a-star 1..n once, and an
+ * allocating touch makes every bump in one backward pass (DESIGN.md
+ * section 10).  Direct-mapped layers keep one fused tag per set and a
+ * validity bitmap instead of rows.
+ *
+ * Each access records its reuse level k in a histogram; misses at
+ * level A are the histogram mass above A, so one pass yields exact
+ * counters for every (size, assoc) point sharing a set count - and
+ * layers for different set counts, block sizes or tag regimes run
+ * side by side in the same pass, sharing only the decoded reference
+ * stream.
  *
  * Eligibility (stackEligible): virtually-addressed machines with
  * demand fetching of whole blocks, no victim buffer, and LRU
@@ -103,10 +117,14 @@ unsigned stackShardBits(const std::vector<SystemConfig> &configs);
  * measured reference counts) are exact - bit-identical to a full
  * run - and every timing field is zero.
  *
- * The direct-mapped layers fuse (block, pid) into one 64-bit tag,
- * which is exact only for word addresses below 2^48.  A stream
- * reaching past that is answered by simulateBatch (core/sweep.hh)
- * instead, returning full results after the wasted pass.
+ * Every layer fuses (block, pid) into one 64-bit key, which is exact
+ * only for word addresses below 2^48.  A stream reaching past that is
+ * answered by simulateBatch (core/sweep.hh) instead, returning full
+ * results after the wasted pass.
+ *
+ * Each answered pass is one `stack` span in the trace-event session
+ * and one pass, of configs.size() points, in sweepCounters(); a pass
+ * re-answered by simulateBatch counts there as machines instead.
  *
  * Preconditions: every config is stackEligible(), and all share
  * `split` and effective pair-issue (the two knobs that shape issue

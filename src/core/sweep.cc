@@ -28,6 +28,8 @@ constexpr std::size_t bytesPerLine = 80;
 
 std::atomic<std::uint64_t> machinesBuilt{0};
 std::atomic<std::uint64_t> followersBuilt{0};
+std::atomic<std::uint64_t> stackPasses{0};
+std::atomic<std::uint64_t> stackPoints{0};
 
 std::size_t
 cacheFootprintBytes(const CacheConfig &config)
@@ -342,7 +344,8 @@ configFootprintBytes(const SystemConfig &config)
 SweepCounters
 sweepCounters()
 {
-    return {machinesBuilt.load(), followersBuilt.load()};
+    return {machinesBuilt.load(), followersBuilt.load(),
+            stackPasses.load(), stackPoints.load()};
 }
 
 void
@@ -350,6 +353,15 @@ resetSweepCounters()
 {
     machinesBuilt.store(0);
     followersBuilt.store(0);
+    stackPasses.store(0);
+    stackPoints.store(0);
+}
+
+void
+countStackPass(std::size_t points)
+{
+    stackPasses.fetch_add(1, std::memory_order_relaxed);
+    stackPoints.fetch_add(points, std::memory_order_relaxed);
 }
 
 std::vector<SimResult>

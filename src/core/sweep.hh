@@ -107,11 +107,16 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
  */
 std::size_t configFootprintBytes(const SystemConfig &config);
 
-/** Process-wide counts of the machines simulateBatch() has built. */
+/**
+ * Process-wide counts of the machines simulateBatch() has built and
+ * of the passes runStackSweep() has answered.
+ */
 struct SweepCounters
 {
     std::uint64_t machines = 0;  ///< every machine, followers included
     std::uint64_t followers = 0; ///< machines replaying a shared front end
+    std::uint64_t stackPasses = 0; ///< stack passes that answered
+    std::uint64_t stackPoints = 0; ///< configs those passes answered
 };
 
 /** @return the counts so far (the run manifest's "sweep" entry). */
@@ -119,6 +124,12 @@ SweepCounters sweepCounters();
 
 /** Zero the counts (tests). */
 void resetSweepCounters();
+
+/**
+ * Count one stack pass that answered @p points configs.  A pass that
+ * hands its configs to simulateBatch() counts there, as machines.
+ */
+void countStackPass(std::size_t points);
 
 } // namespace cachetime
 

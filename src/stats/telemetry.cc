@@ -180,7 +180,9 @@ writeManifest(std::ostream &os, const RunManifest &manifest)
 
     SweepCounters sweep = sweepCounters();
     os << ",\"sweep\":{\"machines\":" << sweep.machines
-       << ",\"followers\":" << sweep.followers << '}';
+       << ",\"followers\":" << sweep.followers
+       << ",\"stack_passes\":" << sweep.stackPasses
+       << ",\"stack_points\":" << sweep.stackPoints << '}';
 
     for (const auto &[key, json] : manifest.extra)
         os << ",\"" << stats::jsonEscape(key) << "\":" << json;

@@ -665,7 +665,10 @@ TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
  * A grid of 2 L1 sizes x 3 cycle times over one trace at one thread
  * is cut into two groups of one organization each, so it builds six
  * machines of which four follow; the run manifest reports both
- * counts, and every aggregate equals the lone machine's.
+ * counts, and every aggregate equals the lone machine's.  A
+ * miss-ratio query over the same grid and two traces then runs one
+ * stack pass per trace (one issue shape), which the manifest counts
+ * as passes and stack points, building no machine.
  */
 TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
 {
@@ -703,6 +706,20 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
     EXPECT_EQ(machines->number, 6.0);
     EXPECT_EQ(followers->number, 4.0);
 
+    // One count from a fresh manifest; a missing key reads -1.
+    auto count = [&run](const std::string &key) {
+        std::stringstream text;
+        telemetry::writeManifest(text, run);
+        json_check::JsonValue fresh;
+        std::string why;
+        if (!json_check::parseJson(text.str(), &fresh, &why))
+            return -2.0;
+        const json_check::JsonValue *value = fresh.path("sweep." + key);
+        return value ? value->number : -1.0;
+    };
+    EXPECT_EQ(count("stack_passes"), 0.0);
+    EXPECT_EQ(count("stack_points"), 0.0);
+
     ASSERT_EQ(grid.size(), configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         AggregateMetrics lone = aggregateResults(
@@ -715,6 +732,15 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
                   lone.writeTrafficWordRatio)
             << c;
     }
+
+    for (const SystemConfig &config : configs)
+        ASSERT_TRUE(stackEligible(config));
+    runMissRatioMany(configs,
+                     {traces[0], verify::generateCase(97302).trace});
+    EXPECT_EQ(count("stack_passes"), 2.0);
+    EXPECT_EQ(count("stack_points"),
+              2.0 * static_cast<double>(configs.size()));
+    EXPECT_EQ(count("machines"), 6.0);
 }
 
 } // namespace

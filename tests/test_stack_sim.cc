@@ -168,13 +168,18 @@ TEST(StackSim, UnifiedMatchesBruteForce)
     }
 }
 
-/** Split machines, with and without paired issue. */
+/**
+ * Split machines, with and without paired issue, over a size x
+ * associativity lattice whose depths 1-8 share set counts: one pass
+ * holds plain-LRU I-side and write-allocate layers beside
+ * no-write-allocate D-side layers carrying a-stars.
+ */
 TEST(StackSim, SplitMatchesBruteForce)
 {
     for (bool pair : {false, true}) {
         std::vector<SystemConfig> configs;
-        for (std::uint64_t words : {128u, 512u}) {
-            for (unsigned assoc : {1u, 2u}) {
+        for (std::uint64_t words : {256u, 1024u}) {
+            for (unsigned assoc : {1u, 2u, 4u, 8u}) {
                 configs.push_back(splitConfig(
                     words, 4, assoc, AllocPolicy::NoWriteAllocate,
                     pair));
@@ -238,16 +243,20 @@ TEST(StackSim, WarmSegmentsMatchBruteForce)
 }
 
 /**
- * Word addresses past 2^48 overflow the direct-mapped layers' fused
- * (block << 16 | pid) tag.  Two loads whose block addresses differ
- * only in bit 60 share a set of a 1K-word direct-mapped cache, so
- * alternating them misses every time; both the serial and the
- * sharded kernel, and the miss-ratio front end, must say so.
+ * Word addresses past 2^48 overflow every layer's fused
+ * (block << 16 | pid) key.  Two loads whose block addresses differ
+ * only in bit 60 share a set of a 1K-word cache, so alternating them
+ * misses every time direct-mapped and only twice at 4 ways (both
+ * row kinds: a-stars under no-write-allocate, plain LRU under
+ * write-allocate); both the serial and the sharded kernel, and the
+ * miss-ratio front end, must say so.
  */
 TEST(StackSim, WideAddressesDoNotAlias)
 {
-    SystemConfig config =
-        unifiedConfig(1024, 4, 1, AllocPolicy::NoWriteAllocate, true);
+    const std::vector<SystemConfig> configs{
+        unifiedConfig(1024, 4, 1, AllocPolicy::NoWriteAllocate, true),
+        unifiedConfig(1024, 4, 4, AllocPolicy::NoWriteAllocate, true),
+        unifiedConfig(1024, 4, 4, AllocPolicy::WriteAllocate, true)};
     const Addr low = 0x40;
     const Addr high = low | (Addr{1} << 62); // block bit 60
     std::vector<Ref> refs;
@@ -256,14 +265,19 @@ TEST(StackSim, WideAddressesDoNotAlias)
         refs.push_back({high, RefKind::Load, 0});
     }
     Trace trace("wide", std::move(refs), 0);
-    ASSERT_EQ(simulateOne(config, trace).dcache.readMisses, 2000u);
+    ASSERT_EQ(simulateOne(configs[0], trace).dcache.readMisses, 2000u);
+    ASSERT_EQ(simulateOne(configs[1], trace).dcache.readMisses, 2u);
 
     for (unsigned threads : {1u, 4u}) {
         setParallelThreads(threads);
-        sweepAndCompare({config}, trace, threads);
+        sweepAndCompare(configs, trace, threads);
         std::vector<MissRatioMetrics> ratios =
-            runMissRatioMany({config}, {trace});
+            runMissRatioMany(configs, {trace});
         EXPECT_EQ(ratios[0].loadMissRatio, 1.0)
+            << threads << " threads";
+        EXPECT_DOUBLE_EQ(ratios[1].loadMissRatio, 2.0 / 2000.0)
+            << threads << " threads";
+        EXPECT_DOUBLE_EQ(ratios[2].loadMissRatio, 2.0 / 2000.0)
             << threads << " threads";
     }
     setParallelThreads(0);
