@@ -98,21 +98,6 @@ namespace
 {
 
 /**
- * The couplet-slide rule every cut obeys (mirrors ChunkFeeder and
- * System::feedChunk): never separate an IFetch from the data
- * reference it pairs with; move the cut past the data ref instead.
- */
-std::size_t
-slideCut(const Ref *refs, std::size_t n, std::size_t cut, bool pair)
-{
-    if (pair && cut > 0 && cut < n &&
-        refs[cut - 1].kind == RefKind::IFetch &&
-        isData(refs[cut].kind))
-        return cut + 1;
-    return cut;
-}
-
-/**
  * A read-only view of a Trace with the sampling plan's measurement
  * layout substituted: warm start at the first unit, gaps between
  * units as warm segments.  Avoids copying the reference stream just
@@ -297,7 +282,7 @@ runSmartsFullPass(const SystemConfig &config, const Trace &trace,
     std::vector<std::uint64_t> cp_actual(n_units);
     std::vector<std::string> blobs;
     for (std::size_t k = 0; k < n_units; ++k) {
-        std::size_t cut = slideCut(
+        std::size_t cut = coupletSafeCut(
             refs, total, static_cast<std::size_t>(units[k].cp), pair);
         if (cut > pos) {
             machine.feedChunk(refs + pos, cut - pos);
@@ -312,10 +297,9 @@ runSmartsFullPass(const SystemConfig &config, const Trace &trace,
     }
     // Nothing after the last unit is measured or checkpointed, so
     // the pass stops there instead of draining the stream.
-    std::size_t stop =
-        slideCut(refs, total,
-                 static_cast<std::size_t>(units[n_units - 1].end),
-                 pair);
+    std::size_t stop = coupletSafeCut(
+        refs, total, static_cast<std::size_t>(units[n_units - 1].end),
+        pair);
     if (stop > pos)
         machine.feedChunk(refs + pos, stop - pos);
     machine.endRun();

@@ -23,10 +23,11 @@
  *    differing in timing restores the timing-independent cache and
  *    TLB contents and lets the detailed warm-up re-warm the rest.
  *
- * Unit boundaries respect couplet pairing: a cut never separates an
- * IFetch from the data reference it pairs with (the cut slides past
- * the data ref), so every pairing decision matches the unsplit
- * stream and sampled runs stay bit-exact against full runs.
+ * Unit boundaries respect couplet pairing: checkpoint and stop cuts
+ * go through coupletSafeCut() (trace/ref.hh) with the machine's
+ * pairing, so a cut never separates an IFetch from the data
+ * reference it pairs with, every pairing decision matches the
+ * unsplit stream, and sampled runs stay bit-exact against full runs.
  */
 
 #ifndef CACHETIME_CORE_SMARTS_HH

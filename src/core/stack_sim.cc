@@ -1,7 +1,6 @@
 #include "core/stack_sim.hh"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "core/sweep.hh"
@@ -388,54 +387,37 @@ struct PassCounts
 };
 
 /**
- * The single pass driver, mirroring System::consumeChunk's
- * issue-group and measurement-window logic exactly: the measuring
- * flag is decided at the group's first reference, state always
- * advances, and only measured accesses are counted.  Every
- * reference is handed to @p sink(ref, iside, write, measured) in
- * stream order - the serial kernel touches layers there, the
- * sharded kernel routes into per-shard buffers - so both kernels
- * share one measuring/pairing implementation and cannot drift.
+ * The single pass driver.  It issues groups as
+ * System::consumeChunk does - the measuring flag is decided at the
+ * group's first reference by the same MeasureWindow, state always
+ * advances, and only measured accesses are counted - over the spans
+ * the feeder cuts.  Every reference is handed to
+ * @p sink(ref, iside, write, measured) in stream order - the serial
+ * kernel touches layers there, the sharded kernel routes into
+ * per-shard buffers - so both kernels share one measuring/pairing
+ * implementation and cannot drift.
  */
 template <typename Sink>
 PassCounts
 drivePass(RefSource &source, bool pair, Sink &&sink)
 {
-    const std::vector<WarmSegment> segments = source.warmSegments();
-    const std::size_t warm_start = source.warmStart();
+    MeasureWindow window(source.warmStart(), source.warmSegments());
     PipelinedFeeder feeder(source);
 
     PassCounts counts;
     std::size_t consumed = 0;
-    std::size_t seg_idx = 0;
-    std::size_t boundary = 0;
+    std::size_t boundary = window.boundary();
     bool measuring = false;
-
-    auto stateAt = [&](std::size_t p) -> bool {
-        if (p < warm_start) {
-            boundary = warm_start;
-            return false;
-        }
-        while (seg_idx < segments.size() && p >= segments[seg_idx].end)
-            ++seg_idx;
-        if (seg_idx < segments.size() &&
-            p >= segments[seg_idx].begin) {
-            boundary = segments[seg_idx].end;
-            return false;
-        }
-        boundary = seg_idx < segments.size()
-                       ? segments[seg_idx].begin
-                       : std::numeric_limits<std::size_t>::max();
-        return true;
-    };
 
     while (ChunkFeeder::Span span = feeder.next()) {
         const Ref *buffer = span.data;
         const std::size_t n = span.size;
         std::size_t head = 0;
         while (head < n) {
-            if (consumed >= boundary) [[unlikely]]
-                measuring = stateAt(consumed);
+            if (consumed >= boundary) [[unlikely]] {
+                measuring = window.measured(consumed);
+                boundary = window.boundary();
+            }
 
             const std::uint64_t measured = measuring ? 1 : 0;
             const Ref &first = buffer[head];

@@ -73,22 +73,6 @@ sortByFrontEnd(const std::vector<SystemConfig> &configs,
                      });
 }
 
-/**
- * @return how many of @p n refs to take for a span of at most about
- * @p want: @p want itself, or one more when the cut would separate an
- * IFetch from the data reference it pairs with, so every pairing
- * decision matches the uncut stream.
- */
-std::size_t
-coupletSafeCut(const Ref *refs, std::size_t n, std::size_t want)
-{
-    if (want >= n)
-        return n;
-    if (refs[want - 1].kind == RefKind::IFetch && isData(refs[want].kind))
-        ++want;
-    return want;
-}
-
 /** Key for memoized counter-only results, disjoint from simKey's. */
 SimKey
 missRatioKey(const SystemConfig &config, std::uint64_t trace_hash)
@@ -415,24 +399,17 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     // I/O and synthetic generation are paid once per span however
     // wide the batch is.  The pipelined feeder moves that decode
     // off-thread when threads are available (file-backed sources
-    // only; resident streams are consumed zero-copy), producing the
-    // same span sequence byte for byte.  A resident stream arrives
-    // as one span, so it is cut into pieces of about refChunkSize:
-    // that bounds a leader's tape, and machines are
-    // span-split-invariant.  Batch order feeds each leader a piece
-    // before its followers.
+    // only; resident streams are sliced zero-copy), producing the
+    // same span sequence byte for byte.  Spans hold at most
+    // refChunkSize + 1 references, which bounds a leader's tape;
+    // batch order feeds each leader a span before its followers.
     PipelinedFeeder feeder(source);
     for (auto &machine : machines)
         machine->beginRun(source);
     ProgressMeter *meter = progress::global();
     while (ChunkFeeder::Span span = feeder.next()) {
-        for (std::size_t at = 0; at < span.size;) {
-            std::size_t take =
-                coupletSafeCut(span.data + at, span.size - at, refChunkSize);
-            for (auto &machine : machines)
-                machine->feedChunk(span.data + at, take);
-            at += take;
-        }
+        for (auto &machine : machines)
+            machine->feedChunk(span.data, span.size);
         if (meter)
             meter->bump(span.size * n);
     }

@@ -76,8 +76,9 @@ struct BatchOptions
  * sizes the batch (see BatchOptions and configFootprintBytes); this
  * driver builds all machines up front, so its peak memory is the sum
  * of their footprints, with each shared front end counted once.
- * Spans longer than refChunkSize are cut at couplet-safe points, so
- * a leader's tape stays bounded.
+ * Every machine is fed the feeder's spans, resident streams
+ * included, so a leader's tape stays bounded by one span of at most
+ * refChunkSize + 1 references.
  */
 std::vector<SimResult>
 simulateBatch(const std::vector<SystemConfig> &configs,

@@ -11,18 +11,15 @@
  * issued at the same time and both must complete before the CPU can
  * proceed to the next reference or reference pair."
  *
- * RefPairer implements exactly that grouping; timing (hit costs)
- * lives in CpuConfig and is applied by the System.
+ * CpuConfig holds the CPU's timing parameters.  The grouping itself
+ * lives where references issue: System::consumeChunk and the stack
+ * kernel pair each IFetch with the data reference that follows it,
+ * and coupletSafeCut() (trace/ref.hh) keeps every cut of a stream
+ * from separating the two.
  */
 
 #ifndef CACHETIME_CPU_CPU_HH
 #define CACHETIME_CPU_CPU_HH
-
-#include <cstddef>
-#include <vector>
-
-#include "trace/ref_source.hh"
-#include "trace/trace.hh"
 
 namespace cachetime
 {
@@ -48,106 +45,6 @@ struct CpuConfig
 
     /** Extra cycles to swap a block in from the victim cache. */
     unsigned victimSwapCycles = 1;
-};
-
-/** One issue group: an ifetch optionally coupled with a data ref. */
-struct RefGroup
-{
-    const Ref *ifetch = nullptr; ///< instruction side, may be null
-    const Ref *data = nullptr;   ///< data side, may be null
-
-    /** @return number of references in the group (1 or 2). */
-    unsigned size() const { return (ifetch != nullptr) + (data != nullptr); }
-};
-
-/**
- * Splits a trace into issue groups without reordering.
- *
- * With pairing enabled, an instruction fetch immediately followed by
- * a data reference forms one couplet; otherwise references issue
- * alone.  With pairing disabled every reference is its own group
- * (the unified-cache case has a single port anyway).
- */
-class RefPairer
-{
-  public:
-    /**
-     * @param trace the trace to walk
-     * @param pair  enable couplet formation
-     */
-    RefPairer(const Trace &trace, bool pair);
-
-    /** @return true if at least one more group remains. */
-    bool hasNext() const { return index_ < trace_->refs().size(); }
-
-    /** @return the index of the first reference of the next group. */
-    std::size_t position() const { return index_; }
-
-    /** Consume and return the next issue group. */
-    RefGroup next();
-
-  private:
-    const Trace *trace_;
-    bool pair_;
-    std::size_t index_ = 0;
-};
-
-/**
- * One issue group by value: the streaming counterpart of RefGroup.
- * StreamPairer cannot hand out pointers into its chunk buffer (a
- * refill would invalidate them across a couplet boundary), so the
- * one or two references are copied out.
- */
-struct StreamGroup
-{
-    Ref ifetch{};
-    Ref data{};
-    bool hasIfetch = false;
-    bool hasData = false;
-
-    /** @return number of references in the group (1 or 2). */
-    unsigned size() const { return (hasIfetch ? 1 : 0) + (hasData ? 1 : 0); }
-};
-
-/**
- * Splits a RefSource into issue groups without reordering: the
- * streaming counterpart of RefPairer, with identical pairing rules.
- * Keeps a bounded chunk buffer plus one reference of lookahead so
- * couplets form correctly across chunk boundaries.  Construction
- * rewinds the source; the pairer is then the source's sole consumer.
- */
-class StreamPairer
-{
-  public:
-    /**
-     * @param source the stream to walk (reset() on construction)
-     * @param pair   enable couplet formation
-     */
-    StreamPairer(RefSource &source, bool pair);
-
-    /** @return true if at least one more group remains. */
-    bool hasNext();
-
-    /** @return the index of the first reference of the next group. */
-    std::size_t position() const { return consumed_; }
-
-    /** Consume and return the next issue group. */
-    StreamGroup next();
-
-  private:
-    /** @return references buffered and not yet consumed. */
-    std::size_t available() const { return count_ - head_; }
-
-    /** Compact and pull chunks until @p want refs are buffered. */
-    void refill(std::size_t want);
-
-    RefSource *source_;
-    bool pair_;
-    std::vector<Ref> buffer_;
-    std::size_t head_ = 0;     ///< next unconsumed buffer index
-    std::size_t count_ = 0;    ///< valid refs in the buffer
-    std::size_t consumed_ = 0; ///< total refs consumed so far
-    bool exhausted_ = false;   ///< the source returned 0
 };
 
 } // namespace cachetime

@@ -8,10 +8,12 @@
  * (sim/coherent.hh).
  *
  * Both engines are span-split-invariant: feeding a stream in any
- * ChunkFeeder partition yields bit-identical results.  So the
- * one-shot run() is written once, here, as beginRun + one feedChunk
- * per ChunkFeeder span + endRun, and the batched sweep engine feeds
- * one decode to many machines through the same three calls.
+ * partition whose cuts obey coupletSafeCut() (trace/ref.hh) yields
+ * bit-identical results.  ChunkFeeder is the one code that cuts a
+ * stream into spans, so the one-shot run() is written once, here, as
+ * beginRun + one feedChunk per ChunkFeeder span + endRun, and the
+ * batched sweep engine feeds one decode to many machines through the
+ * same three calls.
  */
 
 #ifndef CACHETIME_SIM_SIMULATOR_HH
@@ -58,9 +60,9 @@ class Simulator
 
     /**
      * Arm the machine for @p source's stream.  Chunks fed afterwards
-     * must partition the stream in order; when couplet pairing is
-     * on, a chunk may not end on an IFetch unless it is the last one
-     * (ChunkFeeder's trim rule guarantees this).
+     * must partition the stream in order, and no chunk may end
+     * between an IFetch and the data reference that follows it
+     * (coupletSafeCut(); ChunkFeeder's spans obey it).
      */
     virtual void beginRun(const RefSource &source) = 0;
 

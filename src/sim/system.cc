@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <type_traits>
 
 #include "core/sim_cache.hh" // frontEndKey
@@ -544,9 +543,6 @@ System::consumeChunk(const Ref *buffer, std::size_t n)
     Tick &ibusy = Split ? ibusyLocal : dbusyLocal;
     Tick &dbusy = dbusyLocal;
 
-    const std::vector<WarmSegment> &segments = runSegments_;
-    const std::size_t warm_start = runWarmStart_;
-
     // Cross-span progress is staged through locals so the
     // steady-state loop runs out of registers; the per-span
     // load/store is negligible against refChunkSize references.
@@ -554,40 +550,21 @@ System::consumeChunk(const Ref *buffer, std::size_t n)
     std::size_t consumed = progress_.consumed;
     Tick now = progress_.now;
     bool measuring = progress_.measuring;
-    std::size_t seg_idx = progress_.segIdx;
-    std::size_t boundary = progress_.boundary;
+    // Measurement state changes only at the window's boundary, so
+    // the steady-state loop pays one compare per group.
+    MeasureWindow &window = progress_.window;
+    std::size_t boundary = window.boundary();
     std::uint64_t groups = progress_.groups;
     std::uint64_t reads = progress_.reads;
     std::uint64_t writes = progress_.writes;
-
-    // Measurement state is a pure function of the reference
-    // position; evaluate it only at positions where it can change
-    // (boundary) so the steady-state loop pays one compare per
-    // group instead of re-deriving the segment containment.
-    auto stateAt = [&](std::size_t p) -> bool {
-        if (p < warm_start) {
-            boundary = warm_start;
-            return false;
-        }
-        while (seg_idx < segments.size() && p >= segments[seg_idx].end)
-            ++seg_idx;
-        if (seg_idx < segments.size() &&
-            p >= segments[seg_idx].begin) {
-            boundary = segments[seg_idx].end;
-            return false;
-        }
-        boundary = seg_idx < segments.size()
-                       ? segments[seg_idx].begin
-                       : std::numeric_limits<std::size_t>::max();
-        return true;
-    };
 
     while (head < n) {
         // Measurement state is decided at issue-group granularity:
         // the state at the group's first reference governs the whole
         // group (the warm-start boundary has always worked this way).
         if (consumed >= boundary) [[unlikely]] {
-            bool want = stateAt(consumed);
+            bool want = window.measured(consumed);
+            boundary = window.boundary();
             if (want != measuring) {
                 if (want) {
                     resetStats();
@@ -657,8 +634,6 @@ System::consumeChunk(const Ref *buffer, std::size_t n)
     progress_.consumed = consumed;
     progress_.now = now;
     progress_.measuring = measuring;
-    progress_.segIdx = seg_idx;
-    progress_.boundary = boundary;
     progress_.groups = groups;
     progress_.reads = reads;
     progress_.writes = writes;
@@ -690,8 +665,8 @@ System::beginRun(const RefSource &source)
     result_.physical = config_.addressing == AddressMode::Physical;
 
     progress_ = RunProgress{};
-    runWarmStart_ = source.warmStart();
-    runSegments_ = source.warmSegments();
+    progress_.window =
+        MeasureWindow(source.warmStart(), source.warmSegments());
     // Hoist the per-run decisions out of the reference loop: each
     // span dispatches to a dedicated instantiation whose
     // per-reference path re-checks none of them.  The TraceOn=false
@@ -774,14 +749,10 @@ System::feedChunk(const Ref *refs, std::size_t n)
             if (room < take)
                 take = static_cast<std::size_t>(room);
         }
-        // Never split a couplet: if the cut would separate an
-        // IFetch from the data reference it pairs with, slide the
-        // cut past the data ref so every pairing decision matches
-        // the unsplit stream.
-        if (runPair_ && take < n &&
-            refs[take - 1].kind == RefKind::IFetch &&
-            isData(refs[take].kind))
-            ++take;
+        // A window may close one reference late, never inside a
+        // couplet, so every pairing decision matches the uncut
+        // stream.
+        take = coupletSafeCut(refs, n, take, runPair_);
         dispatchChunk(refs, take);
         refs += take;
         n -= take;

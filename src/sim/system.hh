@@ -306,8 +306,8 @@ class System final : public Simulator
         Tick now = 0;            ///< simulated clock
         Tick segStart = 0;       ///< clock at measure-on
         bool measuring = false;  ///< inside a measured span
-        std::size_t segIdx = 0;  ///< warm-segment cursor
-        std::size_t boundary = 0; ///< next position state can change
+        /** Which positions count (copied by beginRun; sources may die). */
+        MeasureWindow window;
         std::size_t consumed = 0; ///< references issued so far
         std::uint64_t groups = 0; ///< measured issue groups pending fold
         std::uint64_t reads = 0;  ///< measured read refs pending fold
@@ -316,9 +316,6 @@ class System final : public Simulator
 
     RunProgress progress_;
     SimResult result_;           ///< accumulating result of the armed run
-    /** Warm metadata captured by beginRun (copied; sources may die). */
-    std::size_t runWarmStart_ = 0;
-    std::vector<WarmSegment> runSegments_;
     bool runTraceOn_ = false;    ///< dispatch flags hoisted by beginRun
     bool runPair_ = false;
 

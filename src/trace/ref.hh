@@ -12,6 +12,7 @@
 #ifndef CACHETIME_TRACE_REF_HH
 #define CACHETIME_TRACE_REF_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/types.hh"
@@ -53,6 +54,26 @@ struct Ref
 
     bool operator==(const Ref &other) const = default;
 };
+
+/**
+ * The couplet rule for cutting a stream: the paper's CPU issues an
+ * instruction fetch together with the data reference that follows
+ * it, so no cut may fall between the two.  Every engine pairs within
+ * the span it is fed, which makes any partition that obeys this rule
+ * produce the results of the uncut stream.
+ *
+ * @return where to cut @p refs[0, n) for a cut wanted at @p cut:
+ * @p cut itself, or cut + 1 when @p pair holds and the cut would
+ * separate an IFetch from its data reference.
+ */
+constexpr std::size_t
+coupletSafeCut(const Ref *refs, std::size_t n, std::size_t cut, bool pair)
+{
+    if (pair && cut > 0 && cut < n &&
+        refs[cut - 1].kind == RefKind::IFetch && isData(refs[cut].kind))
+        return cut + 1;
+    return cut;
+}
 
 } // namespace cachetime
 

@@ -134,25 +134,23 @@ traceIdentityHash(const Trace &trace)
 ChunkFeeder::ChunkFeeder(RefSource &source) : source_(source)
 {
     source_.reset();
-    if (std::size_t n = source_.borrow(&borrowed_)) {
-        borrowedSize_ = n;
-        exhausted_ = true;
-    } else {
+    borrowedSize_ = source_.borrow(&borrowed_);
+    if (borrowedSize_ == 0)
         storage_.resize(refChunkSize);
-    }
 }
 
 ChunkFeeder::Span
 ChunkFeeder::next()
 {
-    if (borrowed_) {
-        Span span{borrowed_, borrowedSize_};
-        borrowed_ = nullptr;
-        borrowedSize_ = 0;
+    if (zeroCopy()) {
+        std::size_t take =
+            coupletSafeCut(borrowed_, borrowedSize_,
+                           std::min(borrowedSize_, refChunkSize), true);
+        Span span{borrowed_, take};
+        borrowed_ += take;
+        borrowedSize_ -= take;
         return span;
     }
-    if (storage_.empty())
-        return {};
 
     std::size_t count = 0;
     if (hasCarry_) {

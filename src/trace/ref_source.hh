@@ -197,28 +197,35 @@ class TraceRefSource : public RefSource
 Trace materialize(RefSource &source);
 
 /**
- * Pull-side chunker for the resumable run engine: slices a RefSource
- * into bounded spans that are safe to feed to any number of System
- * instances, whatever their issue configuration.
+ * The one code that cuts a stream into spans: slices a RefSource
+ * into bounded spans that are safe to feed to any number of
+ * machines, whatever their issue configuration.
  *
  * The one subtlety is couplet pairing: a machine with paired issue
- * needs one reference of lookahead, so a chunk must never end on an
- * IFetch while the stream continues.  next() therefore holds back a
- * trailing IFetch and re-emits it at the head of the following
- * chunk.  The trim rule depends only on the reference stream, never
- * on a config, so a single chunk sequence drives a whole batch of
- * heterogeneous configs and every one of them sees exactly the
- * reference sequence (and pairing decisions) it would have seen
- * running alone.
+ * pairs an IFetch with the data reference that follows it, so no
+ * span may end between the two (coupletSafeCut() in trace/ref.hh).
+ * The cut depends only on the reference stream, never on a config,
+ * so a single span sequence drives a whole batch of heterogeneous
+ * configs and every one of them sees exactly the reference sequence
+ * (and pairing decisions) it would have seen running alone.
  *
- * In-memory sources short-circuit the chunk machinery: borrow()
- * exposes the remainder of the stream as one span, delivered by the
- * first next() with no copies.
+ * A resident stream (one the source can borrow()) is handed out in
+ * place, with no copies, in slices of refChunkSize references, a
+ * slice one reference longer when its cut would split a couplet.  A
+ * filled stream is staged through a buffer of refChunkSize
+ * references; the fill cannot see past its buffer, so it holds back
+ * a trailing IFetch and re-emits it at the head of the following
+ * span.  Either way a span holds at most refChunkSize + 1
+ * references, which bounds a fused leader's per-span tape and paces
+ * a progress meter.
  */
 class ChunkFeeder
 {
   public:
-    /** A view into the feeder's buffer, valid until the next call. */
+    /**
+     * A view into the feeder's buffer or the resident stream, valid
+     * until the next call.
+     */
     struct Span
     {
         const Ref *data = nullptr;
@@ -233,15 +240,15 @@ class ChunkFeeder
     Span next();
 
     /**
-     * @return true when the whole remaining stream is already
-     * resident (the source answered borrow()), so there is no
-     * decode work left to overlap with.
+     * @return true when the whole stream is already resident (the
+     * source answered borrow()), so there is no decode work to
+     * overlap with.
      */
-    bool zeroCopy() const { return borrowed_ != nullptr; }
+    bool zeroCopy() const { return storage_.empty(); }
 
   private:
     RefSource &source_;
-    const Ref *borrowed_ = nullptr; ///< whole-stream span, if any
+    const Ref *borrowed_ = nullptr; ///< unsliced rest of a resident stream
     std::size_t borrowedSize_ = 0;
     std::vector<Ref> storage_;      ///< fill() staging buffer
     Ref carry_{};                   ///< held-back trailing IFetch

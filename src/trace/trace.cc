@@ -1,5 +1,6 @@
 #include "trace/trace.hh"
 
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -20,6 +21,31 @@ refKindName(RefKind kind)
         return "S";
     }
     return "?";
+}
+
+MeasureWindow::MeasureWindow(std::size_t warm_start,
+                             std::vector<WarmSegment> segments)
+    : warmStart_(warm_start), segments_(std::move(segments))
+{
+}
+
+bool
+MeasureWindow::measured(std::size_t p)
+{
+    if (p < warmStart_) {
+        boundary_ = warmStart_;
+        return false;
+    }
+    while (segIdx_ < segments_.size() && p >= segments_[segIdx_].end)
+        ++segIdx_;
+    if (segIdx_ < segments_.size() && p >= segments_[segIdx_].begin) {
+        boundary_ = segments_[segIdx_].end;
+        return false;
+    }
+    boundary_ = segIdx_ < segments_.size()
+                    ? segments_[segIdx_].begin
+                    : std::numeric_limits<std::size_t>::max();
+    return true;
 }
 
 Trace::Trace(std::string name, std::vector<Ref> refs, std::size_t warm_start)

@@ -13,7 +13,8 @@
  * advance the clock and update cache state) but are excluded from
  * every measured counter.  The SMARTS engine (core/smarts.hh) marks
  * the gaps between its measurement units this way, so one pass
- * counts exactly the sampled units.
+ * counts exactly the sampled units.  MeasureWindow answers, for
+ * every engine, which positions those two rules leave measured.
  */
 
 #ifndef CACHETIME_TRACE_TRACE_HH
@@ -40,6 +41,44 @@ struct WarmSegment
     std::size_t end = 0;
 
     bool operator==(const WarmSegment &other) const = default;
+};
+
+/**
+ * The measurement window of a stream: a position is measured when it
+ * lies at or after the warm start and outside every warm segment.
+ * Engines decide measurement per issue group, at the group's first
+ * reference, and ask about positions in increasing order; the answer
+ * can change only at boundary(), so a hot loop compares against that
+ * and calls measured() only when it reaches it.
+ */
+class MeasureWindow
+{
+  public:
+    /** A window that measures every position. */
+    MeasureWindow() = default;
+
+    /** Nothing before @p warm_start, nor in @p segments, is measured. */
+    MeasureWindow(std::size_t warm_start,
+                  std::vector<WarmSegment> segments);
+
+    /**
+     * @return whether position @p p is measured, and move boundary()
+     * to the next position where the answer can change.  @p p must
+     * not be smaller than in the previous call.
+     */
+    bool measured(std::size_t p);
+
+    /**
+     * @return the first position whose answer may differ from the
+     * last measured() call's; 0 before the first call.
+     */
+    std::size_t boundary() const { return boundary_; }
+
+  private:
+    std::size_t warmStart_ = 0;
+    std::vector<WarmSegment> segments_; ///< sorted and disjoint
+    std::size_t segIdx_ = 0;  ///< first segment not ending before p
+    std::size_t boundary_ = 0;
 };
 
 /** A named reference stream with its warm-start boundary. */

@@ -1621,9 +1621,10 @@ oracleRun(const SystemConfig &config, RefSource &source)
     const std::size_t warm_start = source.warmStart();
     source.reset();
 
-    // The oracle keeps its own chunk buffer and pairing loop rather
-    // than reusing the simulator's StreamPairer; sharing the
-    // iteration machinery would hide a bug in it from the harness.
+    // The oracle keeps its own chunk buffer, pairing loop and warm
+    // fold rather than reusing the simulator's ChunkFeeder and
+    // MeasureWindow; sharing the iteration machinery would hide a
+    // bug in it from the harness.
     std::vector<Ref> buf(4096);
     std::size_t head = 0;
     std::size_t buffered = 0;

@@ -65,8 +65,9 @@ SimResult oracleRun(const SystemConfig &config, const Trace &trace);
 /**
  * Streamed counterpart: pulls @p source chunk by chunk through the
  * oracle's own buffering and pairing loop (kept separate from the
- * simulator's StreamPairer so the harness stays independent of the
- * machinery it checks).  resets() the source first.
+ * simulator's ChunkFeeder, coupletSafeCut() and MeasureWindow so
+ * the harness stays independent of the machinery it checks).
+ * resets() the source first.
  */
 SimResult oracleRun(const SystemConfig &config, RefSource &source);
 

@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the interval (windowed) statistics engine: exact
- * window-sum accounting, bit-identity of instrumented runs, warm-up
- * visibility, and well-formed CSV/JSON dumps.
+ * window-sum accounting, bit-identity of instrumented runs, records
+ * independent of how the stream is fed, warm-up visibility, and
+ * well-formed CSV/JSON dumps.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <tuple>
 
+#include "fill_only_source.hh"
 #include "json_check.hh"
 #include "sim/system.hh"
 #include "stats/interval.hh"
+#include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 #include "verify/diff.hh"
 
@@ -42,7 +48,81 @@ sumWindows(const IntervalCollector &collector,
     return sum;
 }
 
+/** Every simulated field of @p r: all but its host wall time. */
+auto
+simulatedFields(const IntervalRecord &r)
+{
+    const IntervalCounters &c = r.c;
+    return std::make_tuple(
+        r.trace, r.index, r.beginRef, r.endRef, r.final, c.refs,
+        c.readRefs, c.writeRefs, c.groups, c.cycles, c.ifetchAccesses,
+        c.ifetchMisses, c.readAccesses, c.readMisses, c.writeAccesses,
+        c.writeMisses, c.wbufEnqueued, c.wbufFullStalls,
+        c.wbufOccupancyCount, c.wbufOccupancySum, c.tlbAccesses,
+        c.tlbMisses, c.memReads, c.memWrites);
+}
+
 } // namespace
+
+TEST(IntervalStats, RecordsIndependentOfFeedPartition)
+{
+    // A paired-issue stream over several feeder spans, with a
+    // couplet at each nominal span cut: the resident feed slides
+    // those cuts one reference late, the filled feeds hold their
+    // trailing IFetch back, so the three partitions differ.
+    const std::string name = "interval_feeds";
+    Trace base = workload(3 * refChunkSize + 500, 29);
+    std::vector<Ref> refs = base.refs();
+    for (std::size_t cut = refChunkSize; cut < refs.size();
+         cut += refChunkSize) {
+        refs[cut - 1].kind = RefKind::IFetch;
+        refs[cut].kind = RefKind::Load;
+    }
+    Trace trace(name, refs, 1000);
+
+    // Window boundaries inside couplets, about every 1500 refs: every
+    // one must slide one reference.  None sits on a nominal span
+    // cut, where a window cut would hide how each feed cuts.
+    std::vector<std::uint64_t> bounds;
+    for (std::size_t p = 1; p < refs.size(); ++p) {
+        bool couplet = refs[p - 1].kind == RefKind::IFetch &&
+                       isData(refs[p].kind);
+        std::uint64_t last = bounds.empty() ? 0 : bounds.back();
+        if (couplet && p >= last + 1500 && p % refChunkSize != 0)
+            bounds.push_back(p);
+    }
+    ASSERT_GT(bounds.size(), 30u);
+
+    SystemConfig config = SystemConfig::paperDefault();
+    ASSERT_TRUE(config.split && config.cpu.pairIssue);
+    auto records = [&](RefSource &source) {
+        IntervalCollector collector(bounds);
+        System system(config);
+        system.setIntervalCollector(&collector);
+        system.run(source);
+        std::vector<decltype(simulatedFields(IntervalRecord{}))> out;
+        for (const IntervalRecord &r : collector.records())
+            out.push_back(simulatedFields(r));
+        return out;
+    };
+
+    TraceRefSource resident(trace);
+    auto want = records(resident);
+    ASSERT_EQ(want.size(), bounds.size() + 1);
+
+    FillOnlySource filled(trace);
+    EXPECT_TRUE(records(filled) == want);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() / (name + ".v2"))
+            .string();
+    writeV2(trace, path);
+    {
+        V2FileSource file(path);
+        EXPECT_TRUE(records(file) == want);
+    }
+    std::remove(path.c_str());
+}
 
 TEST(IntervalStats, WindowsSumExactlyToAggregate)
 {

@@ -1,17 +1,18 @@
 /**
  * @file
  * Tests for the streaming reference pipeline: the RefSource
- * adapters, the stream hasher, the streaming pairer, and the
+ * adapters, the stream hasher, the chunk feeder's cuts, and the
  * requirement that streamed simulation is bit-identical to the
  * materialized path (including warm segments from sampling).
  */
 
 #include <cstdio>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "cpu/cpu.hh"
 #include "sim/system.hh"
 #include "trace/interleave.hh"
 #include "trace/ref_source.hh"
@@ -109,60 +110,126 @@ TEST(RefSource, HashSensitivity)
     EXPECT_NE(traceIdentityHash(a), traceIdentityHash(c));
 }
 
-/** Collect (ifetch?, data?, refs) tuples from either pairer. */
-struct GroupRecord
+TEST(CoupletSafeCut, SlidesOnlyPastAPairedDataReference)
 {
-    bool hasIfetch = false;
-    bool hasData = false;
-    Ref ifetch{};
-    Ref data{};
-
-    bool operator==(const GroupRecord &other) const = default;
-};
-
-std::vector<GroupRecord>
-eagerGroups(const Trace &trace, bool pair)
-{
-    std::vector<GroupRecord> out;
-    RefPairer pairer(trace, pair);
-    while (pairer.hasNext()) {
-        RefGroup g = pairer.next();
-        GroupRecord r;
-        if (g.ifetch) {
-            r.hasIfetch = true;
-            r.ifetch = *g.ifetch;
-        }
-        if (g.data) {
-            r.hasData = true;
-            r.data = *g.data;
-        }
-        out.push_back(r);
-    }
-    return out;
-}
-
-std::vector<GroupRecord>
-streamedGroups(RefSource &source, bool pair)
-{
-    std::vector<GroupRecord> out;
-    StreamPairer pairer(source, pair);
-    while (pairer.hasNext()) {
-        StreamGroup g = pairer.next();
-        out.push_back({g.hasIfetch, g.hasData, g.ifetch, g.data});
-    }
-    return out;
-}
-
-TEST(RefSource, StreamPairerMatchesRefPairer)
-{
-    // Long enough that couplets straddle chunk refills.
-    Trace trace = randomTrace(3 * refChunkSize + 17, 23);
+    const Ref refs[] = {
+        {0x10, RefKind::IFetch, 0}, // 0: pairs with 1
+        {0x20, RefKind::Load, 0},   // 1
+        {0x11, RefKind::IFetch, 0}, // 2: followed by an IFetch
+        {0x12, RefKind::IFetch, 0}, // 3: pairs with 4
+        {0x21, RefKind::Store, 0},  // 4
+    };
+    const std::size_t n = std::size(refs);
     for (bool pair : {true, false}) {
-        TraceRefSource source(trace);
-        EXPECT_EQ(streamedGroups(source, pair),
-                  eagerGroups(trace, pair))
-            << "pair=" << pair;
+        // The stream's ends are always safe.
+        EXPECT_EQ(coupletSafeCut(refs, n, 0, pair), 0u);
+        EXPECT_EQ(coupletSafeCut(refs, n, n, pair), n);
+        // Between two issue groups: the cut stays.
+        EXPECT_EQ(coupletSafeCut(refs, n, 2, pair), 2u);
+        EXPECT_EQ(coupletSafeCut(refs, n, 3, pair), 3u);
     }
+    // Inside a couplet: paired issue moves the cut past the data ref.
+    EXPECT_EQ(coupletSafeCut(refs, n, 1, true), 2u);
+    EXPECT_EQ(coupletSafeCut(refs, n, 4, true), 5u);
+    EXPECT_EQ(coupletSafeCut(refs, n, 1, false), 1u);
+    EXPECT_EQ(coupletSafeCut(refs, n, 4, false), 4u);
+}
+
+TEST(MeasureWindow, WarmStartOnly)
+{
+    MeasureWindow window(10, {});
+    EXPECT_EQ(window.boundary(), 0u);
+    EXPECT_FALSE(window.measured(0));
+    EXPECT_EQ(window.boundary(), 10u);
+    EXPECT_FALSE(window.measured(9));
+    EXPECT_TRUE(window.measured(10));
+    EXPECT_EQ(window.boundary(),
+              std::numeric_limits<std::size_t>::max());
+    EXPECT_TRUE(window.measured(1000));
+
+    MeasureWindow all;
+    EXPECT_TRUE(all.measured(0));
+    EXPECT_EQ(all.boundary(), std::numeric_limits<std::size_t>::max());
+}
+
+TEST(MeasureWindow, SegmentStartingAtTheWarmStart)
+{
+    MeasureWindow window(10, {{10, 20}});
+    EXPECT_FALSE(window.measured(0));
+    EXPECT_EQ(window.boundary(), 10u);
+    EXPECT_FALSE(window.measured(10));
+    EXPECT_EQ(window.boundary(), 20u);
+    EXPECT_TRUE(window.measured(20));
+    EXPECT_EQ(window.boundary(),
+              std::numeric_limits<std::size_t>::max());
+}
+
+TEST(MeasureWindow, BackToBackSegments)
+{
+    MeasureWindow window(0, {{5, 8}, {8, 12}, {20, 22}});
+    EXPECT_TRUE(window.measured(0));
+    EXPECT_EQ(window.boundary(), 5u);
+    EXPECT_FALSE(window.measured(5));
+    EXPECT_EQ(window.boundary(), 8u);
+    EXPECT_FALSE(window.measured(8));
+    EXPECT_EQ(window.boundary(), 12u);
+    EXPECT_TRUE(window.measured(12));
+    EXPECT_EQ(window.boundary(), 20u);
+    // A group may start past a whole segment: it is skipped.
+    EXPECT_TRUE(window.measured(23));
+    EXPECT_EQ(window.boundary(),
+              std::numeric_limits<std::size_t>::max());
+}
+
+TEST(MeasureWindow, SegmentEndingAtTheStreamEnd)
+{
+    // A 10-ref stream whose last segment runs to its end: the
+    // boundary lands on the end, so no later position re-asks.
+    MeasureWindow window(2, {{6, 10}});
+    EXPECT_FALSE(window.measured(0));
+    EXPECT_EQ(window.boundary(), 2u);
+    EXPECT_TRUE(window.measured(2));
+    EXPECT_EQ(window.boundary(), 6u);
+    EXPECT_FALSE(window.measured(7));
+    EXPECT_EQ(window.boundary(), 10u);
+}
+
+TEST(ChunkFeeder, SlicesResidentStreamsInPlaceAtCoupletSafeCuts)
+{
+    // Plant a couplet at every nominal cut, so each cut must slide
+    // one reference past it.
+    Trace base = randomTrace(3 * refChunkSize + 17, 31);
+    std::vector<Ref> refs = base.refs();
+    for (std::size_t cut = refChunkSize; cut < refs.size();
+         cut += refChunkSize + 1) {
+        refs[cut - 1].kind = RefKind::IFetch;
+        refs[cut].kind = RefKind::Store;
+    }
+    Trace trace("couplets", std::move(refs), 0);
+    const Ref *begin = trace.refs().data();
+    const Ref *end = begin + trace.size();
+
+    TraceRefSource source(trace);
+    ChunkFeeder feeder(source);
+    EXPECT_TRUE(feeder.zeroCopy());
+    const Ref *at = begin;
+    std::vector<std::size_t> sizes;
+    while (ChunkFeeder::Span span = feeder.next()) {
+        // In place, in order, and bounded.
+        EXPECT_EQ(span.data, at);
+        EXPECT_LE(span.size, refChunkSize + 1);
+        at = span.data + span.size;
+        if (at != end) {
+            EXPECT_FALSE(at[-1].kind == RefKind::IFetch &&
+                         isData(at[0].kind))
+                << "a span ends inside a couplet at " << at - begin;
+        }
+        sizes.push_back(span.size);
+    }
+    EXPECT_EQ(at, end);
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{
+                         refChunkSize + 1, refChunkSize + 1,
+                         refChunkSize + 1, 17 - 3}));
 }
 
 TEST(RefSource, InterleaveSourceResetReplaysBitIdentically)

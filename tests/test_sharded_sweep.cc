@@ -33,6 +33,7 @@
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
 #include "core/sweep.hh"
+#include "fill_only_source.hh"
 #include "json_check.hh"
 #include "stats/telemetry.hh"
 #include "trace/ref_source.hh"
@@ -150,38 +151,6 @@ compareAcrossThreads(const std::vector<SystemConfig> &configs,
         }
     }
 }
-
-/**
- * A fill()-only view of a Trace: hides borrow() so the feeders take
- * the chunked decode path, which is what the pipeline overlaps.
- */
-class FillOnlySource : public RefSource
-{
-  public:
-    explicit FillOnlySource(const Trace &trace) : trace_(&trace) {}
-
-    const std::string &name() const override { return trace_->name(); }
-    std::uint64_t size() const override { return trace_->size(); }
-    std::size_t warmStart() const override
-    {
-        return trace_->warmStart();
-    }
-    void reset() override { pos_ = 0; }
-
-    std::size_t
-    fill(Ref *out, std::size_t max) override
-    {
-        const std::vector<Ref> &refs = trace_->refs();
-        std::size_t n = std::min(max, refs.size() - pos_);
-        std::copy_n(refs.data() + pos_, n, out);
-        pos_ += n;
-        return n;
-    }
-
-  private:
-    const Trace *trace_;
-    std::size_t pos_ = 0;
-};
 
 /**
  * Unified grids crossing size, associativity, block size and both

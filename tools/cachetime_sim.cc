@@ -15,10 +15,12 @@
  *     --spec FILE         specification file (key=value lines)
  *     --vary FILE         variation file (repeatable, ordered)
  *     --set KEY=VALUE     inline variation (repeatable)
- *     --trace FILE        trace file, materialized in RAM (repeatable)
- *     --trace-file FILE   trace file replayed as a stream (repeatable);
- *                         format-v2 files are mmap-streamed, so RSS
- *                         stays bounded however long the trace
+ *     --trace FILE        trace file (repeatable; traces run and
+ *                         report in argument order).  Format-v2
+ *                         files are mmap-streamed, so RSS stays
+ *                         bounded however long the trace; other
+ *                         formats load into memory
+ *     --trace-file FILE   another spelling of --trace
  *     --workloads SCALE   use the Table 1 workloads at SCALE
  *     --cores N           coherent multi-core mode with N cores
  *                         (sugar for --set cores=N plus coherence
@@ -160,10 +162,8 @@ printResult(const SimResult &r, bool csv, bool verbose)
 }
 
 /**
- * Drive one run feeding bounded slices so @p meter sees per-chunk
- * updates.  Slices follow the same couplet rule as ChunkFeeder (a
- * cut never separates an IFetch from the data reference it pairs
- * with), so the run is bit-identical to Simulator::run().
+ * Simulator::run() with a progress phase: the meter (a no-op when
+ * no sink is open) counts each ChunkFeeder span of @p source.
  */
 SimResult
 runWithProgress(Simulator &system, RefSource &source,
@@ -174,20 +174,8 @@ runWithProgress(Simulator &system, RefSource &source,
     ChunkFeeder feeder(source);
     system.beginRun(source);
     while (ChunkFeeder::Span span = feeder.next()) {
-        const Ref *refs = span.data;
-        std::size_t left = span.size;
-        while (left != 0) {
-            std::size_t take =
-                left < refChunkSize ? left : refChunkSize;
-            if (take < left &&
-                refs[take - 1].kind == RefKind::IFetch &&
-                isData(refs[take].kind))
-                ++take;
-            system.feedChunk(refs, take);
-            refs += take;
-            left -= take;
-            meter.bump(take);
-        }
+        system.feedChunk(span.data, span.size);
+        meter.bump(span.size);
     }
     SimResult result = system.endRun();
     meter.finish();
@@ -337,7 +325,6 @@ main(int argc, char **argv)
     setQuiet(true);
     SystemConfig config = SystemConfig::paperDefault();
     std::vector<std::string> trace_files;
-    std::vector<std::string> stream_files;
     double workload_scale = 0.0;
     bool csv = false, verbose = false, dump_stats = false;
     std::string stats_json_path;
@@ -375,10 +362,8 @@ main(int argc, char **argv)
             applyKeyValues(config, slurp(need(arg.c_str())));
         } else if (arg == "--set") {
             applyKeyValues(config, need("--set"));
-        } else if (arg == "--trace") {
-            trace_files.push_back(need("--trace"));
-        } else if (arg == "--trace-file") {
-            stream_files.push_back(need("--trace-file"));
+        } else if (arg == "--trace" || arg == "--trace-file") {
+            trace_files.push_back(need(arg.c_str()));
         } else if (arg == "--workloads") {
             workload_scale = std::stod(need("--workloads"));
         } else if (arg == "--cores") {
@@ -486,20 +471,19 @@ main(int argc, char **argv)
                          "exec_ns_per_ref,read_miss_ratio\n";
     }
 
-    std::vector<Trace> traces;
+    // One list in argument order.  v2 files replay straight off
+    // disk, never materialized, so RSS is bounded by the chunk size.
     std::vector<std::unique_ptr<RefSource>> sources;
     {
         telemetry::PhaseTimer timer("traces");
         for (const std::string &path : trace_files)
-            traces.push_back(loadFile(path));
-        // Streamed inputs: v2 files replay straight off disk, never
-        // materialized, so RSS is bounded by the chunk size.
-        for (const std::string &path : stream_files)
             sources.push_back(openRefSource(path));
-        if (traces.empty() && sources.empty()) {
+        if (sources.empty()) {
             double scale =
                 workload_scale > 0 ? workload_scale : 0.1;
-            traces = generateTable1(scale);
+            for (Trace &trace : generateTable1(scale))
+                sources.push_back(
+                    TraceRefSource::owning(std::move(trace)));
         }
     }
 
@@ -531,8 +515,11 @@ main(int argc, char **argv)
         IntervalCollector collector(
             interval_refs ? interval_refs : 1);
         auto runSampled = [&](RefSource &source) {
+            meter.setLabel(source.name());
+            meter.setTotal(source.size(), "refs");
             SmartsRunResult run =
                 runSmarts(config, source, sample_options);
+            meter.finish();
             printSampled(source.name(), run, csv);
             if (!stats_json_path.empty()) {
                 if (manifest.traces.size())
@@ -550,15 +537,10 @@ main(int argc, char **argv)
             if (interval_refs)
                 system->setIntervalCollector(&collector);
             auto r = std::make_shared<const SimResult>(
-                meter.active() ? runWithProgress(*system, source, meter)
-                               : system->run(source));
+                runWithProgress(*system, source, meter));
             consume(*r);
             results.push_back(std::move(r));
         };
-        for (const Trace &trace : traces) {
-            TraceRefSource source(trace);
-            runOne(source);
-        }
         for (auto &source : sources)
             runOne(*source);
 
