@@ -12,9 +12,9 @@
  * (stats/confidence.hh); a pilot sample's coefficient of variation
  * auto-tunes how many units the estimate actually needs.
  *
- * The full pass additionally captures the simulator's complete warm
- * state at each unit's warm-up start - *live points* (sim/
- * checkpoint.hh).  A later run over the same trace then replays only
+ * The full pass can also capture the simulator's complete warm
+ * state at a unit's warm-up start - a *live point* (sim/
+ * checkpoint.hh).  A replay over the same trace then simulates only
  * the sampled units:
  *
  *  - the identical config restores full state and reproduces the
@@ -23,11 +23,22 @@
  *    differing in timing restores the timing-independent cache and
  *    TLB contents and lets the detailed warm-up re-warm the rest.
  *
+ * Every entry point runs on one forward pass over its RefSource,
+ * pulled through PipelinedFeeder: the source is read once, and no
+ * copy of the trace is held.  On the pass each config is either a
+ * full run or a replay that restores each unit it needs from a live
+ * point at the unit's checkpoint and measures the unit as the stream
+ * goes by.  A full run captures a live point only when a replay
+ * needs that unit or the caller keeps live points, and a captured
+ * point is freed once its replays have restored from it.
+ *
  * Unit boundaries respect couplet pairing: checkpoint and stop cuts
- * go through coupletSafeCut() (trace/ref.hh) with the machine's
- * pairing, so a cut never separates an IFetch from the data
- * reference it pairs with, every pairing decision matches the
- * unsplit stream, and sampled runs stay bit-exact against full runs.
+ * go through coupletSafeCut() (trace/ref.hh) with the full run's
+ * pairing, and a replay is fed in pieces cut only at feeder span
+ * boundaries (which never split a couplet) and at its unit's end.
+ * So a cut never separates an IFetch from the data reference it
+ * pairs with, every pairing decision matches the unsplit stream,
+ * and sampled runs stay bit-exact against full runs.
  */
 
 #ifndef CACHETIME_CORE_SMARTS_HH
@@ -108,7 +119,7 @@ struct SmartsUnitResult
 /** How a sampled run obtained its per-unit state. */
 enum class SmartsMode
 {
-    FullPass,    ///< streamed the whole trace, captured live points
+    FullPass,    ///< measured every unit on a full pass
     ExactReplay, ///< restored full state (identical config)
     WarmReplay,  ///< restored L1/TLB only (same warm key)
 };
@@ -154,39 +165,44 @@ struct SmartsOptions
     /**
      * Directory for live-points checkpoint files.  Empty disables
      * checkpointing: every run is a full pass.  Non-empty: a full
-     * pass writes "smarts-<trace>-<warmkey>.ckpt" there, and a later
-     * run finding a matching file replays only the sampled units.
+     * pass writes "smarts-<trace>-<warmkey>-u<U>-w<W>-p<period>.ckpt"
+     * there (checkpointFileName()), and a later run under the same
+     * plan finding that file replays only the sampled units.
      */
     std::string checkpointDir;
 };
 
 /**
- * Run the sampled simulation of @p config over @p source.  The
- * source is materialized once (random access is needed to slice
- * replayed units).  With a usable checkpoint the run replays units;
- * otherwise it streams the whole trace and, when options name a
- * checkpoint directory, leaves live points behind for the next run.
+ * Run the sampled simulation of @p config over @p source, in one
+ * forward pass.  With a checkpoint directory holding a file for
+ * this stream, organization and plan, the pass replays the units
+ * from its live points; otherwise it is a full pass, and when
+ * options name a checkpoint directory it keeps its live points and
+ * writes them there for the next run.
  */
 SmartsRunResult runSmarts(const SystemConfig &config,
                           RefSource &source,
                           const SmartsOptions &options);
 
 /**
- * Sampled sweep over @p configs sharing one trace: configs are
- * grouped by warmStateKey; the first of each group runs the full
- * pass and its live points serve the rest of the group in memory
- * (exact replay for identical configs, warm replay otherwise).
- * @return one result per config, in input order.
+ * Sampled sweep over @p configs sharing one stream, in one forward
+ * pass over @p source: configs are grouped by warmStateKey; the
+ * first of each group does the full run and the rest of the group
+ * replay on the same pass (exact replay for identical configs, warm
+ * replay otherwise), each restoring from the live point its leader
+ * has just captured.  A group holds at most one live point at a
+ * time.  @return one result per config, in input order.
  */
 std::vector<SmartsRunResult>
 runSmartsMany(const std::vector<SystemConfig> &configs,
               RefSource &source, const SmartsConfig &cfg);
 
 /**
- * Full sampling pass of @p config over @p trace: streams the trace,
- * measures every planned unit, and captures a live point at each
- * unit's warm-up start into @p checkpoint_out (pass nullptr to skip
- * capturing).  @return the run result (mode FullPass).
+ * Full sampling pass of @p config over @p trace, on the one-pass
+ * engine: streams the trace up to the last unit, measures every
+ * planned unit, and keeps a live point at each unit's warm-up start
+ * in @p checkpoint_out (pass nullptr to capture none).
+ * @return the run result (mode FullPass).
  */
 SmartsRunResult
 runSmartsFullPass(const SystemConfig &config, const Trace &trace,
@@ -195,9 +211,12 @@ runSmartsFullPass(const SystemConfig &config, const Trace &trace,
 
 /**
  * Replay the sampled units of @p checkpoint for @p config over
- * @p trace (which must hash to checkpoint.traceHash).  Restores
- * full state when the exact keys match, warm state otherwise;
- * fatal()s when not even the warm key matches.
+ * @p trace (which must hash to checkpoint.traceHash), on the
+ * one-pass engine: each unit the sample needs is restored from its
+ * live point and measured as the stream goes by.  Restores full
+ * state when the exact keys match, warm state otherwise; fatal()s
+ * when not even the warm key matches, or when the checkpoint's
+ * units are out of stream order.
  */
 SmartsRunResult
 runSmartsReplay(const SystemConfig &config, const Trace &trace,

@@ -191,14 +191,19 @@ looksLikeCheckpoint(const void *data, std::size_t size)
 }
 
 std::string
-checkpointFileName(std::uint64_t trace_hash, const SimKey &warm_key)
+checkpointFileName(std::uint64_t trace_hash, const SimKey &warm_key,
+                   std::uint64_t unit_refs, std::uint64_t warmup_refs,
+                   std::uint64_t period_refs)
 {
-    char buf[80];
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "smarts-%016llx-%016llx%016llx.ckpt",
+                  "smarts-%016llx-%016llx%016llx-u%llu-w%llu-p%llu.ckpt",
                   static_cast<unsigned long long>(trace_hash),
                   static_cast<unsigned long long>(warm_key.hi),
-                  static_cast<unsigned long long>(warm_key.lo));
+                  static_cast<unsigned long long>(warm_key.lo),
+                  static_cast<unsigned long long>(unit_refs),
+                  static_cast<unsigned long long>(warmup_refs),
+                  static_cast<unsigned long long>(period_refs));
     return buf;
 }
 

@@ -103,13 +103,18 @@ bool looksLikeCheckpoint(const void *data, std::size_t size);
 
 /**
  * @return the canonical file name for a checkpoint of @p trace_hash
- * taken under @p warm_key:
- * "smarts-<trace_hash hex>-<warm_key hex>.ckpt".  Keyed by the warm
- * key, not the exact key, so every config sharing an L1/TLB
- * organization maps to one file.
+ * taken under @p warm_key with the sampling plan U = @p unit_refs,
+ * W = @p warmup_refs and period @p period_refs:
+ * "smarts-<trace_hash hex>-<warm_key hex>-u<U>-w<W>-p<period>.ckpt".
+ * Keyed by the warm key, not the exact key, so every config sharing
+ * an L1/TLB organization maps to one file; keyed by the plan, so a
+ * run never replays live points taken under another plan.
  */
 std::string checkpointFileName(std::uint64_t trace_hash,
-                               const SimKey &warm_key);
+                               const SimKey &warm_key,
+                               std::uint64_t unit_refs,
+                               std::uint64_t warmup_refs,
+                               std::uint64_t period_refs);
 
 } // namespace cachetime
 

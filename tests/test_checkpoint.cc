@@ -85,6 +85,10 @@ TEST(Serialize, SectionsTagSkipAndVerify)
 
 TEST(Serialize, TruncatedBufferDiesCleanly)
 {
+    // The binary also runs tests that start the worker pool, and a
+    // forked child of a threaded process cannot exit cleanly, so
+    // this file's death tests re-execute the binary instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     StateWriter w;
     w.u64(42);
     EXPECT_EXIT(
@@ -97,6 +101,7 @@ TEST(Serialize, TruncatedBufferDiesCleanly)
 
 TEST(Serialize, ReadPastSectionEndDiesCleanly)
 {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     StateWriter w;
     w.beginSection("SEC");
     w.u32(7);
@@ -177,6 +182,7 @@ TEST(Checkpoint, FileRoundTrip)
 
 TEST(Checkpoint, EveryByteFlipIsRejected)
 {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     std::string wire = encodeCheckpoint(sampleCheckpoint());
     // Probe a spread of positions including the magic, the header,
     // a blob byte and the checksum itself.
@@ -192,6 +198,7 @@ TEST(Checkpoint, EveryByteFlipIsRejected)
 
 TEST(Checkpoint, TruncationIsRejected)
 {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     std::string wire = encodeCheckpoint(sampleCheckpoint());
     for (std::size_t keep : {std::size_t{0}, std::size_t{4},
                              std::size_t{12}, wire.size() / 2,
@@ -205,6 +212,7 @@ TEST(Checkpoint, TruncationIsRejected)
 
 TEST(Checkpoint, TrailingGarbageIsRejected)
 {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     std::string wire = encodeCheckpoint(sampleCheckpoint());
     wire += "extra";
     EXPECT_EXIT(decodeCheckpoint(wire.data(), wire.size(), "tail"),

@@ -2,20 +2,24 @@
  * @file
  * Tests for the SMARTS-style sampling engine: plan layout, the
  * Student-t confidence machinery, full-pass vs. replay bit
- * identity, checkpoint-aware scheduling, and oracle agreement on
- * sampled measurement layouts.
+ * identity, one-pass sweeps vs. separate passes, checkpoint-aware
+ * scheduling, and oracle agreement on sampled measurement layouts.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <utility>
 
 #include "core/sim_cache.hh"
 #include "core/smarts.hh"
+#include "fill_only_source.hh"
 #include "sim/system.hh"
 #include "stats/confidence.hh"
 #include "trace/ref_source.hh"
+#include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 #include "verify/diff.hh"
 #include "verify/oracle.hh"
@@ -299,6 +303,21 @@ TEST(Smarts, ReplayRejectsForeignOrganization)
                 ::testing::ExitedWithCode(1), "warm-key mismatch");
 }
 
+TEST(Smarts, ReplayRejectsUnitsOutOfStreamOrder)
+{
+    // One pass replays units in stream order, so a checkpoint whose
+    // unit starts before the previous one ends is inconsistent.
+    SystemConfig config = SystemConfig::paperDefault();
+    const Trace &trace = testTrace();
+    SmartsConfig cfg = testSmartsConfig();
+    CheckpointFile checkpoint;
+    runSmartsFullPass(config, trace, cfg, &checkpoint);
+    ASSERT_GE(checkpoint.units.size(), 2u);
+    checkpoint.units[1].cpPos = checkpoint.units[0].endPos - 1;
+    EXPECT_EXIT(runSmartsReplay(config, trace, cfg, checkpoint),
+                ::testing::ExitedWithCode(1), "inconsistent checkpoint");
+}
+
 TEST(Smarts, RunSmartsManySharesLivePoints)
 {
     SystemConfig base = SystemConfig::paperDefault();
@@ -330,7 +349,10 @@ TEST(Smarts, CheckpointDirRoundTrip)
     // an earlier test run would turn pass one into a replay.
     std::remove((options.checkpointDir + "/" +
                  checkpointFileName(traceIdentityHash(testTrace()),
-                                    warmStateKey(config)))
+                                    warmStateKey(config),
+                                    options.cfg.unitRefs,
+                                    options.cfg.warmupRefs,
+                                    options.cfg.periodRefs))
                     .c_str());
 
     SmartsRunResult pass_one = runSmarts(config, first, options);
@@ -343,6 +365,165 @@ TEST(Smarts, CheckpointDirRoundTrip)
               pass_two.estimate.cpi.mean);
     EXPECT_EQ(pass_one.estimate.readMissRatio.mean,
               pass_two.estimate.readMissRatio.mean);
+}
+
+TEST(Smarts, CheckpointDirKeysByPlan)
+{
+    // A checkpoint serves only the plan it was taken under: a run
+    // under another plan takes a full pass of its own, and the
+    // first plan still finds its file afterwards.
+    SystemConfig config = SystemConfig::paperDefault();
+    SmartsOptions plan_a;
+    plan_a.cfg = testSmartsConfig();
+    plan_a.checkpointDir =
+        (std::filesystem::temp_directory_path() / "smarts_plan_keys")
+            .string();
+    SmartsOptions plan_b = plan_a;
+    plan_b.cfg.unitRefs = 300;
+    plan_b.cfg.periodRefs = 4000;
+    std::filesystem::remove_all(plan_a.checkpointDir);
+    const Trace &trace = testTrace();
+    TraceRefSource source(trace);
+
+    SmartsRunResult a = runSmarts(config, source, plan_a);
+    EXPECT_EQ(a.mode, SmartsMode::FullPass);
+
+    SmartsRunResult b = runSmarts(config, source, plan_b);
+    EXPECT_EQ(b.mode, SmartsMode::FullPass);
+    SmartsPlan want_b =
+        planSmarts(trace.size(), trace.warmStart(), plan_b.cfg);
+    EXPECT_EQ(b.plan.units.size(), want_b.units.size());
+    EXPECT_NE(b.plan.units.size(), a.plan.units.size());
+
+    SmartsRunResult again = runSmarts(config, source, plan_a);
+    EXPECT_EQ(again.mode, SmartsMode::ExactReplay);
+    EXPECT_EQ(again.plan.units.size(), a.plan.units.size());
+    EXPECT_EQ(again.estimate.cpi.mean, a.estimate.cpi.mean);
+    std::filesystem::remove_all(plan_a.checkpointDir);
+}
+
+// --- one pass vs. separate passes ----------------------------------
+
+void
+expectSameCI(const MeanCI &a, const MeanCI &b, const std::string &what)
+{
+    EXPECT_EQ(a.n, b.n) << what;
+    EXPECT_EQ(a.mean, b.mean) << what;
+    EXPECT_EQ(a.stddev, b.stddev) << what;
+    EXPECT_EQ(a.halfWidth, b.halfWidth) << what;
+}
+
+/** Field-for-field equality of two sampled runs. */
+void
+expectSameRun(const SmartsRunResult &a, const SmartsRunResult &b,
+              const std::string &what)
+{
+    EXPECT_EQ(a.mode, b.mode) << what;
+    ASSERT_EQ(a.units.size(), b.units.size()) << what;
+    for (std::size_t i = 0; i < a.units.size(); ++i) {
+        const SmartsUnitResult &x = a.units[i];
+        const SmartsUnitResult &y = b.units[i];
+        const std::string unit = what + " unit " + std::to_string(i);
+        EXPECT_EQ(x.index, y.index) << unit;
+        EXPECT_EQ(x.beginRef, y.beginRef) << unit;
+        EXPECT_EQ(x.endRef, y.endRef) << unit;
+        EXPECT_EQ(x.refs, y.refs) << unit;
+        EXPECT_EQ(x.cycles, y.cycles) << unit;
+        EXPECT_EQ(x.cpi, y.cpi) << unit;
+        EXPECT_EQ(x.readMissRatio, y.readMissRatio) << unit;
+    }
+    expectSameCI(a.estimate.cpi, b.estimate.cpi, what + " cpi");
+    expectSameCI(a.estimate.readMissRatio, b.estimate.readMissRatio,
+                 what + " read miss ratio");
+    EXPECT_EQ(a.pilotCount, b.pilotCount) << what;
+    EXPECT_EQ(a.pilotCv, b.pilotCv) << what;
+    EXPECT_EQ(a.tunedUnits, b.tunedUnits) << what;
+    EXPECT_EQ(a.selectedCount, b.selectedCount) << what;
+    EXPECT_EQ(a.simulatedRefs, b.simulatedRefs) << what;
+}
+
+TEST(Smarts, OnePassMatchesSeparatePasses)
+{
+    // One warm-key group whose members replay with other pairing,
+    // as an exact duplicate and at other timing, plus a physical
+    // machine that leads a group of its own.
+    SystemConfig base = SystemConfig::paperDefault();
+    SystemConfig unpaired = base;
+    unpaired.cpu.pairIssue = false;
+    SystemConfig slower = base;
+    slower.cycleNs = base.cycleNs * 2;
+    SystemConfig physical = base;
+    physical.addressing = AddressMode::Physical;
+    const std::vector<SystemConfig> configs = {base, unpaired, base,
+                                               slower, physical};
+
+    // testSmartsConfig() puts several units in one span; this plan
+    // spaces units further apart than a span is long, and measures
+    // most of each unit.
+    SmartsConfig long_period;
+    long_period.unitRefs = 3000;
+    long_period.warmupRefs = 1000;
+    long_period.periodRefs = 20000;
+    long_period.pilotUnits = 4;
+    long_period.targetRelError = 0.1;
+    ASSERT_GT(long_period.periodRefs, refChunkSize);
+    const Trace long_trace = generate(table1Workloads()[0], 0.3);
+
+    for (const auto &[trace, cfg] :
+         {std::pair{&testTrace(), testSmartsConfig()},
+          std::pair{&long_trace, long_period}}) {
+        // Separate passes: each leader's full pass keeps its live
+        // points, and the rest of its group replays from them.
+        std::vector<SmartsRunResult> want;
+        std::vector<CheckpointFile> points(configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            std::size_t leader = 0;
+            while (!(warmStateKey(configs[leader]) ==
+                     warmStateKey(configs[i])))
+                ++leader;
+            want.push_back(leader == i
+                               ? runSmartsFullPass(configs[i], *trace,
+                                                   cfg, &points[i])
+                               : runSmartsReplay(configs[i], *trace,
+                                                 cfg, points[leader]));
+        }
+        ASSERT_EQ(want[1].mode, SmartsMode::WarmReplay);
+        ASSERT_EQ(want[2].mode, SmartsMode::ExactReplay);
+        ASSERT_EQ(want[4].mode, SmartsMode::FullPass);
+
+        const std::string period =
+            " period " + std::to_string(cfg.periodRefs);
+        auto check = [&](RefSource &source, const std::string &kind) {
+            std::vector<SmartsRunResult> got =
+                runSmartsMany(configs, source, cfg);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expectSameRun(got[i], want[i],
+                              kind + period + " config " +
+                                  std::to_string(i));
+            // The exact duplicate reproduces its leader's units bit
+            // for bit, which no shared replay code can fake.
+            SmartsRunResult exact = got[2];
+            exact.mode = got[0].mode;
+            exact.simulatedRefs = got[0].simulatedRefs;
+            expectSameRun(exact, got[0],
+                          kind + period + " exact duplicate");
+        };
+        TraceRefSource resident(*trace);
+        check(resident, "resident");
+        FillOnlySource filled(*trace);
+        check(filled, "fill-only");
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             "smarts_one_pass.v2")
+                .string();
+        writeV2(*trace, path);
+        {
+            V2FileSource file(path);
+            check(file, "v2 file");
+        }
+        std::remove(path.c_str());
+    }
 }
 
 // --- oracle agreement on sampled layouts ---------------------------
