@@ -1,20 +1,23 @@
 /**
  * @file
  * Workload/trace utility: generate the Table 1 workloads to disk,
- * inspect a trace file, or convert between the text, binary and
- * streaming-v2 formats.  Demonstrates the trace I/O half of the
- * public API and gives downstream users files they can feed to
- * other simulators.
+ * inspect a trace file, or convert between the text, Dinero and
+ * CTTRACE2 formats.  Demonstrates the trace I/O half of the public
+ * API and gives downstream users files they can feed to other
+ * simulators.
  *
  * Usage:
  *   trace_tool gen <workload|all> <dir> [scale] [fmt]   generate
  *   trace_tool info <file>                              statistics
  *   trace_tool convert <in> <out>                       convert
  *
- * fmt is bin (default), txt, or v2; convert picks the output
- * format from the suffix (.txt, .din, .v2, else binary).  v2
- * generation streams from the workload source through V2Writer, so
- * it can produce files far larger than memory.
+ * fmt is v2 (CTTRACE2, the default) or txt.  v2 generation streams
+ * from the workload source through V2Writer, so it can produce files
+ * far larger than memory.  info and convert read any format, picked
+ * as every loader picks it (CTTRACE2 by magic, else Dinero for .din
+ * and text otherwise), and convert writes through saveFile(), which
+ * picks the output format from the suffix: .txt text, .din Dinero,
+ * anything else CTTRACE2.
  */
 
 #include <cstring>
@@ -40,10 +43,10 @@ usage()
 {
     std::cerr << "usage:\n"
               << "  trace_tool gen <workload|all> <dir> [scale] "
-                 "[bin|txt|v2]\n"
+                 "[v2|txt]\n"
               << "  trace_tool info <file>\n"
               << "  trace_tool convert <in> <out>  "
-                 "(.txt/.din/.v2 by suffix)\n";
+                 "(.txt text, .din Dinero, else CTTRACE2)\n";
     return 2;
 }
 
@@ -55,8 +58,8 @@ cmdGen(int argc, char **argv)
     std::string which = argv[2];
     std::string dir = argv[3];
     double scale = argc > 4 ? std::atof(argv[4]) : 0.1;
-    std::string fmt = argc > 5 ? argv[5] : "bin";
-    if (fmt != "bin" && fmt != "txt" && fmt != "v2")
+    std::string fmt = argc > 5 ? argv[5] : "v2";
+    if (fmt != "txt" && fmt != "v2")
         return usage();
     for (const WorkloadSpec &spec : table1Workloads()) {
         if (which != "all" && which != spec.name)
@@ -78,10 +81,8 @@ cmdGen(int argc, char **argv)
             continue;
         }
         Trace trace = generate(spec, scale);
-        std::string path = dir + "/" + spec.name + ".trace";
-        if (fmt == "txt")
-            path = dir + "/" + spec.name + ".txt";
-        saveFile(trace, path, fmt != "txt");
+        std::string path = dir + "/" + spec.name + ".txt";
+        saveFile(trace, path);
         std::cout << "wrote " << path << " (" << trace.size()
                   << " refs)\n";
     }
@@ -118,21 +119,16 @@ cmdConvert(int argc, char **argv)
         return usage();
     Trace trace = loadFile(argv[2]);
     std::string out = argv[3];
+    saveFile(trace, out);
     auto ends_with = [&](const char *suffix) {
         std::string s(suffix);
         return out.size() >= s.size() &&
                out.compare(out.size() - s.size(), s.size(), s) == 0;
     };
-    bool text = ends_with(".txt");
-    if (ends_with(".v2"))
-        writeV2(trace, out);
-    else
-        saveFile(trace, out, !text);
     std::cout << "wrote " << out << " ("
-              << (ends_with(".v2")    ? "v2"
+              << (ends_with(".txt")   ? "text"
                   : ends_with(".din") ? "dinero"
-                  : text              ? "text"
-                                      : "binary")
+                                      : "v2")
               << ")\n";
     return 0;
 }

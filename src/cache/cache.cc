@@ -194,10 +194,7 @@ Cache::selectWay(Addr block_addr)
         if (keys[w] == kInvalidKey)
             return lines_[base + w];
     }
-    // All valid: the victim choice is devirtualized here; the
-    // polymorphic policies in cache/replacement.hh implement the
-    // same selections (and RandomReplacement the same Rng stream)
-    // for the ablation harness.
+    // All valid: the configured policy picks the victim.
     Line *set = &lines_[base];
     unsigned w = 0;
     switch (replKind_) {

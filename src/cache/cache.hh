@@ -436,11 +436,8 @@ class Cache
     std::vector<Line> lines_; ///< cold state, parallel to keys_
     std::vector<VictimEntry> victims_; ///< fully-associative buffer
 
-    // Replacement is devirtualized on this path: the enum is
-    // switched directly in selectWay() and Random draws from an
-    // inline Rng seeded exactly like RandomReplacement, so victim
-    // streams are bit-identical to the polymorphic policies (which
-    // remain in cache/replacement.hh for the ablation benches).
+    // The victim policy, switched on in selectWay(); Random draws
+    // from replRng_, seeded from CacheConfig::replSeed.
     ReplPolicy replKind_ = ReplPolicy::Random;
     Rng replRng_;
 

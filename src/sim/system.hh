@@ -177,7 +177,6 @@ class System final : public Simulator
      * in place, pairing I/D couplets inline.  Per-run decisions are
      * hoisted into template parameters so the per-reference path
      * carries no re-checks:
-     * @tparam TraceOn  emit per-reference debug trace events
      * @tparam Pair     split caches with couplet issue enabled
      * @tparam HasTlb   physical addressing (translate every ref)
      * @tparam Mode     how the front end answers (FrontMode)
@@ -185,8 +184,7 @@ class System final : public Simulator
      * cross-span progress lives in progress_ and is staged through
      * locals so the steady-state loop still runs out of registers.
      */
-    template <bool TraceOn, bool Pair, bool Split, bool HasTlb,
-              FrontMode Mode>
+    template <bool Pair, bool Split, bool HasTlb, FrontMode Mode>
     void consumeChunk(const Ref *refs, std::size_t n);
 
     /** Dispatch one span to the right consumeChunk instantiation. */
@@ -229,7 +227,7 @@ class System final : public Simulator
      * probe + hit path is forced inline into runLoop(); everything
      * past the HitKind check lives out of line in readMissTail().
      */
-    template <bool TraceOn, bool HasTlb, FrontMode Mode>
+    template <bool HasTlb, FrontMode Mode>
     [[gnu::always_inline]] inline Tick
     accessRead(const L1Port &l1, Tick &busy, const Ref &ref,
                Tick issue);
@@ -250,7 +248,7 @@ class System final : public Simulator
                        Tick when);
 
     /** @return completion time of a write issued at @p issue. */
-    template <bool TraceOn, bool HasTlb, FrontMode Mode>
+    template <bool HasTlb, FrontMode Mode>
     [[gnu::always_inline]] inline Tick
     accessWrite(const L1Port &l1, Tick &busy, const Ref &ref,
                 Tick issue);
@@ -316,8 +314,7 @@ class System final : public Simulator
 
     RunProgress progress_;
     SimResult result_;           ///< accumulating result of the armed run
-    bool runTraceOn_ = false;    ///< dispatch flags hoisted by beginRun
-    bool runPair_ = false;
+    bool runPair_ = false;       ///< dispatch flag hoisted by beginRun
 
     /** Windowed-snapshot collector; optional and observation-only. */
     IntervalCollector *interval_ = nullptr;

@@ -13,8 +13,9 @@
  *    Trace (the bridge between the eager and streaming worlds);
  *  - InterleaveSource (trace/interleave.hh): generates the
  *    multiprogrammed synthetic stream incrementally;
- *  - V2FileSource (trace/trace_v2.hh): an mmap-backed reader for
- *    the fixed-record binary trace format v2.
+ *  - the file readers behind openRefSource() (trace/trace_io.hh):
+ *    V2FileSource (trace/trace_v2.hh) for the fixed-record binary
+ *    format v2, and a line reader for the text and Dinero formats.
  *
  * A source is single-consumer and replayable: reset() rewinds to the
  * first reference, and Simulator::run(RefSource&) resets before
@@ -258,10 +259,10 @@ class ChunkFeeder
 
 /**
  * A ChunkFeeder with production moved off the critical path: a
- * producer thread runs the fill()/decode machinery (CTTRACE2 record
- * unpacking, mmap-window I/O, synthetic generation) into a small
- * ring of chunk buffers while the consumer simulates the previous
- * span.  The span *sequence* is byte-identical to ChunkFeeder's -
+ * producer thread runs the fill()/decode machinery (file reads,
+ * CTTRACE2 record unpacking, text and Dinero line parsing, synthetic
+ * generation) into a small ring of chunk buffers while the consumer
+ * simulates the previous span.  The span *sequence* is byte-identical to ChunkFeeder's -
  * the producer is a plain ChunkFeeder whose spans are copied into
  * ring slots - so feeding any batch of machines through either
  * feeder yields bit-identical results; only the wall-clock overlap

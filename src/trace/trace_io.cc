@@ -1,7 +1,5 @@
 #include "trace/trace_io.hh"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -19,7 +17,8 @@ namespace cachetime
 namespace
 {
 
-constexpr char binaryMagic[8] = {'C', 'T', 'T', 'R', 'A', 'C', 'E', '1'};
+/** Magic of CTTRACE1, the retired first binary format. */
+constexpr char retiredMagic[8] = {'C', 'T', 'T', 'R', 'A', 'C', 'E', '1'};
 
 RefKind
 kindFromChar(char c)
@@ -39,28 +38,195 @@ kindFromChar(char c)
     }
 }
 
-template <typename T>
-void
-writeLE(std::ostream &os, T value)
+bool
+hasSuffix(const std::string &text, const char *suffix)
 {
-    std::array<char, sizeof(T)> bytes;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    os.write(bytes.data(), bytes.size());
+    std::string s(suffix);
+    return text.size() >= s.size() &&
+           text.compare(text.size() - s.size(), s.size(), s) == 0;
 }
 
-template <typename T>
-T
-readLE(std::istream &is)
+/**
+ * The one reader of the line formats, text and Dinero.
+ *
+ * A RefSource promises size() and warmStart() up front, so
+ * construction makes one pass over the lines: it counts the
+ * references, reads #warmstart (the last directive wins) and rejects
+ * a malformed line before anything runs.  fill() then parses lines
+ * as they are consumed, and reset() seeks back to where the first
+ * pass began, so the source holds one line at a time however long
+ * the trace.  Both passes parse through parse(), so they accept the
+ * same language.
+ */
+class LineSource : public RefSource
 {
-    std::array<unsigned char, sizeof(T)> bytes;
-    is.read(reinterpret_cast<char *>(bytes.data()), bytes.size());
-    if (!is)
-        fatal("trace_io: truncated binary trace");
-    T value = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        value |= static_cast<T>(bytes[i]) << (8 * i);
-    return value;
+  public:
+    /** Read @p is, which must be seekable and outlive the source. */
+    LineSource(std::istream &is, std::string name, bool dinero);
+
+    /** Read @p file, which the source owns. */
+    LineSource(std::unique_ptr<std::istream> file, std::string name,
+               bool dinero)
+        : LineSource(*file, std::move(name), dinero)
+    {
+        file_ = std::move(file);
+    }
+
+    const std::string &name() const override { return name_; }
+    std::uint64_t size() const override { return count_; }
+    std::size_t warmStart() const override { return warmStart_; }
+    void reset() override;
+    std::size_t fill(Ref *out, std::size_t max) override;
+
+  private:
+    /** Read the next line into line_; @return false at end of input. */
+    bool nextLine();
+
+    /**
+     * Parse line_.  @return true when it is a reference, stored in
+     * @p ref; a #warmstart directive sets @p warm_start instead.
+     * Blank lines, comments and Dinero's ignored labels return false;
+     * a malformed line is a fatal error.
+     */
+    bool parse(Ref &ref, std::size_t &warm_start);
+
+    std::unique_ptr<std::istream> file_;
+    std::istream &is_;
+    std::string name_;
+    bool dinero_;
+    std::streampos start_;
+    std::uint64_t count_ = 0;
+    std::size_t warmStart_ = 0;
+    std::uint64_t pos_ = 0; ///< references produced since reset()
+    std::size_t lineno_ = 0;
+    std::string line_;
+    std::istringstream ss_; ///< reused for every line
+};
+
+LineSource::LineSource(std::istream &is, std::string name, bool dinero)
+    : is_(is), name_(std::move(name)), dinero_(dinero),
+      start_(is.tellg())
+{
+    if (start_ == std::streampos(-1))
+        fatal("trace_io: '%s': the trace stream cannot be rewound",
+              name_.c_str());
+    Ref ref;
+    std::size_t warm_start = 0;
+    while (nextLine())
+        if (parse(ref, warm_start))
+            ++count_;
+    if (warm_start > count_)
+        fatal("trace_io: #warmstart %zu beyond the %zu references "
+              "in the trace",
+              warm_start, static_cast<std::size_t>(count_));
+    warmStart_ = warm_start;
+    reset();
+}
+
+void
+LineSource::reset()
+{
+    is_.clear();
+    is_.seekg(start_);
+    if (!is_)
+        fatal("trace_io: '%s': cannot rewind the trace", name_.c_str());
+    pos_ = 0;
+    lineno_ = 0;
+}
+
+bool
+LineSource::nextLine()
+{
+    if (!std::getline(is_, line_)) {
+        if (is_.bad())
+            fatal("trace_io: '%s': read error after line %zu",
+                  name_.c_str(), lineno_);
+        return false;
+    }
+    ++lineno_;
+    return true;
+}
+
+std::size_t
+LineSource::fill(Ref *out, std::size_t max)
+{
+    std::size_t n = 0;
+    std::size_t warm_start = 0;
+    while (n < max && pos_ < count_) {
+        if (!nextLine())
+            fatal("trace_io: '%s' ended after %llu of its %llu "
+                  "references",
+                  name_.c_str(), static_cast<unsigned long long>(pos_),
+                  static_cast<unsigned long long>(count_));
+        if (parse(out[n], warm_start)) {
+            ++n;
+            ++pos_;
+        }
+    }
+    return n;
+}
+
+bool
+LineSource::parse(Ref &ref, std::size_t &warm_start)
+{
+    const std::string &line = line_;
+    if (line.empty())
+        return false;
+    if (line[0] == '#') {
+        if (!dinero_) {
+            ss_.str(line);
+            ss_.clear();
+            std::string directive;
+            ss_ >> directive;
+            if (directive == "#warmstart")
+                ss_ >> warm_start;
+        }
+        return false;
+    }
+    ss_.str(line);
+    ss_.clear();
+    if (dinero_) {
+        unsigned label;
+        std::uint64_t byte_addr;
+        ss_ >> label >> std::hex >> byte_addr >> std::dec;
+        if (ss_.fail())
+            fatal("trace_io: malformed din line %zu: '%s'", lineno_,
+                  line.c_str());
+        switch (label) {
+          case 0:
+            ref = {byte_addr / wordBytes, RefKind::Load, 0};
+            return true;
+          case 1:
+            ref = {byte_addr / wordBytes, RefKind::Store, 0};
+            return true;
+          case 2:
+            ref = {byte_addr / wordBytes, RefKind::IFetch, 0};
+            return true;
+          default:
+            return false; // dineroIV ignores other labels
+        }
+    }
+    std::string kind;
+    std::uint64_t addr;
+    ss_ >> kind >> std::hex >> addr >> std::dec;
+    if (kind.empty() || ss_.fail())
+        fatal("trace_io: malformed trace line %zu: '%s'", lineno_,
+              line.c_str());
+    // The pid column is optional (the classic din dialect has
+    // none); only a present-but-unparseable pid is malformed.
+    std::uint64_t pid = 0;
+    ss_ >> std::ws;
+    if (!ss_.eof() && !(ss_ >> pid))
+        fatal("trace_io: malformed pid on trace line %zu: '%s'",
+              lineno_, line.c_str());
+    // The fused probe key reserves exactly 16 bits for the pid,
+    // so a wider pid would silently alias another process.
+    if (pid > std::numeric_limits<Pid>::max())
+        fatal("trace_io: pid %llu on trace line %zu exceeds the "
+              "16-bit pid limit",
+              static_cast<unsigned long long>(pid), lineno_);
+    ref = {addr, kindFromChar(kind[0]), static_cast<Pid>(pid)};
+    return true;
 }
 
 } // namespace
@@ -79,86 +245,15 @@ writeText(const Trace &trace, std::ostream &os)
 Trace
 readText(std::istream &is, const std::string &name)
 {
-    std::vector<Ref> refs;
-    std::size_t warm_start = 0;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            std::istringstream ss(line);
-            std::string directive;
-            ss >> directive;
-            if (directive == "#warmstart")
-                ss >> warm_start;
-            continue;
-        }
-        std::istringstream ss(line);
-        std::string kind;
-        std::uint64_t addr;
-        ss >> kind >> std::hex >> addr >> std::dec;
-        if (kind.empty() || ss.fail())
-            fatal("trace_io: malformed trace line %zu: '%s'", lineno,
-                  line.c_str());
-        // The pid column is optional (the classic din dialect has
-        // none); only a present-but-unparseable pid is malformed.
-        std::uint64_t pid = 0;
-        ss >> std::ws;
-        if (!ss.eof() && !(ss >> pid))
-            fatal("trace_io: malformed pid on trace line %zu: '%s'",
-                  lineno, line.c_str());
-        // The fused probe key reserves exactly 16 bits for the pid,
-        // so a wider pid would silently alias another process.
-        if (pid > std::numeric_limits<Pid>::max())
-            fatal("trace_io: pid %llu on trace line %zu exceeds the "
-                  "16-bit pid limit",
-                  static_cast<unsigned long long>(pid), lineno);
-        refs.push_back({addr, kindFromChar(kind[0]),
-                        static_cast<Pid>(pid)});
-    }
-    if (warm_start > refs.size())
-        fatal("trace_io: #warmstart %zu beyond the %zu references "
-              "in the trace",
-              warm_start, refs.size());
-    return Trace(name, std::move(refs), warm_start);
+    LineSource source(is, name, false);
+    return materialize(source);
 }
 
 Trace
 readDinero(std::istream &is, const std::string &name)
 {
-    std::vector<Ref> refs;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ss(line);
-        unsigned label;
-        std::uint64_t byte_addr;
-        ss >> label >> std::hex >> byte_addr >> std::dec;
-        if (ss.fail())
-            fatal("trace_io: malformed din line %zu: '%s'", lineno,
-                  line.c_str());
-        RefKind kind;
-        switch (label) {
-          case 0:
-            kind = RefKind::Load;
-            break;
-          case 1:
-            kind = RefKind::Store;
-            break;
-          case 2:
-            kind = RefKind::IFetch;
-            break;
-          default:
-            continue; // dineroIV ignores other labels
-        }
-        refs.push_back({byte_addr / wordBytes, kind, 0});
-    }
-    return Trace(name, std::move(refs), 0);
+    LineSource source(is, name, true);
+    return materialize(source);
 }
 
 void
@@ -202,66 +297,6 @@ writeDinero(const Trace &trace, std::ostream &os, bool strict_pids)
     }
 }
 
-void
-writeBinary(const Trace &trace, std::ostream &os)
-{
-    os.write(binaryMagic, sizeof(binaryMagic));
-    writeLE<std::uint64_t>(os, trace.size());
-    writeLE<std::uint64_t>(os, trace.warmStart());
-    for (const Ref &ref : trace.refs()) {
-        writeLE<std::uint64_t>(os, ref.addr);
-        writeLE<std::uint16_t>(os, ref.pid);
-        writeLE<std::uint8_t>(os, static_cast<std::uint8_t>(ref.kind));
-    }
-}
-
-Trace
-readBinary(std::istream &is, const std::string &name)
-{
-    char magic[sizeof(binaryMagic)];
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
-        fatal("trace_io: not a cachetime binary trace");
-    auto count = readLE<std::uint64_t>(is);
-    auto warm_start = readLE<std::uint64_t>(is);
-    if (warm_start > count)
-        fatal("trace_io: header warm start %llu beyond the %llu "
-              "references in the trace",
-              static_cast<unsigned long long>(warm_start),
-              static_cast<unsigned long long>(count));
-    std::vector<Ref> refs;
-    // Cap the up-front reservation: a corrupt header must surface as
-    // a clean truncation error, not an allocation failure.
-    refs.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, 1u << 20)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Ref ref;
-        ref.addr = readLE<std::uint64_t>(is);
-        ref.pid = readLE<std::uint16_t>(is);
-        auto kind = readLE<std::uint8_t>(is);
-        if (kind > static_cast<std::uint8_t>(RefKind::Store))
-            fatal("trace_io: bad reference kind %u at record %llu",
-                  unsigned(kind), static_cast<unsigned long long>(i));
-        ref.kind = static_cast<RefKind>(kind);
-        refs.push_back(ref);
-    }
-    return Trace(name, std::move(refs),
-                 static_cast<std::size_t>(warm_start));
-}
-
-namespace
-{
-
-bool
-hasSuffix(const std::string &text, const char *suffix)
-{
-    std::string s(suffix);
-    return text.size() >= s.size() &&
-           text.compare(text.size() - s.size(), s.size(), s) == 0;
-}
-
-} // namespace
-
 std::string
 workloadNameFromPath(const std::string &path)
 {
@@ -273,52 +308,53 @@ workloadNameFromPath(const std::string &path)
     return name;
 }
 
-Trace
-loadFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("trace_io: cannot open '%s'", path.c_str());
-    char magic[sizeof(binaryMagic)];
-    is.read(magic, sizeof(magic));
-    bool binary = is &&
-        std::memcmp(magic, binaryMagic, sizeof(magic)) == 0;
-    bool v2 = is &&
-        std::memcmp(magic, v2::magic, sizeof(v2::magic)) == 0;
-    is.clear();
-    is.seekg(0);
-    std::string name = workloadNameFromPath(path);
-    if (v2) {
-        is.close();
-        return readV2(path);
-    }
-    if (binary)
-        return readBinary(is, name);
-    if (hasSuffix(path, ".din"))
-        return readDinero(is, name);
-    return readText(is, name);
-}
-
 std::unique_ptr<RefSource>
 openRefSource(const std::string &path)
 {
-    if (isV2File(path))
-        return std::make_unique<V2FileSource>(path);
-    return TraceRefSource::owning(loadFile(path));
+    auto file = std::make_unique<std::ifstream>(path, std::ios::binary);
+    if (!*file)
+        fatal("trace_io: cannot open '%s'", path.c_str());
+    char magic[sizeof(v2::magic)];
+    file->read(magic, sizeof(magic));
+    if (file->bad())
+        fatal("trace_io: cannot read '%s'", path.c_str());
+    if (file->gcount() == sizeof(magic)) {
+        if (std::memcmp(magic, v2::magic, sizeof(magic)) == 0)
+            return std::make_unique<V2FileSource>(path);
+        if (std::memcmp(magic, retiredMagic, sizeof(magic)) == 0)
+            fatal("trace_io: '%s' is a CTTRACE1 trace, a retired "
+                  "format; convert it to CTTRACE2 with an older "
+                  "build's trace_tool convert",
+                  path.c_str());
+    }
+    file->clear();
+    file->seekg(0);
+    return std::make_unique<LineSource>(
+        std::move(file), workloadNameFromPath(path),
+        hasSuffix(path, ".din"));
+}
+
+Trace
+loadFile(const std::string &path)
+{
+    return materialize(*openRefSource(path));
 }
 
 void
-saveFile(const Trace &trace, const std::string &path, bool binary)
+saveFile(const Trace &trace, const std::string &path)
 {
+    bool text = hasSuffix(path, ".txt");
+    if (!text && !hasSuffix(path, ".din")) {
+        writeV2(trace, path);
+        return;
+    }
     std::ofstream os(path, std::ios::binary);
     if (!os)
         fatal("trace_io: cannot create '%s'", path.c_str());
-    if (hasSuffix(path, ".din"))
-        writeDinero(trace, os);
-    else if (binary)
-        writeBinary(trace, os);
-    else
+    if (text)
         writeText(trace, os);
+    else
+        writeDinero(trace, os);
     if (!os)
         fatal("trace_io: write to '%s' failed", path.c_str());
 }

@@ -1,10 +1,10 @@
 #include "trace/trace_v2.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -57,25 +57,8 @@ decodeRecord(const unsigned char *in, std::uint64_t index,
     return ref;
 }
 
-/** Records buffered before each fwrite/fread (~704KB). */
+/** Records buffered per fwrite or pread (~704KB). */
 constexpr std::size_t ioChunkRecords = 64 * 1024;
-
-/**
- * Bytes mapped at a time by V2FileSource.  A *sliding window*, not
- * the whole file: mapping everything would let the touched pages
- * accumulate in the resident set, making peak RSS proportional to
- * trace length - exactly what the streaming pipeline exists to
- * avoid.  Remapping every 8MB costs one syscall per ~760K records.
- */
-constexpr std::uint64_t windowBytes = 8ull << 20;
-
-std::uint64_t
-pageBytes()
-{
-    static const std::uint64_t page =
-        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-    return page;
-}
 
 } // namespace
 
@@ -189,48 +172,12 @@ V2FileSource::V2FileSource(const std::string &path)
               static_cast<unsigned long long>(warmStart_),
               static_cast<unsigned long long>(count_));
 
-    fileBytes_ = file_bytes;
-    // Probe the first window; if mmap is unavailable, fall back to
-    // pread for the whole stream.
-    if (count_ > 0 && !ensureWindow(v2::headerBytes,
-                                    std::min<std::uint64_t>(
-                                        fileBytes_,
-                                        v2::headerBytes + windowBytes)))
-        ioBuffer_.resize(ioChunkRecords * v2::recordBytes);
-}
-
-bool
-V2FileSource::ensureWindow(std::uint64_t begin, std::uint64_t end)
-{
-    if (map_ && begin >= mapOffset_ && end <= mapOffset_ + mapBytes_)
-        return true;
-    std::uint64_t start = begin / pageBytes() * pageBytes();
-    std::uint64_t len = std::min<std::uint64_t>(
-        fileBytes_ - start, std::max(windowBytes, end - start));
-    if (map_) {
-        ::munmap(const_cast<unsigned char *>(map_), mapBytes_);
-        map_ = nullptr;
-        mapBytes_ = 0;
-    }
-    void *map = ::mmap(nullptr, static_cast<std::size_t>(len),
-                       PROT_READ, MAP_PRIVATE, fd_,
-                       static_cast<off_t>(start));
-    if (map == MAP_FAILED)
-        return false;
-    map_ = static_cast<const unsigned char *>(map);
-    mapBytes_ = static_cast<std::size_t>(len);
-    mapOffset_ = start;
-#ifdef POSIX_MADV_SEQUENTIAL
-    ::posix_madvise(map, static_cast<std::size_t>(len),
-                    POSIX_MADV_SEQUENTIAL);
-#endif
-    return true;
+    std::uint64_t chunk = std::min<std::uint64_t>(count_, ioChunkRecords);
+    ioBuffer_.resize(static_cast<std::size_t>(chunk) * v2::recordBytes);
 }
 
 V2FileSource::~V2FileSource()
 {
-    if (map_)
-        ::munmap(const_cast<unsigned char *>(map_), mapBytes_);
     if (fd_ >= 0)
         ::close(fd_);
 }
@@ -238,36 +185,20 @@ V2FileSource::~V2FileSource()
 std::size_t
 V2FileSource::fill(Ref *out, std::size_t max)
 {
-    std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max, count_ - pos_));
+    std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        {max, count_ - pos_, ioBuffer_.size() / v2::recordBytes}));
     if (n == 0)
         return 0;
-    std::uint64_t byte_begin = v2::headerBytes + pos_ * v2::recordBytes;
-    if (map_ &&
-        ensureWindow(byte_begin, byte_begin + n * v2::recordBytes)) {
-        const unsigned char *at = map_ + (byte_begin - mapOffset_);
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = decodeRecord(at + i * v2::recordBytes, pos_ + i,
-                                  name_.c_str());
-    } else {
-        if (ioBuffer_.empty()) // a mid-stream remap failure
-            ioBuffer_.resize(ioChunkRecords * v2::recordBytes);
-        // pread fallback: bounded read, then the same decode.
-        n = std::min(n, ioBuffer_.size() / v2::recordBytes);
-        std::size_t bytes = n * v2::recordBytes;
-        ssize_t got = ::pread(
-            fd_, ioBuffer_.data(), bytes,
-            static_cast<off_t>(v2::headerBytes +
-                               pos_ * v2::recordBytes));
-        if (got != static_cast<ssize_t>(bytes))
-            fatal("trace_v2: '%s': short read at record %llu",
-                  name_.c_str(),
-                  static_cast<unsigned long long>(pos_));
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = decodeRecord(ioBuffer_.data() +
-                                      i * v2::recordBytes,
-                                  pos_ + i, name_.c_str());
-    }
+    std::size_t bytes = n * v2::recordBytes;
+    ssize_t got = ::pread(
+        fd_, ioBuffer_.data(), bytes,
+        static_cast<off_t>(v2::headerBytes + pos_ * v2::recordBytes));
+    if (got != static_cast<ssize_t>(bytes))
+        fatal("trace_v2: '%s': short read at record %llu", name_.c_str(),
+              static_cast<unsigned long long>(pos_));
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = decodeRecord(ioBuffer_.data() + i * v2::recordBytes,
+                              pos_ + i, name_.c_str());
     pos_ += n;
     return n;
 }
@@ -279,27 +210,6 @@ writeV2(const Trace &trace, const std::string &path)
     for (const Ref &ref : trace.refs())
         writer.push(ref);
     writer.close();
-}
-
-Trace
-readV2(const std::string &path)
-{
-    V2FileSource source(path);
-    return materialize(source);
-}
-
-bool
-isV2File(const std::string &path)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return false;
-    char magic[sizeof(v2::magic)];
-    bool is_v2 =
-        std::fread(magic, 1, sizeof(magic), file) == sizeof(magic) &&
-        std::memcmp(magic, v2::magic, sizeof(magic)) == 0;
-    std::fclose(file);
-    return is_v2;
 }
 
 } // namespace cachetime

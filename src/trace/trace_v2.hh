@@ -17,8 +17,8 @@
  * anything else is a truncated or corrupt file and a fatal error.
  * V2Writer streams records to disk without materializing the trace
  * (the count is patched into the header on close), and V2FileSource
- * replays a file through the RefSource interface from an mmap
- * window, so peak memory is independent of trace length.
+ * replays a file through the RefSource interface in bounded pread
+ * chunks, so peak memory is independent of trace length.
  */
 
 #ifndef CACHETIME_TRACE_TRACE_V2_HH
@@ -81,16 +81,11 @@ class V2Writer
 };
 
 /**
- * mmap-backed streaming reader for a format-v2 file.  The header is
- * validated up front (magic, version, record-section length, warm
- * boundary); corrupt files are a fatal error, never UB.  The record
- * section is mapped through a bounded *sliding window* (a few MB),
- * remapped as the read position advances, so peak RSS is
- * independent of the trace length - a whole-file map would let the
- * touched pages pile up in the resident set.  When mmap is
- * unavailable the source falls back to buffered pread-style reads;
- * either way fill() decodes records on the fly and resident memory
- * stays O(window).
+ * Streaming reader for a format-v2 file.  The header is validated up
+ * front (magic, version, record-section length, warm boundary);
+ * corrupt files are a fatal error, never UB.  fill() preads at most
+ * one bounded chunk of records (~704KB) into a buffer and decodes it
+ * on the fly, so resident memory is independent of trace length.
  */
 class V2FileSource : public RefSource
 {
@@ -110,36 +105,17 @@ class V2FileSource : public RefSource
     void reset() override { pos_ = 0; }
     std::size_t fill(Ref *out, std::size_t max) override;
 
-    /** @return true when the file is served through an mmap window. */
-    bool mapped() const { return map_ != nullptr; }
-
   private:
-    /**
-     * Slide the mmap window to cover file bytes [begin, end).
-     * @return false when mapping fails (caller preads instead).
-     */
-    bool ensureWindow(std::uint64_t begin, std::uint64_t end);
-
     std::string name_;
     int fd_ = -1;
-    const unsigned char *map_ = nullptr; ///< current window, or null
-    std::size_t mapBytes_ = 0;           ///< window length
-    std::uint64_t mapOffset_ = 0;        ///< window's file offset
-    std::uint64_t fileBytes_ = 0;
     std::uint64_t count_ = 0;
     std::uint64_t warmStart_ = 0;
-    std::uint64_t pos_ = 0;              ///< next record index
-    std::vector<unsigned char> ioBuffer_; ///< pread fallback only
+    std::uint64_t pos_ = 0;               ///< next record index
+    std::vector<unsigned char> ioBuffer_; ///< one pread chunk
 };
 
 /** Write @p trace to @p path in format v2. */
 void writeV2(const Trace &trace, const std::string &path);
-
-/** Materialize a format-v2 file (loadFile() uses this on the magic). */
-Trace readV2(const std::string &path);
-
-/** @return true if the file at @p path starts with the v2 magic. */
-bool isV2File(const std::string &path);
 
 } // namespace cachetime
 

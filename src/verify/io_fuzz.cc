@@ -8,16 +8,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
 #include "sim/checkpoint.hh"
 #include "stats/progress.hh"
-#include "trace/ref_source.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_v2.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -77,28 +75,13 @@ writeCheckpointCase(const std::string &path, Rng &rng)
     writeCheckpoint(cp, path);
 }
 
-/** Serialize @p trace to @p path in one of the five disk formats. */
-void
-writeCase(const Trace &trace, const std::string &path, unsigned format,
-          Rng &rng)
-{
-    if (format == 4) {
-        writeCheckpointCase(path, rng);
-        return;
-    }
-    if (format == 3) {
-        writeV2(trace, path);
-        return;
-    }
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fatal("io_fuzz: cannot create '%s'", path.c_str());
-    switch (format) {
-    case 0: writeText(trace, out); break;
-    case 1: writeDinero(trace, out); break;
-    default: writeBinary(trace, out); break;
-    }
-}
+/**
+ * The four disk formats a case draws from (text, Dinero, CTTRACE2, a
+ * checkpoint), by the suffix that selects each one's writer and
+ * reader.
+ */
+constexpr const char *caseSuffixes[] = {".txt", ".din", ".v2", ".ckpt"};
+constexpr unsigned checkpointCase = 3;
 
 /** Read the whole file at @p path. */
 std::string
@@ -210,10 +193,6 @@ drainTraceFile(const std::string &path)
     }
     Trace trace = loadFile(path);
     (void)trace;
-    std::unique_ptr<RefSource> source = openRefSource(path);
-    std::vector<Ref> buf(4096);
-    while (source->fill(buf.data(), buf.size()) > 0) {
-    }
 }
 
 IoFuzzReport
@@ -226,12 +205,15 @@ runIoFuzz(const IoFuzzOptions &options)
     for (std::uint64_t i = 0; i < options.cases; ++i) {
         std::uint64_t seed = options.seed + i;
         Rng rng(seed * 0x2545f4914f6cdd1dULL + 0x1005);
-        std::string path = options.workDir + "/io_fuzz_" +
-                           std::to_string(seed) + ".trace";
-
         Trace trace = randomTrace(rng);
-        writeCase(trace, path, static_cast<unsigned>(rng.below(5)),
-                  rng);
+        auto format =
+            static_cast<unsigned>(rng.below(std::size(caseSuffixes)));
+        std::string path = options.workDir + "/io_fuzz_" +
+                           std::to_string(seed) + caseSuffixes[format];
+        if (format == checkpointCase)
+            writeCheckpointCase(path, rng);
+        else
+            saveFile(trace, path);
         mutateFile(path, rng);
 
         ChildResult result = loadInChild(path);

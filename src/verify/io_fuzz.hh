@@ -2,13 +2,13 @@
  * @file
  * Robustness fuzzing of the trace I/O layer.
  *
- * Each case writes a small random file in one of the on-disk
- * formats (text, din, binary v1, binary v2 traces, or a live-points
+ * Each case writes a small random file in one of the four on-disk
+ * formats (text, din and CTTRACE2 traces, or a live-points
  * checkpoint), then mutilates the bytes - truncation, bit flips,
  * garbage splices, or nothing at all - and loads the result in a
  * forked child: checkpoints through loadCheckpoint(), traces
- * through both loadFile() and openRefSource() (draining the stream
- * to the end).  The loaders must either accept the file (exit 0) or
+ * through loadFile(), which drains openRefSource()'s stream to the
+ * end.  The loaders must either accept the file (exit 0) or
  * reject it with fatal() (exit 1); any signal, sanitizer abort or
  * other exit status is a loader bug and the offending file is kept
  * as a repro.
@@ -55,10 +55,10 @@ struct IoFuzzReport
 IoFuzzReport runIoFuzz(const IoFuzzOptions &options);
 
 /**
- * Load @p path exactly as one fuzz child does: materialize through
- * loadFile(), then stream through openRefSource() to exhaustion.
- * The fuzzer re-execs the harness binary with `--load-one FILE` to
- * run this in a fresh process.
+ * Load @p path exactly as one fuzz child does: a checkpoint through
+ * loadCheckpoint(), a trace through loadFile(), which streams
+ * openRefSource() to exhaustion.  The fuzzer re-execs the harness
+ * binary with `--load-one FILE` to run this in a fresh process.
  */
 void drainTraceFile(const std::string &path);
 

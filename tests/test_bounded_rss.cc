@@ -1,11 +1,12 @@
 /**
  * @file
- * Peak memory of a sampled sweep over a long stream.  The suite is
- * its own executable and each test its own process, so the peak
- * resident set (ru_maxrss) is the test's alone: a SMARTS sweep over
- * a CTTRACE2 file must hold neither a copy of the trace nor every
- * unit's live point.  Sanitizer shadow memory inflates RSS, so the
- * sanitizer jobs leave this suite (label rss) out.
+ * Peak memory of runs over long streams.  The suite is its own
+ * executable and each test its own process, so the peak resident set
+ * (ru_maxrss) is the test's alone: a SMARTS sweep over a CTTRACE2
+ * file must hold neither a copy of the trace nor every unit's live
+ * point, and a run over a text file must not hold the trace either.
+ * Sanitizer shadow memory inflates RSS, so the sanitizer jobs leave
+ * this suite (label rss) out.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +16,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/smarts.hh"
+#include "sim/simulator.hh"
 #include "trace/interleave.hh"
+#include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 
@@ -77,6 +81,46 @@ TEST(BoundedRss, SampledSweepOverV2File)
     EXPECT_EQ(runs[0].mode, SmartsMode::FullPass);
     EXPECT_EQ(runs[1].mode, SmartsMode::WarmReplay);
     EXPECT_EQ(runs[2].mode, SmartsMode::FullPass);
+    const std::uint64_t peak = peakRssBytes();
+    EXPECT_LT(peak, resident_bytes / 2)
+        << "peak RSS " << (peak >> 20) << " MB for a "
+        << (resident_bytes >> 20) << " MB trace";
+}
+
+TEST(BoundedRss, TextTraceStreams)
+{
+    // The same ~6M mu6 references, written line by line as a text
+    // trace; neither the writer nor the run may hold them whole.
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "bounded_rss_mu6.txt")
+                                 .string();
+    std::uint64_t refs = 0;
+    {
+        auto generator = makeWorkloadSource(table1Workloads()[1], 4.0);
+        std::ofstream out(path);
+        out << "#warmstart " << generator->warmStart() << '\n';
+        std::vector<Ref> chunk(refChunkSize);
+        while (std::size_t n =
+                   generator->fill(chunk.data(), chunk.size())) {
+            for (std::size_t i = 0; i < n; ++i)
+                out << refKindName(chunk[i].kind) << ' ' << std::hex
+                    << chunk[i].addr << std::dec << ' ' << chunk[i].pid
+                    << '\n';
+            refs += n;
+        }
+        ASSERT_TRUE(out.good());
+    }
+    const std::uint64_t resident_bytes = refs * sizeof(Ref);
+
+    SimResult result;
+    {
+        auto source = openRefSource(path);
+        ASSERT_EQ(source->size(), refs);
+        result = makeSimulator(SystemConfig::paperDefault())->run(*source);
+    }
+    std::remove(path.c_str());
+
+    EXPECT_GT(result.refs, 0u);
     const std::uint64_t peak = peakRssBytes();
     EXPECT_LT(peak, resident_bytes / 2)
         << "peak RSS " << (peak >> 20) << " MB for a "

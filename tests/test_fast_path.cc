@@ -21,7 +21,7 @@
  *    bit-identical to a serial run (no shared mutable state in the
  *    fast path);
  *  - running with every debug-trace flag lit is bit-identical to
- *    running silent (the TraceOn template instantiation changes
+ *    running silent (the miss, buffer, memory and run events change
  *    only what is emitted, never what is simulated).
  */
 
@@ -226,8 +226,8 @@ TEST(FastPath, TracingOnVsOffBitIdentical)
     trace_debug::setFlags(0);
     SimResult off = simulateOne(config, trace);
 
-    // Capture into the ring so the run stays silent; All lights the
-    // TraceOn loop instantiation in System::run.
+    // Capture into the ring so the run stays silent; All lights every
+    // event the run emits (misses, buffer, memory, run start/end).
     trace_debug::setRingCapacity(1024);
     trace_debug::setFlags(trace_debug::All);
     SimResult on = simulateOne(config, trace);

@@ -17,6 +17,7 @@
 #include "json_check.hh"
 #include "sim/system.hh"
 #include "stats/interval.hh"
+#include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 #include "verify/diff.hh"
@@ -122,6 +123,13 @@ TEST(IntervalStats, RecordsIndependentOfFeedPartition)
         EXPECT_TRUE(records(file) == want);
     }
     std::remove(path.c_str());
+
+    const std::string text_path =
+        (std::filesystem::temp_directory_path() / (name + ".txt"))
+            .string();
+    saveFile(trace, text_path);
+    EXPECT_TRUE(records(*openRefSource(text_path)) == want);
+    std::remove(text_path.c_str());
 }
 
 TEST(IntervalStats, WindowsSumExactlyToAggregate)

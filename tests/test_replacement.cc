@@ -1,78 +1,16 @@
 /**
  * @file
- * Unit tests for the replacement policies.
+ * Unit tests for the cache-policy names.
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/replacement.hh"
+#include "cache/cache_config.hh"
 
 namespace cachetime
 {
 namespace
 {
-
-TEST(Replacement, LruPicksOldestUse)
-{
-    LruReplacement lru;
-    WayState ways[4];
-    for (unsigned w = 0; w < 4; ++w) {
-        ways[w].valid = true;
-        ways[w].lastUse = 100 + w;
-    }
-    ways[2].lastUse = 5;
-    EXPECT_EQ(lru.victim(ways, 4), 2u);
-}
-
-TEST(Replacement, FifoPicksOldestFill)
-{
-    FifoReplacement fifo;
-    WayState ways[4];
-    for (unsigned w = 0; w < 4; ++w) {
-        ways[w].valid = true;
-        ways[w].fillSeq = 50 + w;
-        ways[w].lastUse = 1000 - w; // decoys
-    }
-    ways[3].fillSeq = 1;
-    EXPECT_EQ(fifo.victim(ways, 4), 3u);
-}
-
-TEST(Replacement, RandomIsInRangeAndCoversWays)
-{
-    RandomReplacement random(77);
-    WayState ways[8];
-    for (auto &w : ways)
-        w.valid = true;
-    bool seen[8] = {};
-    for (int i = 0; i < 500; ++i) {
-        unsigned v = random.victim(ways, 8);
-        ASSERT_LT(v, 8u);
-        seen[v] = true;
-    }
-    for (bool s : seen)
-        EXPECT_TRUE(s);
-}
-
-TEST(Replacement, RandomIsDeterministicPerSeed)
-{
-    RandomReplacement a(123), b(123);
-    WayState ways[4];
-    for (auto &w : ways)
-        w.valid = true;
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(a.victim(ways, 4), b.victim(ways, 4));
-}
-
-TEST(Replacement, FactoryProducesEachKind)
-{
-    auto random = makeReplacementPolicy(ReplPolicy::Random, 1);
-    auto lru = makeReplacementPolicy(ReplPolicy::LRU, 1);
-    auto fifo = makeReplacementPolicy(ReplPolicy::FIFO, 1);
-    EXPECT_NE(dynamic_cast<RandomReplacement *>(random.get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<LruReplacement *>(lru.get()), nullptr);
-    EXPECT_NE(dynamic_cast<FifoReplacement *>(fifo.get()), nullptr);
-}
 
 TEST(Replacement, PolicyNames)
 {

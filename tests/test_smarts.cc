@@ -19,6 +19,7 @@
 #include "sim/system.hh"
 #include "stats/confidence.hh"
 #include "trace/ref_source.hh"
+#include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 #include "verify/diff.hh"
@@ -523,6 +524,13 @@ TEST(Smarts, OnePassMatchesSeparatePasses)
             check(file, "v2 file");
         }
         std::remove(path.c_str());
+        const std::string text_path =
+            (std::filesystem::temp_directory_path() /
+             "smarts_one_pass.txt")
+                .string();
+        saveFile(*trace, text_path);
+        check(*openRefSource(text_path), "text file");
+        std::remove(text_path.c_str());
     }
 }
 

@@ -1,13 +1,18 @@
 /**
  * @file
- * Round-trip tests for trace serialization, rejection tests for
- * malformed input (every loader must fatal() cleanly, never crash),
- * and the format-v2 file round trip.
+ * Round-trip tests for trace serialization, the pinned line language
+ * of the text and Dinero readers, rejection tests for malformed input
+ * (every loader must fatal() cleanly, never crash), and the format-v2
+ * file round trip.
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,18 +50,6 @@ TEST(TraceIo, TextRoundTrip)
         EXPECT_EQ(copy.refs()[i], original.refs()[i]);
 }
 
-TEST(TraceIo, BinaryRoundTrip)
-{
-    Trace original = sampleTrace();
-    std::stringstream buffer;
-    writeBinary(original, buffer);
-    Trace copy = readBinary(buffer, "sample");
-    ASSERT_EQ(copy.size(), original.size());
-    EXPECT_EQ(copy.warmStart(), original.warmStart());
-    for (std::size_t i = 0; i < original.size(); ++i)
-        EXPECT_EQ(copy.refs()[i], original.refs()[i]);
-}
-
 TEST(TraceIo, TextSkipsCommentsAndBlanks)
 {
     std::stringstream buffer;
@@ -79,13 +72,16 @@ TEST(TraceIo, TextWarmStartDirective)
 
 TEST(TraceIo, FileRoundTripBothFormats)
 {
+    // saveFile() picks the writer by suffix: text for ".txt",
+    // CTTRACE2 for anything else.
     Trace original = sampleTrace();
-    for (bool binary : {false, true}) {
-        std::string path = std::string("/tmp/cachetime_io_test_") +
-                           (binary ? "bin" : "txt") + ".trace";
-        saveFile(original, path, binary);
+    for (const char *suffix : {".txt", ".trace"}) {
+        std::string path =
+            std::string("/tmp/cachetime_io_test") + suffix;
+        saveFile(original, path);
         Trace copy = loadFile(path);
         ASSERT_EQ(copy.size(), original.size());
+        EXPECT_EQ(copy.warmStart(), original.warmStart());
         for (std::size_t i = 0; i < original.size(); ++i)
             EXPECT_EQ(copy.refs()[i], original.refs()[i]);
         std::remove(path.c_str());
@@ -200,7 +196,7 @@ TEST(TraceIo, DineroByFileExtension)
 TEST(TraceIo, LoadFileDerivesName)
 {
     Trace original = sampleTrace();
-    saveFile(original, "/tmp/myworkload.trace", true);
+    saveFile(original, "/tmp/myworkload.trace");
     Trace copy = loadFile("/tmp/myworkload.trace");
     EXPECT_EQ(copy.name(), "myworkload");
     std::remove("/tmp/myworkload.trace");
@@ -215,6 +211,69 @@ TEST(TraceIo, TextPidColumnIsOptional)
     EXPECT_EQ(trace.refs()[0].pid, 0u);
     EXPECT_EQ(trace.refs()[1].pid, 2u);
     EXPECT_EQ(trace.refs()[2].pid, 0u);
+}
+
+TEST(TraceIo, TextLineLanguageIsPinned)
+{
+    // What the text reader makes of single lines, quirks included, so
+    // a change to the reader cannot move the accepted language.
+    const std::vector<std::pair<std::string, Ref>> accepted = {
+        {"L 0x10 1", {0x10, RefKind::Load, 1}},   // 0x prefix
+        {"load 20 1", {0x20, RefKind::Load, 1}},  // first char is kind
+        {"I 30 2\r", {0x30, RefKind::IFetch, 2}}, // CRLF line ending
+        {"\tS 40", {0x40, RefKind::Store, 0}},    // pid defaults to 0
+        {"L 10 +7", {0x10, RefKind::Load, 7}},
+        {"S 1f 3 trailing junk", {0x1f, RefKind::Store, 3}},
+        {"L 10 0x5", {0x10, RefKind::Load, 0}},   // pid reads "0"
+    };
+    for (const auto &[line, want] : accepted) {
+        std::stringstream buffer(line + "\n");
+        Trace trace = readText(buffer);
+        ASSERT_EQ(trace.size(), 1u) << line;
+        EXPECT_EQ(trace.refs()[0], want) << line;
+    }
+    for (const char *line : {"L 10 -1", "L 10 65536", "L zz 1",
+                             "L 10000000000000000 1", "X 10 1", "L"}) {
+        EXPECT_EXIT(
+            {
+                std::stringstream buffer(std::string(line) + "\n");
+                readText(buffer);
+            },
+            ::testing::ExitedWithCode(1), "trace_io")
+            << line;
+    }
+}
+
+TEST(TraceIo, DineroLineLanguageIsPinned)
+{
+    // The Dinero counterpart: byte addresses become word addresses,
+    // every pid is 0, and comments and other labels are skipped.
+    const std::vector<std::pair<std::string, Ref>> accepted = {
+        {"0 0x40", {0x10, RefKind::Load, 0}}, // 0x prefix
+        {"1 80\r", {0x20, RefKind::Store, 0}}, // CRLF line ending
+        {"2 103", {0x40, RefKind::IFetch, 0}}, // byte offset dropped
+    };
+    for (const auto &[line, want] : accepted) {
+        std::stringstream buffer(line + "\n");
+        Trace trace = readDinero(buffer);
+        ASSERT_EQ(trace.size(), 1u) << line;
+        EXPECT_EQ(trace.refs()[0], want) << line;
+    }
+    for (const char *line : {"# comment", "#warmstart 1", "3 0"}) {
+        std::stringstream buffer(std::string(line) + "\n");
+        Trace trace = readDinero(buffer);
+        EXPECT_EQ(trace.size(), 0u) << line;
+        EXPECT_EQ(trace.warmStart(), 0u) << line;
+    }
+    for (const char *line : {"0 zz", "x 10", "0"}) {
+        EXPECT_EXIT(
+            {
+                std::stringstream buffer(std::string(line) + "\n");
+                readDinero(buffer);
+            },
+            ::testing::ExitedWithCode(1), "malformed din line")
+            << line;
+    }
 }
 
 TEST(TraceIoDeath, TextRejectsMalformedPid)
@@ -239,49 +298,90 @@ TEST(TraceIoDeath, TextRejectsWarmStartBeyondEnd)
         ::testing::ExitedWithCode(1), "warmstart 5 beyond");
 }
 
-TEST(TraceIoDeath, BinaryRejectsTruncation)
-{
-    std::stringstream buffer;
-    writeBinary(sampleTrace(), buffer);
-    std::string bytes = buffer.str();
-    bytes.resize(bytes.size() - 5);
-    EXPECT_EXIT(
-        {
-            std::stringstream in(bytes);
-            readBinary(in);
-        },
-        ::testing::ExitedWithCode(1), "truncated");
-}
-
-TEST(TraceIoDeath, BinaryRejectsWarmStartBeyondCount)
-{
-    std::stringstream buffer;
-    writeBinary(sampleTrace(), buffer);
-    std::string bytes = buffer.str();
-    bytes[16] = 100; // warm-start field at offset 8 (magic) + 8 (count)
-    EXPECT_EXIT(
-        {
-            std::stringstream in(bytes);
-            readBinary(in);
-        },
-        ::testing::ExitedWithCode(1), "warm start");
-}
-
 TEST(TraceIoDeath, BinaryRejectsHugeCountWithoutAllocating)
 {
-    // A corrupt count field must surface as a truncation error, not
-    // an attempt to reserve count * sizeof(Ref) bytes.
-    std::stringstream buffer;
-    writeBinary(sampleTrace(), buffer);
-    std::string bytes = buffer.str();
-    for (int i = 8; i < 16; ++i)
-        bytes[static_cast<std::size_t>(i)] = '\xff';
+    // A corrupt CTTRACE2 count field must surface as a header
+    // mismatch, not an attempt to reserve count * sizeof(Ref) bytes.
+    std::string path = "/tmp/cachetime_io_test_v2huge.trace";
+    writeV2(sampleTrace(), path);
+    {
+        std::fstream f(path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(16); // count field
+        const char ones[8] = {'\xff', '\xff', '\xff', '\xff',
+                              '\xff', '\xff', '\xff', '\xff'};
+        f.write(ones, sizeof(ones));
+    }
+    EXPECT_EXIT(loadFile(path), ::testing::ExitedWithCode(1),
+                "does not match the header count");
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoDeath, RetiredV1IsRejectedByName)
+{
+    // CTTRACE1's header and one record: magic, count, warm start,
+    // then addr u64, pid u16, kind u8.
+    std::string path = "/tmp/cachetime_io_test_v1.trace";
+    {
+        std::ofstream out(path, std::ios::binary);
+        std::string bytes = "CTTRACE1";
+        bytes += std::string("\x01\0\0\0\0\0\0\0", 8);
+        bytes += std::string(8, '\0');
+        bytes += std::string(11, '\0');
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_EXIT(loadFile(path), ::testing::ExitedWithCode(1),
+                "CTTRACE1 trace, a retired format");
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoDeath, DirectoryIsRejected)
+{
+    // A directory opens as a stream but every read fails; it must
+    // not run as an empty trace.
+    const std::string dir =
+        std::filesystem::temp_directory_path().string();
+    EXPECT_EXIT(openRefSource(dir), ::testing::ExitedWithCode(1),
+                "cannot read");
+}
+
+TEST(TraceIoDeath, TextFileShrunkBetweenPassesIsRejected)
+{
+    // The first pass counts four references; the file then loses
+    // lines before the second pass parses them.
+    std::string path = "/tmp/cachetime_io_test_shrink.txt";
+    saveFile(sampleTrace(), path);
     EXPECT_EXIT(
         {
-            std::stringstream in(bytes);
-            readBinary(in);
+            auto source = openRefSource(path);
+            std::ofstream(path, std::ios::trunc) << "L 10 1\n";
+            materialize(*source);
         },
-        ::testing::ExitedWithCode(1), "truncated");
+        ::testing::ExitedWithCode(1), "ended after 1 of its 4");
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoDeath, TextRejectsUnseekableStream)
+{
+    // The line reader rewinds for its second pass.
+    struct OneWay : std::stringbuf
+    {
+        using std::stringbuf::stringbuf;
+        pos_type
+        seekoff(off_type, std::ios_base::seekdir,
+                std::ios_base::openmode) override
+        {
+            return pos_type(off_type(-1));
+        }
+    };
+    EXPECT_EXIT(
+        {
+            OneWay buf("L 10 1\n");
+            std::istream in(&buf);
+            readText(in);
+        },
+        ::testing::ExitedWithCode(1), "cannot be rewound");
 }
 
 TEST(TraceIo, V2RoundTrip)
@@ -289,7 +389,8 @@ TEST(TraceIo, V2RoundTrip)
     Trace original = sampleTrace();
     std::string path = "/tmp/cachetime_io_test_v2.trace";
     writeV2(original, path);
-    Trace copy = readV2(path);
+    V2FileSource source(path);
+    Trace copy = materialize(source);
     ASSERT_EQ(copy.size(), original.size());
     EXPECT_EQ(copy.warmStart(), original.warmStart());
     for (std::size_t i = 0; i < original.size(); ++i)
@@ -311,7 +412,7 @@ TEST(TraceIo, V2WriterStreamsIncrementally)
             writer.push(ref);
         EXPECT_EQ(writer.count(), original.size());
     } // destructor closes and patches the header
-    Trace copy = readV2(path);
+    Trace copy = loadFile(path);
     EXPECT_EQ(copy.refs(), original.refs());
     EXPECT_EQ(copy.warmStart(), original.warmStart());
     std::remove(path.c_str());
@@ -331,7 +432,7 @@ TEST(TraceIoDeath, V2RejectsTruncation)
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
     out.close();
-    EXPECT_EXIT(readV2(path), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(loadFile(path), ::testing::ExitedWithCode(1), "");
     EXPECT_EXIT(V2FileSource source(path),
                 ::testing::ExitedWithCode(1), "");
     std::remove(path.c_str());
@@ -348,30 +449,38 @@ TEST(TraceIoDeath, V2RejectsWarmStartBeyondCount)
         char big[8] = {'\x77', 0, 0, 0, 0, 0, 0, 0};
         f.write(big, sizeof(big));
     }
-    EXPECT_EXIT(readV2(path), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(loadFile(path), ::testing::ExitedWithCode(1),
                 "warm start");
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, OpenRefSourceMatchesLoadFileEverywhere)
 {
-    Trace original = sampleTrace();
-    struct Case { const char *path; bool binary; bool v2; };
-    for (const Case &c : {Case{"/tmp/cachetime_ors.trace", false, false},
-                          Case{"/tmp/cachetime_ors_b.trace", true, false},
-                          Case{"/tmp/cachetime_ors_v2.trace", false, true}}) {
-        if (c.v2)
-            writeV2(original, c.path);
-        else
-            saveFile(original, c.path, c.binary);
-        Trace eager = loadFile(c.path);
-        auto source = openRefSource(c.path);
+    // One pid, so the Dinero file round-trips too (less the warm
+    // start, which the format cannot carry).
+    Trace original("sample",
+                   {{0x1000, RefKind::IFetch, 0},
+                    {0x2000, RefKind::Load, 0},
+                    {0x2001, RefKind::Store, 0},
+                    {0xdeadbeef, RefKind::Load, 0}},
+                   2);
+    for (const char *path : {"/tmp/cachetime_ors.txt",
+                             "/tmp/cachetime_ors.din",
+                             "/tmp/cachetime_ors.v2"}) {
+        saveFile(original, path);
+        Trace eager = loadFile(path);
+        EXPECT_EQ(eager.refs(), original.refs()) << path;
+        auto source = openRefSource(path);
+        // Every format streams: nothing is materialized behind the
+        // source.
+        EXPECT_EQ(dynamic_cast<TraceRefSource *>(source.get()), nullptr)
+            << path;
         Trace streamed = materialize(*source);
-        EXPECT_EQ(streamed.refs(), eager.refs()) << c.path;
-        EXPECT_EQ(streamed.warmStart(), eager.warmStart()) << c.path;
+        EXPECT_EQ(streamed.refs(), eager.refs()) << path;
+        EXPECT_EQ(streamed.warmStart(), eager.warmStart()) << path;
         EXPECT_EQ(source->contentHash(), traceIdentityHash(eager))
-            << c.path;
-        std::remove(c.path);
+            << path;
+        std::remove(path);
     }
 }
 

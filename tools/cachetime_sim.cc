@@ -16,10 +16,10 @@
  *     --vary FILE         variation file (repeatable, ordered)
  *     --set KEY=VALUE     inline variation (repeatable)
  *     --trace FILE        trace file (repeatable; traces run and
- *                         report in argument order).  Format-v2
- *                         files are mmap-streamed, so RSS stays
- *                         bounded however long the trace; other
- *                         formats load into memory
+ *                         report in argument order): CTTRACE2 by
+ *                         magic, else Dinero for .din and text
+ *                         otherwise.  Every format streams, so RSS
+ *                         stays bounded however long the trace
  *     --trace-file FILE   another spelling of --trace
  *     --workloads SCALE   use the Table 1 workloads at SCALE
  *     --cores N           coherent multi-core mode with N cores
@@ -471,7 +471,7 @@ main(int argc, char **argv)
                          "exec_ns_per_ref,read_miss_ratio\n";
     }
 
-    // One list in argument order.  v2 files replay straight off
+    // One list in argument order.  Trace files replay straight off
     // disk, never materialized, so RSS is bounded by the chunk size.
     std::vector<std::unique_ptr<RefSource>> sources;
     {
