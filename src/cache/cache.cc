@@ -478,6 +478,20 @@ Cache::invalidateAll()
     validBlocks_ = 0;
 }
 
+void
+Cache::reset()
+{
+    // assign() within the current size reuses each array's storage.
+    lines_.assign(lines_.size(), Line{});
+    keys_.assign(keys_.size(), kInvalidKey);
+    fastFlags_.assign(fastFlags_.size(), 0);
+    victims_.assign(victims_.size(), VictimEntry{});
+    replRng_ = Rng(config_.replSeed);
+    seq_ = 0;
+    validBlocks_ = 0;
+    stats_.reset();
+}
+
 std::uint64_t
 Cache::validBlocks() const
 {

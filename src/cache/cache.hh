@@ -235,6 +235,16 @@ class Cache
     /** Invalidate everything (does not touch statistics). */
     void invalidateAll();
 
+    /**
+     * Return to the constructed state in place: every line, key,
+     * fast-hit flag and victim slot empty, the replacement stream
+     * reseeded from CacheConfig::replSeed, and the access sequence,
+     * valid count and statistics zeroed.  The arrays keep their
+     * storage, so a machine that runs many streams allocates them
+     * once.
+     */
+    void reset();
+
     /** @return accumulated statistics. */
     const CacheStats &stats() const { return stats_; }
 

@@ -65,6 +65,19 @@ class CacheLevel : public MemLevel
     /** Reset statistics at the warm-start boundary. */
     void resetStats() { cache_.resetStats(); }
 
+    /**
+     * Return to the constructed state in place - an empty cache
+     * (Cache::reset()), an idle port - now draining into
+     * @p downstream.
+     */
+    void
+    reset(MemLevel *downstream)
+    {
+        cache_.reset();
+        down_ = downstream;
+        freeAt_ = 0;
+    }
+
     /** Serialize cache contents + port horizon (checkpoints). */
     void
     saveState(StateWriter &w) const

@@ -13,8 +13,10 @@
 #include "core/sim_cache.hh"
 #include "sim/system.hh"
 #include "stats/interval.hh"
+#include "stats/trace_event.hh"
 #include "trace/ref_source.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/serialize.hh"
 
 namespace cachetime
@@ -358,19 +360,23 @@ class FullRun
         done_ = true;
     }
 
-    /** @return the machine's live point at the current cut. */
-    std::string
-    capture() const
+    /**
+     * @return the machine's live point at the current cut, in the
+     * one buffer the run reuses for every capture; it holds until
+     * the next capture.
+     */
+    const std::string &
+    capture()
     {
-        StateWriter w;
-        machine_.captureState(w);
-        return w.take();
+        writer_.clear();
+        machine_.captureState(writer_);
+        return writer_.buffer();
     }
 
-    /** Keep @p state as unit @p k's live point for the caller. */
-    void keep(std::size_t k, std::string state)
+    /** Keep a copy of @p state as unit @p k's live point. */
+    void keep(std::size_t k, const std::string &state)
     {
-        points_[k].state = std::move(state);
+        points_[k].state = state;
     }
 
     /**
@@ -436,6 +442,7 @@ class FullRun
     System machine_;
     SmartsPlan plan_;
     IntervalCollector collector_;
+    StateWriter writer_; ///< the capture buffer, reused per point
     bool pair_;
     bool keep_;
     std::vector<CheckpointUnit> points_;
@@ -543,7 +550,9 @@ class ReplayRun
  * closing window record has fixed a unit's endPos before any replay
  * is fed past it.  A replay is fed only pieces that end at a span
  * boundary or at its unit's end, so it pairs as a one-chunk replay
- * of the unit would, whatever its pairing.
+ * of the unit would, whatever its pairing.  A feed touches nothing
+ * outside the group, neither the source nor another group, so
+ * runPass() feeds the groups of a span concurrently.
  */
 class Group
 {
@@ -558,6 +567,13 @@ class Group
     explicit Group(const CheckpointFile &file) : file_(&file) {}
 
     FullRun *lead() const { return lead_.get(); }
+
+    /** @return how many runs the group holds: full run and replays. */
+    std::size_t
+    runs() const
+    {
+        return (lead_ ? 1 : 0) + replays_.size();
+    }
 
     /** Add a replay whose result is slot @p slot. */
     void
@@ -657,8 +673,8 @@ class Group
     /**
      * Unit @p k's live point is due at @p at: restore every replay
      * waiting for it.  A full run captures the point only when a
-     * replay waits or the caller keeps live points, and it is freed
-     * once restored from unless kept.
+     * replay waits or the caller keeps live points, into the buffer
+     * it reuses, and a kept point is a copy.
      */
     void
     serve(std::size_t k, std::uint64_t at)
@@ -681,10 +697,10 @@ class Group
         }
         if (!wanted && !lead_->keeps())
             return;
-        std::string state = lead_->capture();
+        const std::string &state = lead_->capture();
         restore(state);
         if (lead_->keeps())
-            lead_->keep(k, std::move(state));
+            lead_->keep(k, state);
     }
 
     std::unique_ptr<FullRun> lead_;
@@ -697,11 +713,22 @@ class Group
 
 /**
  * Run @p groups over one forward pass of @p source, pulled through
- * PipelinedFeeder, and stop once every run is done.
+ * PipelinedFeeder on this thread, and stop once every run is done.
+ * Groups share no state, so each span goes to them through one
+ * parallelFor: each group sees the spans in stream order and keeps
+ * its results in its own runs, whatever the thread count.
  */
 void
 runPass(RefSource &source, std::vector<Group> &groups)
 {
+    std::size_t runs = 0;
+    for (const Group &group : groups)
+        runs += group.runs();
+    trace_event::Span pass(trace_event::Cat::Sweep,
+                           "smarts pass groups=" +
+                               std::to_string(groups.size()) +
+                               " runs=" + std::to_string(runs) +
+                               " trace=" + source.name());
     PipelinedFeeder feeder(source);
     std::uint64_t at = 0;
     auto pending = [&] {
@@ -716,8 +743,9 @@ runPass(RefSource &source, std::vector<Group> &groups)
                   source.name().c_str(),
                   static_cast<unsigned long long>(at),
                   static_cast<unsigned long long>(source.size()));
-        for (Group &group : groups)
-            group.feed(span.data, at, at + span.size);
+        parallelFor(groups.size(), [&](std::size_t g) {
+            groups[g].feed(span.data, at, at + span.size);
+        });
         at += span.size;
     }
 }

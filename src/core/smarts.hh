@@ -29,8 +29,16 @@
  * full run or a replay that restores each unit it needs from a live
  * point at the unit's checkpoint and measures the unit as the stream
  * goes by.  A full run captures a live point only when a replay
- * needs that unit or the caller keeps live points, and a captured
- * point is freed once its replays have restored from it.
+ * needs that unit or the caller keeps live points, into one buffer
+ * it reuses for every point; a kept point is a copy of it.
+ *
+ * The configs of one warm key form a group: the full run and the
+ * replays it serves.  Groups share no state, so the pass hands each
+ * span to its groups through one parallelFor, and a pass called
+ * outside a pool task runs them on the pool's threads concurrently.
+ * Inside a group the full run takes each span before its replays,
+ * and every run sees the spans in order, so results are the same at
+ * any thread count (DESIGN.md §14).
  *
  * Unit boundaries respect couplet pairing: checkpoint and stop cuts
  * go through coupletSafeCut() (trace/ref.hh) with the full run's

@@ -394,6 +394,20 @@ simulateBatch(const std::vector<SystemConfig> &configs,
                                    .follower(configs[i]));
     }
 
+    // A leader and its followers form one group, in batch order:
+    // they share a per-span tape, so the leader takes each span
+    // before its followers.  A coherent machine, or a classic one
+    // nobody follows, is a group of one.
+    std::vector<std::vector<std::size_t>> groups;
+    std::vector<std::size_t> groupOf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (lead[i] == i) {
+            groupOf[i] = groups.size();
+            groups.emplace_back();
+        }
+        groups[groupOf[lead[i]]].push_back(i);
+    }
+
     // One decode, many replays: every span the feeder produces is
     // fed to each machine before the next span is pulled, so stream
     // I/O and synthetic generation are paid once per span however
@@ -401,15 +415,19 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     // off-thread when threads are available (file-backed sources
     // only; resident streams are sliced zero-copy), producing the
     // same span sequence byte for byte.  Spans hold at most
-    // refChunkSize + 1 references, which bounds a leader's tape;
-    // batch order feeds each leader a span before its followers.
+    // refChunkSize + 1 references, which bounds a leader's tape.
+    // Groups share no state, so each span goes to them through one
+    // parallelFor: every machine still sees the spans in order, and
+    // a batch inside a pool task stays a plain loop.
     PipelinedFeeder feeder(source);
     for (auto &machine : machines)
         machine->beginRun(source);
     ProgressMeter *meter = progress::global();
     while (ChunkFeeder::Span span = feeder.next()) {
-        for (auto &machine : machines)
-            machine->feedChunk(span.data, span.size);
+        parallelFor(groups.size(), [&](std::size_t g) {
+            for (std::size_t i : groups[g])
+                machines[i]->feedChunk(span.data, span.size);
+        });
         if (meter)
             meter->bump(span.size * n);
     }

@@ -78,7 +78,12 @@ struct BatchOptions
  * of their footprints, with each shared front end counted once.
  * Every machine is fed the feeder's spans, resident streams
  * included, so a leader's tape stays bounded by one span of at most
- * refChunkSize + 1 references.
+ * refChunkSize + 1 references.  Each span goes to the batch's
+ * front-end groups (a leader with its followers, or a lone machine)
+ * through one parallelFor, so a batch called outside a pool task
+ * runs its groups on the pool's threads concurrently; every machine
+ * still runs on one thread at a time and sees the spans in order,
+ * so results are the same at any thread count (DESIGN.md §14).
  */
 std::vector<SimResult>
 simulateBatch(const std::vector<SystemConfig> &configs,

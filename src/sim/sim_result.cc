@@ -197,7 +197,8 @@ SimResult::regStats(stats::Registry &registry,
     dcache.regStats(registry, root + ".l1d");
     l1Buffer.regStats(registry, root + ".l1wbuf");
     for (std::size_t i = 0; i < midLevels.size(); ++i) {
-        std::string level = "l" + std::to_string(i + 2);
+        std::string level = "l";
+        level += std::to_string(i + 2);
         midLevels[i].regStats(registry, root + "." + level);
         if (i < midBuffers.size())
             midBuffers[i].regStats(registry,

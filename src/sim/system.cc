@@ -99,22 +99,30 @@ System::setIntervalCollector(IntervalCollector *collector)
 void
 System::buildHierarchy()
 {
+    // Memory, the write buffers and the TLB are small and built
+    // afresh.  A cache an earlier call built is reset in place
+    // instead, so a machine that runs many streams allocates its
+    // cache arrays once.
+    const bool built = memory_ != nullptr;
     memory_ = std::make_unique<MainMemory>(config_.memory,
                                            config_.cycleNs);
-    midLevels_.clear();
     midBuffers_.clear();
     MemLevel *below = memory_.get();
     auto mids = config_.resolvedMidLevels();
     // Build from the memory upward so each level drains into the
     // one below through its own write buffer.
-    for (std::size_t i = mids.size(); i-- > 0;) {
-        std::string name = "L" + std::to_string(i + 2);
+    for (std::size_t i = mids.size(), k = 0; i-- > 0; ++k) {
+        std::string name = "L";
+        name += std::to_string(i + 2);
         midBuffers_.push_back(std::make_unique<WriteBuffer>(
             mids[i].buffer, below, name + ".wbuf"));
-        midLevels_.push_back(std::make_unique<CacheLevel>(
-            mids[i].cache, mids[i].timing, midBuffers_.back().get(),
-            name));
-        below = midLevels_.back().get();
+        if (built)
+            midLevels_[k]->reset(midBuffers_.back().get());
+        else
+            midLevels_.push_back(std::make_unique<CacheLevel>(
+                mids[i].cache, mids[i].timing,
+                midBuffers_.back().get(), name));
+        below = midLevels_[k].get();
     }
     l1Buffer_ = std::make_unique<WriteBuffer>(config_.l1Buffer,
                                               below, "L1.wbuf");
@@ -124,9 +132,16 @@ System::buildHierarchy()
     if (mode_ != FrontMode::Follow) {
         if (config_.addressing == AddressMode::Physical)
             tlb_ = std::make_unique<Tlb>(config_.tlb);
-        if (config_.split)
-            icache_ = std::make_unique<Cache>(config_.icache, "L1I");
-        dcache_ = std::make_unique<Cache>(config_.dcache, dname);
+        if (built) {
+            if (icache_)
+                icache_->reset();
+            dcache_->reset();
+        } else {
+            if (config_.split)
+                icache_ =
+                    std::make_unique<Cache>(config_.icache, "L1I");
+            dcache_ = std::make_unique<Cache>(config_.dcache, dname);
+        }
     }
     dport_ = {dcache_.get(), &config_.dcache, dname};
     iport_ = config_.split ? L1Port{icache_.get(), &config_.icache, "L1I"}
@@ -136,7 +151,9 @@ System::buildHierarchy()
 void
 System::reset()
 {
-    // Rebuild stateful components; cheap relative to a trace run.
+    // Reallocating the cache arrays here would churn the heap: a
+    // SMARTS replay resets once per unit, and machines running
+    // concurrently leave the freed blocks as retained memory.
     buildHierarchy();
     icacheBusy_ = 0;
     dcacheBusy_ = 0;

@@ -80,6 +80,11 @@ class System final : public Simulator
      */
     std::unique_ptr<System> follower(const SystemConfig &config);
 
+    /**
+     * Arm a run over @p source.  A machine that has run before is
+     * reset() first, its caches in place: one reused per SMARTS
+     * unit allocates no cache array after its first run.
+     */
     void beginRun(const RefSource &source) override;
     void feedChunk(const Ref *refs, std::size_t n) override;
     SimResult endRun() override;
@@ -158,15 +163,21 @@ class System final : public Simulator
     void requireFront(const char *what) const;
 
     /**
-     * (Re)build every stateful component from config_: memory, the
+     * Build every stateful component from config_: memory, the
      * intermediate levels with their write buffers (memory-first so
      * each level drains into the one below), the L1 write buffer,
      * and - unless this machine follows - the TLB when addressing is
-     * physical and the L1 cache(s).
+     * physical and the L1 cache(s).  Called again, it rebuilds
+     * memory, the buffers and the TLB, and resets every cache it
+     * built in place (Cache::reset()): no cache array is
+     * reallocated.
      */
     void buildHierarchy();
 
-    /** Reset caches, buffers, clock and statistics for a new run. */
+    /**
+     * Return caches, buffers, clock and statistics to the built
+     * state for a new run, through buildHierarchy().
+     */
     void reset();
 
     /** Reset statistics only (warm-start boundary). */

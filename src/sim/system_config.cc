@@ -51,7 +51,9 @@ SystemConfig::validate() const
         std::max(dcache.blockWords, split ? icache.blockWords : 0u);
     unsigned level = 2;
     for (const MidLevelConfig &mid : resolvedMidLevels()) {
-        std::string what = "L" + std::to_string(level) + " cache";
+        std::string what = "L";
+        what += std::to_string(level);
+        what += " cache";
         mid.cache.validate(what.c_str());
         if (mid.cache.blockWords < prev_block) {
             fatal("system: %s block size must be >= the level above",

@@ -12,8 +12,9 @@
  *  - work-stealing pool chunk execution, one track per worker
  *    (util/parallel.cc), so pool balance is visible as a timeline;
  *  - SimCache lookup hits and misses as instant events;
- *  - sweep-engine sub-batches (core/sweep.cc), so a "7x" sweep
- *    speedup claim can be inspected span by span.
+ *  - sweep-engine sub-batches (core/sweep.cc) and SMARTS passes
+ *    (core/smarts.cc), so a "7x" sweep speedup claim can be
+ *    inspected span by span.
  *
  * Categories map to trace processes (pid 1 = phases, 2 = pool,
  * 3 = sweep, 4 = simcache); within a process each OS thread gets

@@ -40,7 +40,12 @@ class ThreadPool
     static ThreadPool &
     instance()
     {
-        static ThreadPool pool;
+        // Never destroyed.  A fatal() inside a body calls exit() on
+        // a worker, which can neither join itself nor destroy the
+        // condition variable the submitting thread still waits on;
+        // at any other exit the workers idle in wake_, so nothing
+        // needs them joined.
+        static ThreadPool &pool = *new ThreadPool;
         return pool;
     }
 
@@ -65,7 +70,10 @@ class ThreadPool
     {
         std::lock_guard<std::mutex> submit(submitMutex_);
         {
-            std::lock_guard<std::mutex> lock(mutex_);
+            // A worker that woke for the last task after its chunks
+            // were gone may still be looking; let it leave first.
+            std::unique_lock<std::mutex> lock(mutex_);
+            done_.wait(lock, [this] { return active_ == 0; });
             taskSize_ = n;
             body_ = &body;
             cursor_.store(0, std::memory_order_relaxed);
@@ -76,13 +84,16 @@ class ThreadPool
             if (chunk_ == 0)
                 chunk_ = 1;
             error_ = nullptr;
-            pending_ = workers_.size();
             ++generation_;
         }
         wake_.notify_all();
         work();
+        // Every chunk is claimed now; wait only for the workers that
+        // have woken for this task.  One still asleep would find no
+        // chunk left, so a descheduled worker cannot stall the
+        // caller.
         std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [this] { return pending_ == 0; });
+        done_.wait(lock, [this] { return active_ == 0; });
         body_ = nullptr;
         if (error_)
             std::rethrow_exception(error_);
@@ -102,8 +113,6 @@ class ThreadPool
         startWorkers();
     }
 
-    ~ThreadPool() { stopWorkers(); }
-
     static unsigned
     defaultThreads()
     {
@@ -115,11 +124,9 @@ class ThreadPool
     startWorkers()
     {
         stop_ = false;
-        // New workers wait for the next dispatch.  Joining the last,
-        // already finished one would count them done twice in the
-        // next, so run() could return early or never.  No run() can
-        // move generation_ here: the caller holds submitMutex_ or is
-        // the constructor.
+        // New workers wait for the next dispatch rather than join the
+        // last, already finished one.  No run() can move generation_
+        // here: the caller holds submitMutex_ or is the constructor.
         for (unsigned i = 1; i < threads_; ++i)
             workers_.emplace_back([this, i, seen = generation_] {
                 workerLoop(i, seen);
@@ -156,10 +163,11 @@ class ThreadPool
             if (stop_)
                 return;
             seen = generation_;
+            ++active_;
             lock.unlock();
             work();
             lock.lock();
-            if (--pending_ == 0)
+            if (--active_ == 0)
                 done_.notify_one();
         }
     }
@@ -219,7 +227,8 @@ class ThreadPool
     unsigned threads_ = 1;
     bool stop_ = false;
     std::uint64_t generation_ = 0;
-    std::size_t pending_ = 0;
+    /** Workers inside work(); the cursor is theirs while nonzero. */
+    std::size_t active_ = 0;
 
     // Current task (valid while generation_ is live).
     std::size_t taskSize_ = 0;

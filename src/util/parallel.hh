@@ -86,7 +86,8 @@ void setParallelThreads(unsigned threads);
  * Iterations must be independent; they may run in any order and the
  * call returns only when all have finished.  The first exception
  * thrown by any iteration is rethrown on the calling thread after
- * the loop drains.
+ * the loop drains.  A fatal() in an iteration ends the process with
+ * exit code 1 whichever thread runs it.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &body);

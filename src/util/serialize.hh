@@ -67,6 +67,17 @@ class StateWriter
     const std::string &buffer() const { return buf_; }
     std::string take() { return std::move(buf_); }
 
+    /**
+     * Empty the buffer for a new record, keeping its capacity, so a
+     * writer reused per record grows its buffer once.
+     */
+    void
+    clear()
+    {
+        buf_.clear();
+        inSection_ = false;
+    }
+
   private:
     std::string buf_;
     std::size_t sectionStart_ = 0; ///< offset of open section's length

@@ -125,16 +125,21 @@ diffResults(const SimResult &a, const SimResult &b)
             b.midLevels.size());
     std::size_t levels = std::min(a.midLevels.size(),
                                   b.midLevels.size());
-    for (std::size_t i = 0; i < levels; ++i)
-        d.cache("L" + std::to_string(i + 2), a.midLevels[i],
-                b.midLevels[i]);
+    for (std::size_t i = 0; i < levels; ++i) {
+        std::string name = "L";
+        name += std::to_string(i + 2);
+        d.cache(name, a.midLevels[i], b.midLevels[i]);
+    }
     std::size_t buffers = std::min(a.midBuffers.size(),
                                    b.midBuffers.size());
     d.field("midBuffers.size", a.midBuffers.size(),
             b.midBuffers.size());
-    for (std::size_t i = 0; i < buffers; ++i)
-        d.buffer("L" + std::to_string(i + 2) + "wbuf",
-                 a.midBuffers[i], b.midBuffers[i]);
+    for (std::size_t i = 0; i < buffers; ++i) {
+        std::string name = "L";
+        name += std::to_string(i + 2);
+        name += "wbuf";
+        d.buffer(name, a.midBuffers[i], b.midBuffers[i]);
+    }
 
     d.buffer("l1wbuf", a.l1Buffer, b.l1Buffer);
     d.memory("mem", a.memory, b.memory);

@@ -1585,9 +1585,11 @@ oracleSupports(const SystemConfig &config, std::string *why)
         caches.emplace_back("icache", config.icache);
     caches.emplace_back("dcache", config.dcache);
     unsigned level = 2;
-    for (const auto &mid : config.resolvedMidLevels())
-        caches.emplace_back("L" + std::to_string(level++),
-                            mid.cache);
+    for (const auto &mid : config.resolvedMidLevels()) {
+        std::string name = "L";
+        name += std::to_string(level++);
+        caches.emplace_back(name, mid.cache);
+    }
     for (const auto &[name, cache] : caches) {
         if (cache.prefetchPolicy != PrefetchPolicy::None)
             return reject(name + ": hardware prefetch");

@@ -232,17 +232,39 @@ TEST(Differential, FusedBatchMatchesSerialRuns)
 }
 
 /**
+ * A classic form of @p config with what the fuzzer never draws: a
+ * victim cache on the D side and tagged prefetch on the I side (the
+ * one L1 when unified).  A coherent config is a valid classic one
+ * once its protocol is dropped.
+ */
+SystemConfig
+withVictimsAndTaggedPrefetch(SystemConfig config)
+{
+    config.protocol = CoherenceProtocol::None;
+    config.cores = 1;
+    config.dcache.victimEntries = 2;
+    (config.split ? config.icache : config.dcache).prefetchPolicy =
+        PrefetchPolicy::Tagged;
+    return config;
+}
+
+/**
  * A machine that has run must restart from its built state: a second
  * run on one machine equals a fresh machine's run, for both engines
  * (the coherent one once kept every core's L1 lines, its miss
- * classifiers and the shared L2 across runs).
+ * classifiers and the shared L2 across runs).  A classic machine
+ * resets its caches in place, so each seed adds a variant whose
+ * reset must also clear victim slots and prefetch marks.
  */
 TEST(Differential, ReusedMachineMatchesFresh)
 {
     for (std::uint64_t seed = 47001; seed < 47021; ++seed) {
+        verify::FuzzCase variant = verify::generateCase(seed);
+        variant.config = withVictimsAndTaggedPrefetch(variant.config);
+        ASSERT_FALSE(variant.config.coherent());
         for (const verify::FuzzCase &fuzz_case :
              {verify::generateCase(seed),
-              verify::generateCoherentCase(seed)}) {
+              verify::generateCoherentCase(seed), variant}) {
             std::unique_ptr<Simulator> reused =
                 makeSimulator(fuzz_case.config);
             reused->run(fuzz_case.trace);

@@ -127,10 +127,11 @@ TEST(Golden, Fig31MissAndTrafficRatios)
         // ratios at an epsilon, which bends the 4x identity once
         // misses all but vanish, so only the smaller caches check it.
         EXPECT_LT(metrics.readMissRatio, prev_miss);
-        if (point.readMiss > 0.01)
+        if (point.readMiss > 0.01) {
             EXPECT_NEAR(metrics.readTrafficRatio,
                         4.0 * metrics.readMissRatio,
                         0.01 * metrics.readTrafficRatio);
+        }
         prev_miss = metrics.readMissRatio;
     }
 }

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -154,6 +156,26 @@ TEST(Parallel, ExceptionsPropagateToCaller)
     auto out =
         parallelMap<int>(10, [](std::size_t i) { return int(i); });
     EXPECT_EQ(out[9], 9);
+}
+
+/// fatal() in a body exits with code 1 whichever thread runs it: a
+/// lone fused batch or SMARTS pass runs its groups on pool workers,
+/// and a worker's exit() must neither join itself nor tear down the
+/// pool the submitting thread waits on.
+TEST(ParallelDeathTest, FatalOnAWorkerExitsWithCodeOne)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ParallelGuard guard;
+    setParallelThreads(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EXIT(parallelFor(64,
+                            [caller](std::size_t i) {
+                                if (std::this_thread::get_id() != caller)
+                                    fatal("bad input at %zu", i);
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(10));
+                            }),
+                ::testing::ExitedWithCode(1), "bad input");
 }
 
 /// Fig 3/4-shaped mini-grid: a size x cycle-time sweep aggregated

@@ -12,7 +12,8 @@
  * must produce ChunkFeeder's span sequence byte for byte.  In the
  * fused lattice, configs sharing a front end (frontEndKey) must get
  * exactly the results they get running alone, whichever sources
- * feed the batch and whichever machines sit between them.
+ * feed the batch and whichever machines sit between them, and a
+ * lone batch must hand its front-end groups to the pool.
  *
  * Every test here saves and restores the process-wide pool size, so
  * the suite is safe to interleave with the other parallel suites
@@ -36,6 +37,7 @@
 #include "fill_only_source.hh"
 #include "json_check.hh"
 #include "stats/telemetry.hh"
+#include "thread_guard.hh"
 #include "trace/ref_source.hh"
 #include "trace/trace_v2.hh"
 #include "util/parallel.hh"
@@ -79,19 +81,6 @@ splitConfig(std::uint64_t size_words, unsigned block_words,
     config.cpu.pairIssue = pair_issue;
     return config;
 }
-
-/** RAII pool-size override: restores the original size on exit. */
-class ThreadGuard
-{
-  public:
-    ThreadGuard() : original_(parallelThreads()) {}
-    ~ThreadGuard() { setParallelThreads(original_); }
-    ThreadGuard(const ThreadGuard &) = delete;
-    ThreadGuard &operator=(const ThreadGuard &) = delete;
-
-  private:
-    unsigned original_;
-};
 
 /** Every counter the stack kernel produces, compared exactly. */
 void
@@ -603,6 +592,69 @@ TEST(SweepSharedFrontEnd, BatchesMatchLoneMachines)
     }
     std::remove(path.c_str());
     EXPECT_GT(sweepCounters().followers, 0u);
+}
+
+/**
+ * A lone pass fans out over the pool: the test thread calls
+ * simulateBatch itself, outside any pool task, over a resident
+ * stream of several spans.  The batch holds three front ends with
+ * two timing variants each, a coherent machine and an unrelated
+ * classic machine: five groups.  Every result must equal its lone
+ * machine's at 1, 2 and 4 threads, and with more than one thread
+ * every span must go through the pool.
+ */
+TEST(SweepSharedFrontEnd, LonePassFansOutOverThePool)
+{
+    ThreadGuard guard;
+    std::vector<SystemConfig> configs;
+    for (std::uint64_t seed = 97501; configs.size() < 9; ++seed) {
+        const SystemConfig base = verify::generateCase(seed).config;
+        if (base.coherent())
+            continue;
+        const std::vector<SystemConfig> variants = timingVariants(base);
+        configs.push_back(base);
+        configs.insert(configs.end(), variants.begin(),
+                       variants.begin() + 2);
+    }
+    configs.push_back(verify::generateCoherentCase(97601).config);
+    const SystemConfig unrelated = SystemConfig::paperDefault();
+    for (const SystemConfig &config : configs)
+        ASSERT_FALSE(frontEndKey(config) == frontEndKey(unrelated));
+    configs.push_back(unrelated);
+
+    const Trace seed_trace = verify::generateCase(97501).trace;
+    std::vector<Ref> refs;
+    while (refs.size() <= 4 * refChunkSize)
+        refs.insert(refs.end(), seed_trace.refs().begin(),
+                    seed_trace.refs().end());
+    const Trace trace("lone-pass", std::move(refs),
+                      seed_trace.warmStart());
+    std::uint64_t spans = 0;
+    {
+        TraceRefSource source(trace);
+        ChunkFeeder feeder(source);
+        while (feeder.next())
+            ++spans;
+    }
+    ASSERT_GE(spans, 4u);
+    const std::vector<SimResult> lone = loneRuns(configs, trace);
+
+    for (unsigned threads : {1u, 2u, 4u}) {
+        setParallelThreads(threads);
+        const std::string context =
+            "threads " + std::to_string(threads);
+        const std::uint64_t before = poolStats().dispatches;
+        TraceRefSource source(trace);
+        const std::vector<SimResult> got =
+            simulateBatch(configs, source);
+        const std::uint64_t dispatched =
+            poolStats().dispatches - before;
+        expectLone(got, lone, configs, context);
+        if (threads == 1)
+            EXPECT_EQ(dispatched, 0u) << context;
+        else
+            EXPECT_GE(dispatched, spans) << context;
+    }
 }
 
 /**

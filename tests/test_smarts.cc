@@ -11,17 +11,23 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "core/sim_cache.hh"
 #include "core/smarts.hh"
 #include "fill_only_source.hh"
+#include "json_check.hh"
 #include "sim/system.hh"
 #include "stats/confidence.hh"
+#include "stats/trace_event.hh"
+#include "thread_guard.hh"
 #include "trace/ref_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
+#include "util/parallel.hh"
 #include "verify/diff.hh"
 #include "verify/oracle.hh"
 
@@ -445,6 +451,7 @@ expectSameRun(const SmartsRunResult &a, const SmartsRunResult &b,
 
 TEST(Smarts, OnePassMatchesSeparatePasses)
 {
+    ThreadGuard guard;
     // One warm-key group whose members replay with other pairing,
     // as an exact duplicate and at other timing, plus a physical
     // machine that leads a group of its own.
@@ -494,21 +501,29 @@ TEST(Smarts, OnePassMatchesSeparatePasses)
 
         const std::string period =
             " period " + std::to_string(cfg.periodRefs);
+        // Serially, then with the two groups on the pool's threads.
         auto check = [&](RefSource &source, const std::string &kind) {
-            std::vector<SmartsRunResult> got =
-                runSmartsMany(configs, source, cfg);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                expectSameRun(got[i], want[i],
-                              kind + period + " config " +
-                                  std::to_string(i));
-            // The exact duplicate reproduces its leader's units bit
-            // for bit, which no shared replay code can fake.
-            SmartsRunResult exact = got[2];
-            exact.mode = got[0].mode;
-            exact.simulatedRefs = got[0].simulatedRefs;
-            expectSameRun(exact, got[0],
-                          kind + period + " exact duplicate");
+            for (unsigned threads : {1u, 4u}) {
+                setParallelThreads(threads);
+                const std::string what = kind + period + " threads " +
+                                         std::to_string(threads);
+                const std::uint64_t before = poolStats().dispatches;
+                std::vector<SmartsRunResult> got =
+                    runSmartsMany(configs, source, cfg);
+                if (threads > 1) {
+                    EXPECT_GT(poolStats().dispatches, before) << what;
+                }
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    expectSameRun(got[i], want[i],
+                                  what + " config " + std::to_string(i));
+                // The exact duplicate reproduces its leader's units
+                // bit for bit, which no shared replay code can fake.
+                SmartsRunResult exact = got[2];
+                exact.mode = got[0].mode;
+                exact.simulatedRefs = got[0].simulatedRefs;
+                expectSameRun(exact, got[0], what + " exact duplicate");
+            }
         };
         TraceRefSource resident(*trace);
         check(resident, "resident");
@@ -532,6 +547,50 @@ TEST(Smarts, OnePassMatchesSeparatePasses)
         check(*openRefSource(text_path), "text file");
         std::remove(text_path.c_str());
     }
+}
+
+/**
+ * A sampled pass is one Sweep span named for its groups, runs and
+ * stream, so a Perfetto trace shows each pass; the pool's per-chunk
+ * spans show its fan-out.
+ */
+TEST(Smarts, PassEmitsOneSweepSpan)
+{
+    SystemConfig base = SystemConfig::paperDefault();
+    SystemConfig slower = base;
+    slower.cycleNs = base.cycleNs * 2;
+    SystemConfig physical = base;
+    physical.addressing = AddressMode::Physical;
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "smarts_pass_span.json")
+                                 .string();
+
+    ASSERT_TRUE(trace_event::beginSession(path));
+    TraceRefSource source(testTrace());
+    runSmartsMany({base, slower, physical}, source, testSmartsConfig());
+    ASSERT_TRUE(trace_event::endSession());
+
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    json_check::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(json_check::parseJson(text.str(), &doc, &error)) << error;
+    const std::string want =
+        "smarts pass groups=2 runs=3 trace=" + testTrace().name();
+    std::size_t passes = 0;
+    for (const json_check::JsonValue &e :
+         doc.find("traceEvents")->items) {
+        const std::string &name = e.find("name")->text;
+        if (e.find("ph")->text != "X" || name.rfind("smarts pass", 0) != 0)
+            continue;
+        ++passes;
+        EXPECT_EQ(name, want);
+        EXPECT_EQ(e.find("pid")->number,
+                  static_cast<double>(trace_event::Cat::Sweep));
+    }
+    EXPECT_EQ(passes, 1u);
 }
 
 // --- oracle agreement on sampled layouts ---------------------------

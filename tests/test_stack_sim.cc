@@ -429,8 +429,9 @@ TEST(StackSim, PartialResultsStayPartial)
     // ...so the timing run still simulates, and its (cached) cycles
     // are real rather than a partial result's zeros.
     AggregateMetrics timed = runGeoMean(config, traces);
-    if (trace.warmStart() < trace.size())
+    if (trace.warmStart() < trace.size()) {
         EXPECT_GT(timed.cyclesPerRef, 0.0);
+    }
     EXPECT_NE(SimCache::global().find(full_key), nullptr);
 
     SimCache::global().clear();

@@ -102,8 +102,9 @@ TEST(ProcessModel, ZeroingEmitsSequentialStores)
     for (int i = 0; i < 500; ++i) {
         Ref ref = model.next();
         EXPECT_EQ(ref.kind, RefKind::Store);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(ref.addr, prev + 1);
+        }
         prev = ref.addr;
     }
 }
