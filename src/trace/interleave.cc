@@ -1,9 +1,10 @@
 #include "trace/interleave.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace cachetime
@@ -22,50 +23,70 @@ namespace
  * essentially its whole footprint, so the prefix is the footprint:
  * words the sample run did not reach come first (least recently
  * used), then sampled words ordered by recency.
+ *
+ * The footprint's regions are disjoint and hold every address the
+ * process emits (ProcessModel::footprint()), so the sample's last
+ * uses live in one flat slot per footprint word, region by region.
+ * Memory is bounded by the footprint, not by @p sample_refs.
  */
 std::vector<Ref>
 buildPrefix(ProcessModel &process, std::size_t sample_refs)
 {
+    constexpr std::uint64_t unsampled = ~std::uint64_t{0};
     struct LastUse
     {
-        std::uint64_t seq;
-        RefKind kind;
+        std::uint64_t index = unsampled; ///< position in the sample
+        RefKind kind = RefKind::Load;    ///< kind of that use
     };
-    // The map holds at most one entry per footprint word, so size
-    // the reservation by the footprint, not the sample length -
-    // sample_refs grows with the requested trace length, and an
-    // O(length) bucket array is exactly what a streaming generator
-    // must not allocate.
-    std::uint64_t footprint_words = 0;
-    for (const auto &region : process.footprint())
-        footprint_words += region.words;
-    std::unordered_map<Addr, LastUse> last_use;
-    last_use.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-        sample_refs / 4, footprint_words)));
+    const std::vector<ProcessModel::Region> regions = process.footprint();
+    std::vector<std::size_t> first_slot;
+    std::size_t words = 0;
+    for (const auto &region : regions) {
+        first_slot.push_back(words);
+        words += region.words;
+    }
+    std::vector<LastUse> last_use(words);
+    std::size_t sampled = 0;
     for (std::size_t i = 0; i < sample_refs; ++i) {
         Ref ref = process.next();
-        last_use[ref.addr] = {i, ref.kind};
+        std::size_t r = 0;
+        while (r < regions.size() &&
+               ref.addr - regions[r].base >= regions[r].words)
+            ++r;
+        if (r == regions.size())
+            panic("interleave: pid %u emitted address %#llx outside "
+                  "its footprint",
+                  unsigned(ref.pid),
+                  static_cast<unsigned long long>(ref.addr));
+        LastUse &slot =
+            last_use[first_slot[r] + (ref.addr - regions[r].base)];
+        sampled += slot.index == unsampled;
+        slot = {i, ref.kind};
     }
 
+    // Unsampled footprint words first, in region and address order;
+    // sampled ones are set aside with their last-use index.
     std::vector<Ref> prefix;
-    // Unsampled footprint words first, in address order.
-    for (const auto &region : process.footprint()) {
-        for (std::uint64_t w = 0; w < region.words; ++w) {
-            Addr addr = region.base + w;
-            if (!last_use.contains(addr))
-                prefix.push_back({addr, region.kind, process.pid()});
+    prefix.reserve(words);
+    std::vector<std::pair<std::uint64_t, Ref>> recent;
+    recent.reserve(sampled);
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        const LastUse *slots = last_use.data() + first_slot[r];
+        for (std::uint64_t w = 0; w < regions[r].words; ++w) {
+            Addr addr = regions[r].base + w;
+            if (slots[w].index == unsampled)
+                prefix.push_back({addr, regions[r].kind, process.pid()});
+            else
+                recent.push_back(
+                    {slots[w].index, {addr, slots[w].kind, process.pid()}});
         }
     }
-    // Then sampled words, least recently used first.
-    std::vector<std::pair<Addr, LastUse>> ordered(last_use.begin(),
-                                                  last_use.end());
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second.seq < b.second.seq;
-              });
-    prefix.reserve(prefix.size() + ordered.size());
-    for (const auto &[addr, use] : ordered)
-        prefix.push_back({addr, use.kind, process.pid()});
+    // Then sampled words, least recently used first.  Last-use
+    // indices are unique, so they alone fix the order.
+    std::sort(recent.begin(), recent.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    for (const auto &[index, ref] : recent)
+        prefix.push_back(ref);
     return prefix;
 }
 
@@ -94,15 +115,20 @@ InterleaveSource::InterleaveSource(std::string name,
     // the processes' footprints, so building it eagerly keeps the
     // source's memory independent of cfg.lengthRefs.
     if (cfg_.prefixSampleRefs > 0) {
-        std::vector<std::vector<Ref>> prefixes;
+        // Each process's prefix depends on that process alone, so
+        // they build on the pool (serially inside a pool task); the
+        // interleaving draws on rng_ all come after, in one order.
+        std::vector<std::vector<Ref>> prefixes =
+            parallelMap<std::vector<Ref>>(
+                processes_.size(), [this](std::size_t p) {
+                    return buildPrefix(processes_[p],
+                                       cfg_.prefixSampleRefs);
+                });
         std::vector<std::size_t> cursors(processes_.size(), 0);
-        prefixes.reserve(processes_.size());
-        for (auto &process : processes_)
-            prefixes.push_back(buildPrefix(process,
-                                           cfg_.prefixSampleRefs));
         std::size_t remaining = 0;
         for (const auto &p : prefixes)
             remaining += p.size();
+        prefix_.reserve(remaining);
         while (remaining > 0) {
             std::size_t who = rng_.below(processes_.size());
             if (cursors[who] >= prefixes[who].size())
@@ -111,8 +137,10 @@ InterleaveSource::InterleaveSource(std::string name,
                 1 + rng_.geometric(1.0 / cfg_.meanSliceRefs);
             slice = std::min(slice,
                              prefixes[who].size() - cursors[who]);
-            for (std::size_t i = 0; i < slice; ++i)
-                prefix_.push_back(prefixes[who][cursors[who] + i]);
+            auto from = prefixes[who].begin() +
+                        static_cast<std::ptrdiff_t>(cursors[who]);
+            prefix_.insert(prefix_.end(), from,
+                           from + static_cast<std::ptrdiff_t>(slice));
             cursors[who] += slice;
             remaining -= slice;
         }

@@ -72,6 +72,13 @@ Trace interleave(const std::string &name,
  * bounded by the processes' footprints, not the stream length - and
  * the live stream is drawn on demand.  reset() restores the
  * post-prefix generator state, so replays are bit-identical.
+ *
+ * Each process's prefix records its sample's last uses in flat
+ * arrays, one slot per footprint word, and the per-process prefixes
+ * build over the pool (serially when the source is built inside a
+ * pool task).  A prefix depends only on its own process, and the
+ * slices that interleave them are drawn after all are built, so the
+ * stream is the same at any thread count.
  */
 class InterleaveSource : public RefSource
 {

@@ -1,6 +1,7 @@
 #include "trace/synthetic.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "util/logging.hh"
@@ -121,6 +122,7 @@ ProcessModel::ProcessModel(const ProcessProfile &profile, Pid pid,
     stackBase_ = stackRegionBase +
                  pidOffsetWords(pid, stackScatterWords, 37) +
                  (static_cast<Addr>(pid) * 977) % pageWords;
+    checkFootprint();
     pc_ = codeBase_;
     startOuter(pc_);
     startLoop(pc_);
@@ -129,9 +131,7 @@ ProcessModel::ProcessModel(const ProcessProfile &profile, Pid pid,
         std::max<std::uint64_t>(1, profile_.dataWords /
                                        profile_.objectWords);
     objectStack_.resize(objects);
-    objectPos_.resize(objects);
     std::iota(objectStack_.begin(), objectStack_.end(), 0);
-    std::iota(objectPos_.begin(), objectPos_.end(), 0);
 
     zeroingLeft_ = profile_.zeroingWords;
     zeroPtr_ = dataBase_;
@@ -153,6 +153,47 @@ ProcessModel::footprint() const
         regions.push_back(
             {sharedRegionBase, profile_.sharedWords, RefKind::Load});
     return regions;
+}
+
+void
+ProcessModel::checkFootprint() const
+{
+    // next() draws a word inside an object, and a stack word below
+    // stackWords: a region smaller than an object, or an empty stack,
+    // would emit addresses outside footprint().
+    if (profile_.objectWords == 0 ||
+        profile_.objectWords > profile_.dataWords ||
+        (profile_.sharedFraction > 0 &&
+         profile_.objectWords > profile_.sharedWords))
+        fatal("ProcessModel: pid %u: objectWords %llu must be at "
+              "least 1 and fit the data (%llu words) and shared "
+              "(%llu words) regions",
+              unsigned(pid_),
+              static_cast<unsigned long long>(profile_.objectWords),
+              static_cast<unsigned long long>(profile_.dataWords),
+              static_cast<unsigned long long>(profile_.sharedWords));
+    if (profile_.stackWords == 0)
+        fatal("ProcessModel: pid %u has an empty stack region",
+              unsigned(pid_));
+    // A word belongs to exactly one region, so the interleaver's
+    // warm prefix can keep one slot per footprint word.
+    static const char *const names[] = {"code", "data", "stack",
+                                        "shared"};
+    const std::vector<Region> regions = footprint();
+    for (std::size_t a = 0; a < regions.size(); ++a) {
+        for (std::size_t b = a + 1; b < regions.size(); ++b) {
+            const Region &x = regions[a], &y = regions[b];
+            if (x.base < y.base + y.words && y.base < x.base + x.words)
+                fatal("ProcessModel: pid %u: %s region [%#llx, +%llu) "
+                      "overlaps %s region [%#llx, +%llu)",
+                      unsigned(pid_), names[a],
+                      static_cast<unsigned long long>(x.base),
+                      static_cast<unsigned long long>(x.words),
+                      names[b],
+                      static_cast<unsigned long long>(y.base),
+                      static_cast<unsigned long long>(y.words));
+        }
+    }
 }
 
 void
@@ -219,17 +260,25 @@ ProcessModel::nextInstruction()
     return ref;
 }
 
+std::uint32_t
+ProcessModel::moveToFront(std::size_t depth)
+{
+    // One block move shifts the depth more recent objects down.
+    std::uint32_t object = objectStack_[depth];
+    std::memmove(objectStack_.data() + 1, objectStack_.data(),
+                 depth * sizeof(objectStack_[0]));
+    objectStack_[0] = object;
+    return object;
+}
+
 void
 ProcessModel::touchObject(std::uint32_t object)
 {
-    // Move-to-front on the LRU stack, keeping positions in step.
-    std::uint32_t depth = objectPos_[object];
-    for (std::uint32_t d = depth; d > 0; --d) {
-        objectStack_[d] = objectStack_[d - 1];
-        objectPos_[objectStack_[d]] = d;
-    }
-    objectStack_[0] = object;
-    objectPos_[object] = 0;
+    // The stack is a permutation of every object, so the search
+    // always finds it.
+    moveToFront(static_cast<std::size_t>(
+        std::find(objectStack_.begin(), objectStack_.end(), object) -
+        objectStack_.begin()));
 }
 
 Addr
@@ -242,13 +291,12 @@ ProcessModel::pickHeapObject()
         std::uint64_t head =
             std::min<std::uint64_t>(profile_.hotHeadObjects, n);
         object = static_cast<std::uint32_t>(rng_.zipf(head, 0.6));
+        touchObject(object);
     } else {
         // Lognormal LRU stack distance into the working set.
-        std::uint64_t depth = rng_.lognormalBelow(
-            n, profile_.medianDepthObjects, profile_.depthSigma);
-        object = objectStack_[depth];
+        object = moveToFront(rng_.lognormalBelow(
+            n, profile_.medianDepthObjects, profile_.depthSigma));
     }
-    touchObject(object);
     return dataBase_ + static_cast<Addr>(object) * profile_.objectWords;
 }
 

@@ -156,7 +156,12 @@ class ProcessModel
         RefKind kind; ///< how untouched words are emitted in a prefix
     };
 
-    /** @return the code/data/stack regions (the full footprint). */
+    /**
+     * @return the code/data/stack (and shared) regions: the full
+     * footprint.  The regions are disjoint and hold every address
+     * next() emits; the constructor rejects a profile that would
+     * break either promise.
+     */
     std::vector<Region> footprint() const;
 
   private:
@@ -165,6 +170,7 @@ class ProcessModel
     void startLoop(Addr at);
     void startOuter(Addr at);
     Addr pickHeapObject();
+    void checkFootprint() const;
 
     ProcessProfile profile_;
     Pid pid_;
@@ -185,10 +191,14 @@ class ProcessModel
     std::uint64_t outerLen_ = 1;
     std::uint64_t outerItersLeft_ = 0;
 
-    // LRU stack of heap objects (most recent first) plus each
-    // object's current stack position, kept in lockstep.
+    // LRU stack of heap objects, most recent first, in one array.
+    // A touch at depth d moves the d objects above it down one slot
+    // in a single block move.  The lognormal pick draws the depth
+    // itself; hot-head and scan touches search the stack for it.
     std::vector<std::uint32_t> objectStack_;
-    std::vector<std::uint32_t> objectPos_;
+    /** Move the object at @p depth to the front; @return it. */
+    std::uint32_t moveToFront(std::size_t depth);
+    /** Move @p object to the front, wherever it sits. */
     void touchObject(std::uint32_t object);
 
     // Data-stream state.

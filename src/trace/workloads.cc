@@ -31,11 +31,8 @@ table1Workloads()
     return specs;
 }
 
-namespace
-{
-
 std::vector<ProcessModel>
-buildProcesses(const WorkloadSpec &spec)
+workloadProcesses(const WorkloadSpec &spec)
 {
     Rng seeder(spec.seed * 0x9e3779b97f4a7c15ULL + 0xc0ffee);
     std::vector<ProcessModel> processes;
@@ -46,7 +43,7 @@ buildProcesses(const WorkloadSpec &spec)
             : ProcessProfile::vaxProfile();
         // Diversify footprints across the process mix (compilers,
         // editors, searchers... differ widely in working-set size):
-        // log-uniform over 0.125x .. 8x, so the "working set fits"
+        // log-uniform over 0.125x .. 4x, so the "working set fits"
         // transition spreads across the whole size axis instead of
         // clustering at one cache size.
         double jitter = std::exp(std::log(0.125) +
@@ -75,19 +72,26 @@ buildProcesses(const WorkloadSpec &spec)
     return processes;
 }
 
-} // namespace
-
 std::unique_ptr<InterleaveSource>
 makeWorkloadSource(const WorkloadSpec &spec, double scale)
 {
-    if (scale <= 0.0)
-        fatal("workloads: scale must be positive, got %f", scale);
+    if (!(scale > 0.0) || !std::isfinite(scale))
+        fatal("workloads: scale must be positive and finite, got %g",
+              scale);
     if (spec.processes == 0)
         fatal("workloads: '%s' has zero processes", spec.name.c_str());
 
+    // Each count below converts a scaled double to an integer; a
+    // value of 2^63 or more would convert to garbage.
+    auto count = [&](double refs) {
+        if (!(refs < 0x1p63))
+            fatal("workloads: scale %g gives '%s' %g references, "
+                  "more than 2^63",
+                  scale, spec.name.c_str(), refs);
+        return static_cast<std::size_t>(refs);
+    };
     InterleaveConfig cfg;
-    cfg.lengthRefs =
-        static_cast<std::size_t>(spec.lengthRefs * scale);
+    cfg.lengthRefs = count(spec.lengthRefs * scale);
     // The context-switch interval is a property of the workload, not
     // of the trace length, so it is not scaled down.
     cfg.meanSliceRefs = 20'000;
@@ -97,12 +101,10 @@ makeWorkloadSource(const WorkloadSpec &spec, double scale)
     // for the VAX traces' long pre-boundary history).  The prefix
     // length itself becomes the warm boundary, extended by the
     // paper's scaled 450K-reference boundary for the VAX traces.
-    cfg.prefixSampleRefs =
-        static_cast<std::size_t>(spec.lengthRefs * scale / 4);
-    cfg.warmStartRefs =
-        static_cast<std::size_t>(spec.warmStartRefs * scale);
+    cfg.prefixSampleRefs = count(spec.lengthRefs * scale / 4);
+    cfg.warmStartRefs = count(spec.warmStartRefs * scale);
     return std::make_unique<InterleaveSource>(
-        spec.name, buildProcesses(spec), cfg);
+        spec.name, workloadProcesses(spec), cfg);
 }
 
 Trace
@@ -132,7 +134,7 @@ benchScale(double fallback)
 {
     if (const char *env = std::getenv("CACHETIME_SCALE")) {
         double v = std::atof(env);
-        if (v > 0.0)
+        if (v > 0.0 && std::isfinite(v))
             return v;
         warn("ignoring bad CACHETIME_SCALE='%s'", env);
     }

@@ -58,12 +58,22 @@ std::vector<WorkloadSpec> table1Workloads();
 Trace generate(const WorkloadSpec &spec, double scale = 1.0);
 
 class InterleaveSource;
+class ProcessModel;
+
+/**
+ * @return the process models of @p spec, one per process with its
+ * jittered footprint and its own seed, in the order
+ * makeWorkloadSource() interleaves them.
+ */
+std::vector<ProcessModel> workloadProcesses(const WorkloadSpec &spec);
 
 /**
  * Expand @p spec into a *streaming* source producing exactly the
  * reference stream generate() would materialize (generate() is the
  * materialization of this source).  Lets arbitrarily long workloads
- * be generated, hashed and replayed at bounded RSS.
+ * be generated, hashed and replayed at bounded RSS.  A scale that is
+ * not finite and positive, or that scales a count to 2^63 or more,
+ * is fatal.
  */
 std::unique_ptr<InterleaveSource>
 makeWorkloadSource(const WorkloadSpec &spec, double scale = 1.0);
@@ -73,7 +83,8 @@ std::vector<Trace> generateTable1(double scale = 1.0);
 
 /**
  * @return the default scale used by benches: the value of the
- * CACHETIME_SCALE environment variable if set, else @p fallback.
+ * CACHETIME_SCALE environment variable if it is a finite positive
+ * number, else @p fallback (with a warning when the variable is set).
  */
 double benchScale(double fallback = 0.20);
 

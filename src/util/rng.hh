@@ -21,7 +21,9 @@ namespace cachetime
  * xoshiro256** pseudo-random generator with SplitMix64 seeding.
  *
  * Small, fast, and high quality; every stream is fully determined by
- * its 64-bit seed.
+ * its 64-bit seed.  The per-reference draws (next(), uniform(),
+ * chance()) are inline: the synthetic generator makes tens of
+ * millions of them per trace.
  */
 class Rng
 {
@@ -30,7 +32,19 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** @return the next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** @return a uniform integer in [0, bound), bound > 0. */
     std::uint64_t below(std::uint64_t bound);
@@ -39,10 +53,18 @@ class Rng
     std::int64_t range(std::int64_t lo, std::int64_t hi);
 
     /** @return a uniform double in [0, 1). */
-    double uniform();
+    double uniform() { return (next() >> 11) * 0x1.0p-53; }
 
     /** @return true with probability p (clamped to [0,1]). */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Sample a geometric distribution: the number of failures before
@@ -91,6 +113,12 @@ class Rng
     }
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

@@ -28,6 +28,7 @@
 #include "core/breakeven.hh"
 #include "core/experiment.hh"
 #include "memory/memory_timing.hh"
+#include "trace/ref_source.hh"
 #include "trace/workloads.hh"
 
 namespace cachetime
@@ -285,6 +286,40 @@ TEST(Golden, TraceSuiteShape)
         EXPECT_EQ(traces()[i].size(), shapes[i].len);
         EXPECT_EQ(traces()[i].warmStart(), shapes[i].warm);
     }
+}
+
+/**
+ * The generator's content, not just its sizes: the identity hash
+ * covers every reference, so any change to a draw, its order or the
+ * prefix order moves it.  Speedups of the generator must leave these
+ * values untouched.
+ */
+TEST(Golden, TraceSuiteContent)
+{
+    const std::uint64_t hashes[] = {
+        0x12fd5b9a41cb8941ULL, 0x329e5e77b3e0cdbaULL,
+        0x4577a8d9adf8ffb1ULL, 0x327fbc9aa1d2ad91ULL,
+        0x1026651f55b10c94ULL, 0x3e343367c3de953aULL,
+        0x0553e45b8c68985eULL, 0xf441a63a9a123095ULL,
+    };
+    ASSERT_EQ(traces().size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(traceIdentityHash(traces()[i]), hashes[i])
+            << traces()[i].name();
+
+    // fig_sharing's share-heavy workload: eight processes contending
+    // for one shared segment.
+    WorkloadSpec spec;
+    spec.name = "share-heavy";
+    spec.processes = 8;
+    spec.lengthRefs = 1'200'000;
+    spec.warmStartRefs = 300'000;
+    spec.seed = 503;
+    spec.footprintScale = 0.8;
+    spec.sharedFraction = 0.35;
+    spec.sharedWords = 4 * 1024;
+    EXPECT_EQ(traceIdentityHash(generate(spec, kGoldenScale)),
+              0x5cb4cd966b6e9823ULL);
 }
 
 } // namespace

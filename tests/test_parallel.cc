@@ -2,8 +2,8 @@
  * @file
  * Tests for the parallel sweep engine and the SimCache memoizer:
  * parallelFor/parallelMap semantics, thread-count-independent
- * (bit-identical) sweep results, and SimCache keying/hit
- * accounting.
+ * (bit-identical) sweep results and workload generation, and
+ * SimCache keying/hit accounting.
  *
  * Built as its own executable so `ctest -R parallel` runs exactly
  * this suite, e.g. under -DCACHETIME_TSAN=ON.
@@ -22,6 +22,8 @@
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/tradeoff.hh"
+#include "thread_guard.hh"
+#include "trace/interleave.hh"
 #include "trace/workloads.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -436,6 +438,47 @@ TEST(Parallel, StandardTraceGenerationOrderIndependent)
         EXPECT_EQ(traceIdentityHash(serial[i]),
                   traceIdentityHash(parallel[i]));
     }
+}
+
+/// A lone generator builds its per-process warm prefixes over the
+/// pool; inside a pool task it builds them serially.  Either way the
+/// stream is the same, since each prefix depends only on its own
+/// process and the interleaving draws all come after.
+TEST(Interleave, PrefixIndependentOfThreadCount)
+{
+    ThreadGuard guard;
+    const WorkloadSpec spec = table1Workloads()[1]; // mu6: 11 processes
+    std::uint64_t hash = 0;
+    std::size_t prefix = 0;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        setParallelThreads(threads);
+        const std::uint64_t before = poolStats().dispatches;
+        auto source = makeWorkloadSource(spec, 0.05);
+        const std::uint64_t dispatches = poolStats().dispatches - before;
+        if (threads == 1) {
+            EXPECT_EQ(dispatches, 0u);
+            hash = source->contentHash();
+            prefix = source->prefixLength();
+            EXPECT_GT(prefix, 0u);
+            continue;
+        }
+        EXPECT_GT(dispatches, 0u) << threads << " threads";
+        EXPECT_EQ(source->contentHash(), hash) << threads << " threads";
+        EXPECT_EQ(source->prefixLength(), prefix)
+            << threads << " threads";
+    }
+
+    setParallelThreads(2);
+    std::unique_ptr<InterleaveSource> nested;
+    const std::uint64_t before = poolStats().dispatches;
+    parallelFor(2, [&](std::size_t i) {
+        if (i == 0)
+            nested = makeWorkloadSource(spec, 0.05);
+    });
+    EXPECT_EQ(poolStats().dispatches - before, 1u); // the outer loop
+    ASSERT_TRUE(nested);
+    EXPECT_EQ(nested->contentHash(), hash);
+    EXPECT_EQ(nested->prefixLength(), prefix);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/synthetic.hh"
+#include "trace/workloads.hh"
 
 namespace cachetime
 {
@@ -32,24 +33,113 @@ TEST(ProcessModel, PidIsStamped)
         EXPECT_EQ(model.next().pid, 7);
 }
 
+/// @p profile with its code and data footprints scaled by @p f, as
+/// the Table 1 workloads jitter them (floored at 256 words).
+ProcessProfile
+scaled(ProcessProfile profile, double f)
+{
+    profile.codeWords = std::max<std::uint64_t>(
+        256, static_cast<std::uint64_t>(profile.codeWords * f));
+    profile.dataWords = std::max<std::uint64_t>(
+        256, static_cast<std::uint64_t>(profile.dataWords * f));
+    return profile;
+}
+
+/// The warm prefix keeps one slot per footprint word, so every
+/// address next() emits must lie in footprint().  Each flavour runs
+/// at both ends of the workloads' footprint range: jitter 0.125x at
+/// footprint scale 1, and jitter 4x at the largest scale, 1.3.
 TEST(ProcessModel, AddressesStayInFootprint)
 {
-    ProcessProfile profile = ProcessProfile::vaxProfile();
-    ProcessModel model(profile, 3, 5);
-    auto regions = model.footprint();
-    for (int i = 0; i < 50000; ++i) {
-        Ref ref = model.next();
-        bool inside = false;
-        for (const auto &region : regions) {
-            if (ref.addr >= region.base &&
-                ref.addr < region.base + region.words) {
-                inside = true;
-                break;
+    ProcessProfile shared = ProcessProfile::vaxProfile();
+    shared.sharedFraction = 0.35;
+    ProcessProfile zeroing = ProcessProfile::vaxProfile();
+    zeroing.zeroingWords = zeroing.dataWords;
+    ProcessProfile priming = ProcessProfile::vaxProfile();
+    priming.primeOnStart = true;
+    const struct
+    {
+        const char *name;
+        ProcessProfile profile;
+    } flavours[] = {
+        {"vax", ProcessProfile::vaxProfile()},
+        {"risc", ProcessProfile::riscProfile()},
+        {"shared", shared},
+        {"zeroing", zeroing},
+        {"primeOnStart", priming},
+    };
+    for (const auto &flavour : flavours) {
+        for (double f : {0.125, 4 * 1.3}) {
+            ProcessProfile profile = scaled(flavour.profile, f);
+            if (profile.zeroingWords > 0)
+                profile.zeroingWords = profile.dataWords;
+            ProcessModel model(profile, 3, 5);
+            auto regions = model.footprint();
+            std::size_t outside = 0;
+            for (int i = 0; i < 100000; ++i) {
+                Ref ref = model.next();
+                bool inside = false;
+                for (const auto &region : regions) {
+                    if (ref.addr >= region.base &&
+                        ref.addr < region.base + region.words) {
+                        inside = true;
+                        break;
+                    }
+                }
+                outside += !inside;
+            }
+            EXPECT_EQ(outside, 0u) << flavour.name << " at f = " << f;
+        }
+    }
+}
+
+TEST(ProcessModel, FootprintRegionsAreDisjoint)
+{
+    for (const WorkloadSpec &spec : table1Workloads()) {
+        for (const ProcessModel &model : workloadProcesses(spec)) {
+            auto regions = model.footprint();
+            for (std::size_t a = 0; a < regions.size(); ++a) {
+                for (std::size_t b = a + 1; b < regions.size(); ++b) {
+                    const auto &x = regions[a], &y = regions[b];
+                    EXPECT_TRUE(x.base + x.words <= y.base ||
+                                y.base + y.words <= x.base)
+                        << spec.name << " pid " << model.pid()
+                        << ": regions " << a << " and " << b
+                        << " overlap";
+                }
             }
         }
-        EXPECT_TRUE(inside) << "address " << ref.addr
-                            << " outside the declared footprint";
     }
+}
+
+// The unit binary runs the pool (workload generation builds its
+// prefixes there), so death tests re-execute rather than fork.
+TEST(ProcessModelDeathTest, OverlappingRegionsAreFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ProcessProfile profile = ProcessProfile::vaxProfile();
+    profile.codeWords = 1 << 22; // runs into the data region
+    EXPECT_EXIT(ProcessModel(profile, 1, 1),
+                ::testing::ExitedWithCode(1),
+                "code region .* overlaps data region");
+}
+
+TEST(ProcessModelDeathTest, ProfilesThatEscapeTheFootprintAreFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ProcessProfile no_stack = ProcessProfile::vaxProfile();
+    no_stack.stackWords = 0;
+    EXPECT_EXIT(ProcessModel(no_stack, 1, 1),
+                ::testing::ExitedWithCode(1), "empty stack region");
+    ProcessProfile huge_objects = ProcessProfile::vaxProfile();
+    huge_objects.objectWords = huge_objects.dataWords + 1;
+    EXPECT_EXIT(ProcessModel(huge_objects, 1, 1),
+                ::testing::ExitedWithCode(1), "objectWords");
+    ProcessProfile tiny_shared = ProcessProfile::vaxProfile();
+    tiny_shared.sharedFraction = 0.1;
+    tiny_shared.sharedWords = tiny_shared.objectWords - 1;
+    EXPECT_EXIT(ProcessModel(tiny_shared, 1, 1),
+                ::testing::ExitedWithCode(1), "objectWords");
 }
 
 TEST(ProcessModel, FootprintHasThreeRegions)

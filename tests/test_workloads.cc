@@ -3,6 +3,7 @@
  * Tests of the Table 1 workload set and the interleaver.
  */
 
+#include <limits>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -119,7 +120,26 @@ TEST(Workloads, BenchScaleUsesEnvironment)
     EXPECT_DOUBLE_EQ(benchScale(0.25), 0.5);
     setenv("CACHETIME_SCALE", "junk", 1);
     EXPECT_DOUBLE_EQ(benchScale(0.25), 0.25);
+    // A scale no trace length can follow falls back like junk.
+    setenv("CACHETIME_SCALE", "inf", 1);
+    EXPECT_DOUBLE_EQ(benchScale(0.25), 0.25);
+    setenv("CACHETIME_SCALE", "1e400", 1);
+    EXPECT_DOUBLE_EQ(benchScale(0.25), 0.25);
     unsetenv("CACHETIME_SCALE");
+}
+
+// The unit binary runs the pool, so death tests re-execute rather
+// than fork.
+TEST(WorkloadsDeathTest, UnrepresentableScaleIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const WorkloadSpec spec = table1Workloads()[0];
+    EXPECT_EXIT(generate(spec, std::numeric_limits<double>::infinity()),
+                ::testing::ExitedWithCode(1), "positive and finite");
+    EXPECT_EXIT(generate(spec, std::numeric_limits<double>::quiet_NaN()),
+                ::testing::ExitedWithCode(1), "positive and finite");
+    EXPECT_EXIT(generate(spec, 1e30), ::testing::ExitedWithCode(1),
+                "more than 2\\^63");
 }
 
 TEST(Interleave, SlicesComeFromAllProcesses)

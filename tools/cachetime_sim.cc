@@ -325,7 +325,7 @@ main(int argc, char **argv)
     setQuiet(true);
     SystemConfig config = SystemConfig::paperDefault();
     std::vector<std::string> trace_files;
-    double workload_scale = 0.0;
+    double workload_scale = 0.1;
     bool csv = false, verbose = false, dump_stats = false;
     std::string stats_json_path;
     std::uint64_t interval_refs = 0;
@@ -479,9 +479,7 @@ main(int argc, char **argv)
         for (const std::string &path : trace_files)
             sources.push_back(openRefSource(path));
         if (sources.empty()) {
-            double scale =
-                workload_scale > 0 ? workload_scale : 0.1;
-            for (Trace &trace : generateTable1(scale))
+            for (Trace &trace : generateTable1(workload_scale))
                 sources.push_back(
                     TraceRefSource::owning(std::move(trace)));
         }
