@@ -31,19 +31,16 @@ namespace cachetime::bench
 {
 
 /**
- * Generate the Table 1 traces at the environment-selected scale.
- * Generation runs through the thread pool (each workload is seeded
- * independently, so the result is order-independent).
- *
- * Every bench calls this, so run telemetry is armed here: with
- * CACHETIME_MANIFEST=<path> set, a JSON run manifest (phase wall
- * times, pool utilization, SimCache counters) is written to <path>
- * at exit, and with CACHETIME_TRACE_OUT=<path> set, a
- * Chrome/Perfetto trace-event file (phase spans, per-worker pool
- * chunks, sweep sub-batches) is collected and written at exit.
+ * Arm what every bench shares: quiet mode unless CACHETIME_VERBOSE
+ * is set, and run telemetry.  With CACHETIME_MANIFEST=<path> set, a
+ * JSON run manifest (phase wall times, pool utilization, SimCache
+ * and sweep counters) is written to <path> at exit, and with
+ * CACHETIME_TRACE_OUT=<path> set, a Chrome/Perfetto trace-event
+ * file (phase spans, per-worker pool chunks, sweep sub-batches) is
+ * collected and written at exit.  Idempotent.
  */
-inline std::vector<Trace>
-standardTraces(double fallback_scale = 0.20)
+inline void
+armBench()
 {
     setQuiet(std::getenv("CACHETIME_VERBOSE") == nullptr);
 #ifdef __GLIBC__
@@ -56,6 +53,18 @@ standardTraces(double fallback_scale = 0.20)
         if (trace_event::beginSession(path))
             std::atexit([] { trace_event::endSession(); });
     }
+}
+
+/**
+ * Arm the bench (armBench()) and generate the Table 1 traces at the
+ * environment-selected scale under the manifest's trace-gen phase.
+ * Generation runs through the thread pool (each workload is seeded
+ * independently, so the result is order-independent).
+ */
+inline std::vector<Trace>
+standardTraces(double fallback_scale = 0.20)
+{
+    armBench();
     telemetry::PhaseTimer timer("trace-gen");
     return generateTable1(benchScale(fallback_scale));
 }

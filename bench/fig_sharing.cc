@@ -33,9 +33,7 @@ using namespace cachetime::bench;
 int
 main()
 {
-    // Arm telemetry/quiet mode the same way every bench does; the
-    // Table 1 traces themselves are not used here.
-    standardTraces(0.05);
+    armBench();
     double scale = benchScale(0.20);
 
     // Eight processes contending for one shared segment, at three
@@ -50,17 +48,20 @@ main()
         {"none", 0.0}, {"moderate", 0.15}, {"heavy", 0.35}};
 
     std::vector<Trace> traces;
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        WorkloadSpec spec;
-        spec.name = std::string("share-") + levels[i].name;
-        spec.processes = 8;
-        spec.lengthRefs = 1'200'000;
-        spec.warmStartRefs = 300'000;
-        spec.seed = 501 + i;
-        spec.footprintScale = 0.8;
-        spec.sharedFraction = levels[i].fraction;
-        spec.sharedWords = 4 * 1024;
-        traces.push_back(generate(spec, scale));
+    {
+        telemetry::PhaseTimer generation("trace-gen");
+        for (std::size_t i = 0; i < levels.size(); ++i) {
+            WorkloadSpec spec;
+            spec.name = std::string("share-") + levels[i].name;
+            spec.processes = 8;
+            spec.lengthRefs = 1'200'000;
+            spec.warmStartRefs = 300'000;
+            spec.seed = 501 + i;
+            spec.footprintScale = 0.8;
+            spec.sharedFraction = levels[i].fraction;
+            spec.sharedWords = 4 * 1024;
+            traces.push_back(generate(spec, scale));
+        }
     }
 
     const std::vector<CoherenceProtocol> protocols = {

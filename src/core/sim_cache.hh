@@ -86,7 +86,7 @@ SimKey warmStateKey(const SystemConfig &config);
  * counters are folded; with it, two classic configs of equal key see
  * identical answers, in identical order, from their L1s and TLB on
  * any stream, and a fused batch lets them share one front end
- * (System::follower()).  Coherent configs never share: their L1
+ * (System::addBackEnd()).  Coherent configs never share: their L1
  * evolution depends on per-core clocks.
  */
 SimKey frontEndKey(const SystemConfig &config);

@@ -388,7 +388,7 @@ struct PassCounts
 
 /**
  * The single pass driver.  It issues groups as
- * System::consumeChunk does - the measuring flag is decided at the
+ * System's front-end scan does - the measuring flag is decided at the
  * group's first reference by the same MeasureWindow, state always
  * advances, and only measured accesses are counted - over the spans
  * the feeder cuts.  Every reference is handed to

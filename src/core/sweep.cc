@@ -30,6 +30,8 @@ std::atomic<std::uint64_t> machinesBuilt{0};
 std::atomic<std::uint64_t> followersBuilt{0};
 std::atomic<std::uint64_t> stackPasses{0};
 std::atomic<std::uint64_t> stackPoints{0};
+std::atomic<std::uint64_t> frontRefsScanned{0};
+std::atomic<std::uint64_t> eventsReplayed{0};
 
 std::size_t
 cacheFootprintBytes(const CacheConfig &config)
@@ -40,7 +42,7 @@ cacheFootprintBytes(const CacheConfig &config)
            4096; // allocator slack and the object itself
 }
 
-/** The L1 arrays of @p config: what a follower does not allocate. */
+/** The L1 arrays of @p config: what an added back end does not allocate. */
 std::size_t
 frontFootprintBytes(const SystemConfig &config)
 {
@@ -137,9 +139,10 @@ cachedRun(const std::vector<SystemConfig> &configs, RefSource &source,
  * simulateBatch over sub-batches of at most BatchOptions::maxBatch
  * configs whose summed footprint fits BatchOptions::memoryBudgetBytes
  * (one config always fits).  The configs are taken in frontEndKey()
- * order, a follower's footprint leaves out the L1 arrays it shares,
- * and a cut falls between front ends rather than inside one whenever
- * the sub-batch holds another, so followers ride with their leader.
+ * order, an added back end's footprint leaves out the L1 arrays it
+ * shares, and a cut falls between front ends rather than inside one
+ * whenever the sub-batch holds another, so the back ends of a front
+ * end ride together.
  */
 std::vector<SimResult>
 simulateBounded(const std::vector<SystemConfig> &configs,
@@ -328,8 +331,9 @@ configFootprintBytes(const SystemConfig &config)
 SweepCounters
 sweepCounters()
 {
-    return {machinesBuilt.load(), followersBuilt.load(),
-            stackPasses.load(), stackPoints.load()};
+    return {machinesBuilt.load(),     followersBuilt.load(),
+            stackPasses.load(),       stackPoints.load(),
+            frontRefsScanned.load(), eventsReplayed.load()};
 }
 
 void
@@ -339,6 +343,8 @@ resetSweepCounters()
     followersBuilt.store(0);
     stackPasses.store(0);
     stackPoints.store(0);
+    frontRefsScanned.store(0);
+    eventsReplayed.store(0);
 }
 
 void
@@ -356,22 +362,29 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     if (configs.empty())
         return out;
 
-    // One front end per frontEndKey: the first classic config of a
-    // key leads, and every later one follows it, replaying the
-    // leader's L1 and TLB answers instead of probing its own.
-    // lead[i] is the machine config i follows, or i itself.
+    // One machine per frontEndKey: makeSimulator builds it for the
+    // first classic config of a key, and every later config of the
+    // key adds a timing back end to it.  A coherent config is a
+    // machine of its own.  machineOf[i] is config i's machine, and
+    // builder[m] the config that built machine m.
     const std::size_t n = configs.size();
-    std::vector<std::size_t> lead(n);
+    std::vector<std::unique_ptr<Simulator>> machines;
+    std::vector<std::size_t> builder;
+    std::vector<std::size_t> machineOf(n);
     std::size_t followers = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        lead[i] = i;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (lead[j] == j && shareFront(configs[j], configs[i])) {
-                lead[i] = j;
-                ++followers;
-                break;
-            }
+        std::size_t m = 0;
+        while (m < machines.size() &&
+               !shareFront(configs[builder[m]], configs[i]))
+            ++m;
+        if (m == machines.size()) {
+            machines.push_back(makeSimulator(configs[i]));
+            builder.push_back(i);
+        } else {
+            dynamic_cast<System &>(*machines[m]).addBackEnd(configs[i]);
+            ++followers;
         }
+        machineOf[i] = m;
     }
     machinesBuilt.fetch_add(n, std::memory_order_relaxed);
     followersBuilt.fetch_add(followers, std::memory_order_relaxed);
@@ -379,44 +392,19 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     trace_event::Span batchSpan(
         trace_event::Cat::Sweep,
         "batch n=" + std::to_string(n) +
-            " fronts=" + std::to_string(n - followers) +
+            " fronts=" + std::to_string(machines.size()) +
             " trace=" + source.name());
-
-    // makeSimulator picks every engine; a follower is a System built
-    // by its leader, which makeSimulator made a System too.
-    std::vector<std::unique_ptr<Simulator>> machines;
-    machines.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (lead[i] == i)
-            machines.push_back(makeSimulator(configs[i]));
-        else
-            machines.push_back(dynamic_cast<System &>(*machines[lead[i]])
-                                   .follower(configs[i]));
-    }
-
-    // A leader and its followers form one group, in batch order:
-    // they share a per-span tape, so the leader takes each span
-    // before its followers.  A coherent machine, or a classic one
-    // nobody follows, is a group of one.
-    std::vector<std::vector<std::size_t>> groups;
-    std::vector<std::size_t> groupOf(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (lead[i] == i) {
-            groupOf[i] = groups.size();
-            groups.emplace_back();
-        }
-        groups[groupOf[lead[i]]].push_back(i);
-    }
 
     // One decode, many replays: every span the feeder produces is
     // fed to each machine before the next span is pulled, so stream
     // I/O and synthetic generation are paid once per span however
-    // wide the batch is.  The pipelined feeder moves that decode
+    // wide the batch is, and each front end scans it once for all
+    // its back ends.  The pipelined feeder moves that decode
     // off-thread when threads are available (file-backed sources
     // only; resident streams are sliced zero-copy), producing the
     // same span sequence byte for byte.  Spans hold at most
-    // refChunkSize + 1 references, which bounds a leader's tape.
-    // Groups share no state, so each span goes to them through one
+    // refChunkSize + 1 references, which bounds each event list.
+    // Machines share no state, so each span goes to them through one
     // parallelFor: every machine still sees the spans in order, and
     // a batch inside a pool task stays a plain loop.
     PipelinedFeeder feeder(source);
@@ -424,17 +412,36 @@ simulateBatch(const std::vector<SystemConfig> &configs,
         machine->beginRun(source);
     ProgressMeter *meter = progress::global();
     while (ChunkFeeder::Span span = feeder.next()) {
-        parallelFor(groups.size(), [&](std::size_t g) {
-            for (std::size_t i : groups[g])
-                machines[i]->feedChunk(span.data, span.size);
+        parallelFor(machines.size(), [&](std::size_t m) {
+            machines[m]->feedChunk(span.data, span.size);
         });
         if (meter)
             meter->bump(span.size * n);
     }
 
-    out.reserve(configs.size());
-    for (auto &machine : machines)
-        out.push_back(machine->endRun());
+    // Each machine's results come back in the order its configs
+    // joined it.
+    std::vector<std::vector<SimResult>> results(machines.size());
+    std::uint64_t scanned = 0;
+    std::uint64_t replayed = 0;
+    for (std::size_t m = 0; m < machines.size(); ++m) {
+        if (auto *system = dynamic_cast<System *>(machines[m].get())) {
+            scanned += system->scannedRefs();
+            replayed += system->replayedEvents();
+            results[m] = system->endRuns();
+        } else {
+            results[m].push_back(machines[m]->endRun());
+        }
+    }
+    frontRefsScanned.fetch_add(scanned, std::memory_order_relaxed);
+    eventsReplayed.fetch_add(replayed, std::memory_order_relaxed);
+
+    std::vector<std::size_t> taken(machines.size(), 0);
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t m = machineOf[i];
+        out.push_back(std::move(results[m][taken[m]++]));
+    }
     return out;
 }
 

@@ -19,14 +19,17 @@
  * Probe once, time many: classic configs of equal frontEndKey()
  * (core/sim_cache.hh) - the same L1 and TLB organization and issue
  * shape, differing only in timing - share one front end inside a
- * batch.  The first such config leads and records every L1 and TLB
- * answer on a per-span tape; the others follow, replaying it with no
- * L1 or TLB arrays of their own (System::follower()).  The cache
- * model is time-free, so a follower sees exactly the answers it
- * would have computed itself.  The grid driver orders fused points
- * by that key before cutting groups, so equal organizations land in
- * one batch, and a Fig 3-3 speed-size grid probes each L1
- * organization once per trace instead of once per cycle time.
+ * batch.  The first such config's machine scans each span once into
+ * an event list (its misses, tagged-prefetch hits, write-through
+ * stores, TLB misses and measure edges), and every config of the key
+ * is a timing back end of that machine (System::addBackEnd()),
+ * replaying only the events and jumping the hit runs between them.
+ * The cache model is time-free, so every back end sees exactly the
+ * answers it would have computed itself.  The grid driver orders
+ * fused points by that key before cutting groups, so equal
+ * organizations land in one batch, and a Fig 3-3 speed-size grid
+ * probes each L1 organization once per trace and pays per miss, not
+ * per reference, for each cycle time.
  *
  * The grid driver (sweep.cc) answers both of the paper's grid
  * queries: runGeoMeanMany (core/experiment.hh) for execution time and
@@ -77,13 +80,14 @@ struct BatchOptions
  * driver builds all machines up front, so its peak memory is the sum
  * of their footprints, with each shared front end counted once.
  * Every machine is fed the feeder's spans, resident streams
- * included, so a leader's tape stays bounded by one span of at most
+ * included, so an event list stays bounded by one span of at most
  * refChunkSize + 1 references.  Each span goes to the batch's
- * front-end groups (a leader with its followers, or a lone machine)
+ * machines (a front end with its back ends, or a coherent machine)
  * through one parallelFor, so a batch called outside a pool task
- * runs its groups on the pool's threads concurrently; every machine
- * still runs on one thread at a time and sees the spans in order,
- * so results are the same at any thread count (DESIGN.md §14).
+ * runs its machines on the pool's threads concurrently; every
+ * machine still runs on one thread at a time and sees the spans in
+ * order, so results are the same at any thread count (DESIGN.md
+ * §14).
  */
 std::vector<SimResult>
 simulateBatch(const std::vector<SystemConfig> &configs,
@@ -108,8 +112,9 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
 /**
  * @return an estimate of one machine's simulation-state footprint
  * (cache arrays dominate), used to pack sub-batches under
- * BatchOptions::memoryBudgetBytes.  A follower costs this less its
- * L1 arrays, which its leader's footprint already counts.
+ * BatchOptions::memoryBudgetBytes.  A back end added to a front end
+ * costs this less the L1 arrays, which the first config's footprint
+ * already counts.
  */
 std::size_t configFootprintBytes(const SystemConfig &config);
 
@@ -119,10 +124,14 @@ std::size_t configFootprintBytes(const SystemConfig &config);
  */
 struct SweepCounters
 {
-    std::uint64_t machines = 0;  ///< every machine, followers included
-    std::uint64_t followers = 0; ///< machines replaying a shared front end
+    /** Every config's machine: a back end, or a coherent machine. */
+    std::uint64_t machines = 0;
+    /** Back ends beyond the first of their front end. */
+    std::uint64_t followers = 0;
     std::uint64_t stackPasses = 0; ///< stack passes that answered
     std::uint64_t stackPoints = 0; ///< configs those passes answered
+    std::uint64_t frontRefs = 0;   ///< references front ends scanned
+    std::uint64_t events = 0;      ///< events back ends replayed
 };
 
 /** @return the counts so far (the run manifest's "sweep" entry). */

@@ -12,7 +12,7 @@
  * proceed to the next reference or reference pair."
  *
  * CpuConfig holds the CPU's timing parameters.  The grouping itself
- * lives where references issue: System::consumeChunk and the stack
+ * lives where references issue: System's front-end scan and the stack
  * kernel pair each IFetch with the data reference that follows it,
  * and coupletSafeCut() (trace/ref.hh) keeps every cut of a stream
  * from separating the two.

@@ -16,22 +16,32 @@
  *  - I and D references issue as couplets and both must complete
  *    before the next group issues.
  *
- * The front end - the L1 cache(s) and, under physical addressing,
- * the TLB - is time-free: what it answers depends only on the
- * reference stream, its organization and the issue shape, never on a
- * latency.  So machines that differ only in timing can share one.
- * Inside a fused batch (core/sweep.hh) the first machine of a front
- * end leads: it probes its own L1s and TLB and records every answer
- * its timing code reads on a per-span tape.  The others follow: they
- * own no L1 or TLB arrays and replay the tape through the same
- * reference loop, keeping their own clock, busy horizons, write
- * buffers, lower levels and stall counters.
+ * A machine is a front end and one or more timing back ends.  The
+ * front end - the L1 cache(s), the TLB under physical addressing,
+ * and their counters - is time-free: what it answers depends only on
+ * the reference stream, its organization and the issue shape, never
+ * on a latency.  A back end holds everything timed: the clock, the
+ * L1 busy horizons, the write buffers, any lower levels, memory, and
+ * the stall and miss-penalty counters.
+ *
+ * Per span, the front end probes every reference once and writes an
+ * event list: every issue group that needs a back end (an L1 miss, a
+ * tagged-prefetch hit, a write-through store, a TLB miss) and every
+ * measure-window edge, with the plain hit groups between events
+ * counted per issue shape.  Each back end then runs only the events
+ * through the miss tails and jumps each run of hit groups by its
+ * shape counts, stepping group by group only while a busy horizon
+ * is still open after an event (DESIGN.md §10).  A lone machine is
+ * one front end with one back end; a fused batch (core/sweep.hh)
+ * adds a back end per timing config that shares the organization,
+ * so every such config pays per event instead of per reference.
  */
 
 #ifndef CACHETIME_SIM_SYSTEM_HH
 #define CACHETIME_SIM_SYSTEM_HH
 
 #include <memory>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/cache_level.hh"
@@ -47,38 +57,32 @@ namespace cachetime
 
 struct IntervalCounters;
 
-/** How a System's front end (L1 cache(s) and TLB) answers probes. */
-enum class FrontMode : std::uint8_t
-{
-    Own,    ///< probes its own L1s and TLB (every lone machine)
-    Lead,   ///< probes its own and records each answer on the tape
-    Follow, ///< owns no L1 or TLB; replays its leader's tape
-};
-
 /**
- * One simulated uniprocessor machine.  A System may run several
- * streams; beginRun() returns a machine that has already run to its
- * freshly built state (cache contents, clock, buffers).  References
- * inside the source's warm segments are issued (state and clock
- * advance) but excluded from every measured counter.
+ * One simulated uniprocessor machine, or several that differ only in
+ * timing and share one front end.  A System may run several streams;
+ * beginRun() returns a machine that has already run to its freshly
+ * built state (cache contents, clock, buffers).  References inside
+ * the source's warm segments are issued (state and clock advance)
+ * but excluded from every measured counter.
  */
 class System final : public Simulator
 {
   public:
     /** Build the machine; the configuration is validated here. */
     explicit System(const SystemConfig &config);
+    ~System() override;
 
     /**
-     * @return a machine for @p config that shares this machine's
-     * front end, which must be built from an equal frontEndKey()
-     * (core/sim_cache.hh) and not yet have run; this machine becomes
-     * its leader.  The follower owns no L1 or TLB arrays.  Drive the
-     * two in lockstep: every beginRun(), feedChunk() and endRun() of
-     * the leader comes before the followers' matching call, and each
-     * span is fed to the leader and its followers before the next.
+     * Add a timing back end for @p config, which must have this
+     * machine's frontEndKey() (core/sim_cache.hh): it shares the
+     * front end and owns no L1 or TLB arrays.  Only a machine that
+     * has not run and has no interval collector takes one.
      * simulateBatch() is the one caller.
      */
-    std::unique_ptr<System> follower(const SystemConfig &config);
+    void addBackEnd(const SystemConfig &config);
+
+    /** @return the number of back ends, the first included. */
+    std::size_t backEnds() const;
 
     /**
      * Arm a run over @p source.  A machine that has run before is
@@ -87,7 +91,18 @@ class System final : public Simulator
      */
     void beginRun(const RefSource &source) override;
     void feedChunk(const Ref *refs, std::size_t n) override;
+
+    /** The one back end's result; panics on several. */
     SimResult endRun() override;
+
+    /** Finish the armed run: every back end's result, in order. */
+    std::vector<SimResult> endRuns();
+
+    /** @return references the front end scanned in the armed run. */
+    std::uint64_t scannedRefs() const;
+
+    /** @return events the back ends replayed in the armed run. */
+    std::uint64_t replayedEvents() const;
 
     /**
      * Every windowRefs() issued references the run snapshots its
@@ -95,7 +110,8 @@ class System final : public Simulator
      * collector never changes a simulated counter - the engine only
      * splits chunks at window boundaries (already bit-identical by
      * the resumable-run design) and snapshots read-only; couplets
-     * straddling a boundary are kept whole.  Panics on a follower.
+     * straddling a boundary are kept whole.  Panics on a machine
+     * with several back ends.
      */
     void setIntervalCollector(IntervalCollector *collector) override;
 
@@ -103,14 +119,15 @@ class System final : public Simulator
      * The warm state is the simulated clock, L1 busy horizons, cache
      * contents (tags, LRU, dirty bits, victim buffers, replacement
      * streams), TLB, write-buffer queues, intermediate levels and
-     * memory bank horizons, in tagged sections.  Panics on a
-     * follower, which has no cache contents of its own.
+     * memory bank horizons, in tagged sections.  A busy horizon at
+     * or below the clock stands for any such value: the machine
+     * times alike from each.  Panics on several back ends.
      */
     void captureState(StateWriter &w) const override;
 
     /**
      * The config must match the capturing machine's exactStateKey().
-     * Panics on a follower.
+     * Panics on several back ends.
      */
     void restoreState(StateReader &r) override;
 
@@ -122,210 +139,47 @@ class System final : public Simulator
      * them for any other.  Timing-entangled state - clock, write
      * buffers, L2 contents, busy horizons - stays cold; the sampling
      * engine's detailed warm-up before each measurement unit exists
-     * to re-warm exactly that remainder.  Panics on a follower.
+     * to re-warm exactly that remainder.  Panics on several back
+     * ends.
      */
     void restoreWarmState(StateReader &r);
 
-    const SystemConfig &config() const override { return config_; }
+    /** @return the first back end's configuration. */
+    const SystemConfig &config() const override;
 
   private:
-    struct FrontTape;
     struct FrontCounters;
+    struct Event;
+    struct EventList;
+    class FrontEnd;
+    class BackEnd;
+
+    /** panic() naming @p what unless there is exactly one back end. */
+    void requireLone(const char *what) const;
 
     /**
-     * A follower of the front end recorded on @p tape, or, when
-     * @p tape is null, a machine that owns its front end.
+     * Issue one piece of at most refChunkSize + 1 references: the
+     * front end scans it into an event list, then every back end
+     * replays the events.
      */
-    System(const SystemConfig &config, std::shared_ptr<FrontTape> tape);
-
-    /**
-     * One L1 as the timing code sees it: every mode reads its
-     * organizational config and name, and only a machine that owns
-     * its front end probes the cache itself.
-     */
-    struct L1Port
-    {
-        Cache *cache = nullptr;              ///< null on a follower
-        const CacheConfig *config = nullptr;
-        const char *name = "";
-    };
-
-    /** Where a follower stands in the current span of its tape. */
-    struct TapeCursor
-    {
-        std::size_t kind = 0;
-        std::size_t outcome = 0;
-        std::size_t translation = 0;
-        std::size_t fold = 0;
-    };
-
-    /** panic() naming @p what unless this machine owns a front end. */
-    void requireFront(const char *what) const;
-
-    /**
-     * Build every stateful component from config_: memory, the
-     * intermediate levels with their write buffers (memory-first so
-     * each level drains into the one below), the L1 write buffer,
-     * and - unless this machine follows - the TLB when addressing is
-     * physical and the L1 cache(s).  Called again, it rebuilds
-     * memory, the buffers and the TLB, and resets every cache it
-     * built in place (Cache::reset()): no cache array is
-     * reallocated.
-     */
-    void buildHierarchy();
-
-    /**
-     * Return caches, buffers, clock and statistics to the built
-     * state for a new run, through buildHierarchy().
-     */
-    void reset();
-
-    /** Reset statistics only (warm-start boundary). */
-    void resetStats();
-
-    /**
-     * The reference-processing engine: issues one span of references
-     * in place, pairing I/D couplets inline.  Per-run decisions are
-     * hoisted into template parameters so the per-reference path
-     * carries no re-checks:
-     * @tparam Pair     split caches with couplet issue enabled
-     * @tparam HasTlb   physical addressing (translate every ref)
-     * @tparam Mode     how the front end answers (FrontMode)
-     * feedChunk() dispatches to the right instantiation per span;
-     * cross-span progress lives in progress_ and is staged through
-     * locals so the steady-state loop still runs out of registers.
-     */
-    template <bool Pair, bool Split, bool HasTlb, FrontMode Mode>
-    void consumeChunk(const Ref *refs, std::size_t n);
-
-    /** Dispatch one span to the right consumeChunk instantiation. */
-    void dispatchChunk(const Ref *refs, std::size_t n);
+    void issue(const Ref *refs, std::size_t n);
 
     /**
      * @return the cumulative measured counters of the armed run at
-     * the current position: the folded result_ plus, mid-span of a
+     * the current position: the folded result plus, mid-span of a
      * measured segment, the live component stats and pending
-     * progress_ accumulators.  Read-only; the interval snapshots
-     * are built from differences of these.
+     * accumulators.  Read-only; the interval snapshots are built
+     * from differences of these.
      */
     IntervalCounters captureIntervalCounters() const;
 
-    /**
-     * Fold the measured span ending at @p now into result_ (counter
-     * accumulators are taken from progress_, which the chunk loop
-     * synchronizes before the call).  The L1 and TLB counters come
-     * from the front end: read live and, by a leader, recorded; read
-     * back from the tape by a follower.
-     */
-    void foldMeasured(Tick now);
+    std::unique_ptr<FrontEnd> front_;
+    std::vector<std::unique_ptr<BackEnd>> backs_;
 
-    /**
-     * The front end's answer to one demand access (a store when
-     * @p Write): probed, probed and recorded, or replayed, per
-     * @p Mode.  @p outcome is filled only on HitKind::Miss.
-     */
-    template <FrontMode Mode, bool Write>
-    [[gnu::always_inline]] inline HitKind
-    probe(const L1Port &l1, Addr addr, Pid pid, AccessOutcome &outcome);
-
-    /** The TLB's translation of @p ref, likewise per @p Mode. */
-    template <FrontMode Mode>
-    [[gnu::always_inline]] inline Tlb::Translation
-    translate(const Ref &ref);
-
-    /**
-     * @return completion time of a read issued at @p issue.  The
-     * probe + hit path is forced inline into runLoop(); everything
-     * past the HitKind check lives out of line in readMissTail().
-     */
-    template <bool HasTlb, FrontMode Mode>
-    [[gnu::always_inline]] inline Tick
-    accessRead(const L1Port &l1, Tick &busy, const Ref &ref,
-               Tick issue);
-
-    /** Victim-swap / fetch / early-continuation miss timing. */
-    template <FrontMode Mode>
-    Tick readMissTail(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
-                      Tick start, AccessOutcome &outcome);
-
-    /**
-     * Issue a one-block-lookahead prefetch for the block after
-     * @p addr, if the cache's policy requests it.  The fetch
-     * occupies the downstream path and the cache's fill port, but
-     * the CPU does not wait for it.
-     */
-    template <FrontMode Mode>
-    void maybePrefetch(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
-                       Tick when);
-
-    /** @return completion time of a write issued at @p issue. */
-    template <bool HasTlb, FrontMode Mode>
-    [[gnu::always_inline]] inline Tick
-    accessWrite(const L1Port &l1, Tick &busy, const Ref &ref,
-                Tick issue);
-
-    /** Victim-swap / no-allocate / write-allocate miss timing. */
-    template <FrontMode Mode>
-    Tick writeMissTail(const L1Port &l1, Tick &busy, Addr addr, Pid pid,
-                       Tick start, AccessOutcome &outcome);
-
-    SystemConfig config_;
-
-    FrontMode mode_ = FrontMode::Own;
-    /** Shared by a leader and its followers; null for Own. */
-    std::shared_ptr<FrontTape> tape_;
-    TapeCursor cursor_; ///< a follower's replay position
     /** True once beginRun() has armed this machine. */
     bool ran_ = false;
-
-    std::unique_ptr<Cache> icache_; ///< null when unified or following
-    std::unique_ptr<Cache> dcache_; ///< null when following
-    std::unique_ptr<Tlb> tlb_;      ///< null when virtual or following
-    L1Port iport_; ///< the I side; the D side's when unified
-    L1Port dport_;
-    std::unique_ptr<MainMemory> memory_;
-    /** Intermediate levels, nearest to memory first when built. */
-    std::vector<std::unique_ptr<CacheLevel>> midLevels_;
-    std::vector<std::unique_ptr<WriteBuffer>> midBuffers_;
-    std::unique_ptr<WriteBuffer> l1Buffer_; ///< L1 -> (L2|memory)
-
-    /** The level L1 misses and writes go to (the L1 write buffer). */
-    MemLevel *l1Down_ = nullptr;
-
-    /** Per-L1-cache busy horizon (fills outlast early continuation). */
-    Tick icacheBusy_ = 0;
-    Tick dcacheBusy_ = 0;
-
-    /** Observed L1 read-miss service times, in cycles. */
-    Histogram missPenalty_{32, 2};
-
-    // Stall attribution (serial, per access; couplet overlap means
-    // the parts can sum to more than the total).
-    Tick stallRead_ = 0;
-    Tick stallWrite_ = 0;
-    Tick stallTlb_ = 0;
-
-    /**
-     * Cross-chunk position of an armed run.  Everything the chunk
-     * loop keeps in registers is staged here at span boundaries so
-     * a run can be suspended and resumed between feedChunk() calls.
-     */
-    struct RunProgress
-    {
-        Tick now = 0;            ///< simulated clock
-        Tick segStart = 0;       ///< clock at measure-on
-        bool measuring = false;  ///< inside a measured span
-        /** Which positions count (copied by beginRun; sources may die). */
-        MeasureWindow window;
-        std::size_t consumed = 0; ///< references issued so far
-        std::uint64_t groups = 0; ///< measured issue groups pending fold
-        std::uint64_t reads = 0;  ///< measured read refs pending fold
-        std::uint64_t writes = 0; ///< measured write refs pending fold
-    };
-
-    RunProgress progress_;
-    SimResult result_;           ///< accumulating result of the armed run
-    bool runPair_ = false;       ///< dispatch flag hoisted by beginRun
+    std::uint64_t scannedRefs_ = 0;
+    std::uint64_t replayedEvents_ = 0;
 
     /** Windowed-snapshot collector; optional and observation-only. */
     IntervalCollector *interval_ = nullptr;

@@ -182,7 +182,9 @@ writeManifest(std::ostream &os, const RunManifest &manifest)
     os << ",\"sweep\":{\"machines\":" << sweep.machines
        << ",\"followers\":" << sweep.followers
        << ",\"stack_passes\":" << sweep.stackPasses
-       << ",\"stack_points\":" << sweep.stackPoints << '}';
+       << ",\"stack_points\":" << sweep.stackPoints
+       << ",\"front_refs\":" << sweep.frontRefs
+       << ",\"events\":" << sweep.events << '}';
 
     for (const auto &[key, json] : manifest.extra)
         os << ",\"" << stats::jsonEscape(key) << "\":" << json;

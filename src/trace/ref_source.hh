@@ -217,8 +217,8 @@ Trace materialize(RefSource &source);
  * references; the fill cannot see past its buffer, so it holds back
  * a trailing IFetch and re-emits it at the head of the following
  * span.  Either way a span holds at most refChunkSize + 1
- * references, which bounds a fused leader's per-span tape and paces
- * a progress meter.
+ * references, which bounds a front end's per-span event list and
+ * paces a progress meter.
  */
 class ChunkFeeder
 {

@@ -18,8 +18,10 @@
 #include "stats/interval.hh"
 #include "stats/progress.hh"
 #include "stats/trace_event.hh"
+#include "trace/ref_source.hh"
 #include "trace/trace_v2.hh"
 #include "util/parallel.hh"
+#include "verify/diff.hh"
 #include "verify/fuzz.hh"
 #include "verify/oracle.hh"
 
@@ -279,6 +281,149 @@ TEST(Differential, ReusedMachineMatchesFresh)
                 << verify::formatDiffs(diffs);
         }
     }
+}
+
+/**
+ * @return the first position at or after @p from where @p config's
+ * L1s and TLB, fed @p refs from the start, answer the two references
+ * before and the two after with plain hits: a cut there falls inside
+ * a run of hit groups.  @p from when no such position follows.
+ */
+std::size_t
+hitRunPosition(const SystemConfig &config, const std::vector<Ref> &refs,
+               std::size_t from)
+{
+    const bool physical = config.addressing == AddressMode::Physical;
+    CacheConfig ic = config.icache;
+    CacheConfig dc = config.dcache;
+    if (physical)
+        ic.virtualTags = dc.virtualTags = false;
+    Cache icache(ic);
+    Cache dcache(dc);
+    Tlb tlb(config.tlb);
+    std::vector<bool> plain(refs.size());
+    for (std::size_t p = 0; p < refs.size(); ++p) {
+        const Ref &ref = refs[p];
+        Addr addr = ref.addr;
+        Pid pid = ref.pid;
+        bool tlb_hit = true;
+        if (physical) {
+            Tlb::Translation t = tlb.translate(addr, pid);
+            tlb_hit = t.hit;
+            addr = t.paddr;
+            pid = 0;
+        }
+        const bool store = ref.kind == RefKind::Store;
+        Cache &cache =
+            config.split && ref.kind == RefKind::IFetch ? icache : dcache;
+        AccessOutcome outcome =
+            store ? cache.write(addr, 1, pid) : cache.read(addr, 1, pid);
+        plain[p] = tlb_hit && outcome.hit &&
+                   !(store && dc.writePolicy == WritePolicy::WriteThrough);
+    }
+    for (std::size_t p = std::max<std::size_t>(from, 2); p + 2 < refs.size();
+         ++p) {
+        if (plain[p - 2] && plain[p - 1] && plain[p] && plain[p + 1])
+            return p;
+    }
+    return from;
+}
+
+/**
+ * Machines against the oracle over streams several spans long.  Fuzz
+ * traces are a few hundred references, so no other oracle diff
+ * crosses a span edge; here each of 40 oracle-supported fuzz
+ * machines (early continuation forced on in half, physical
+ * addressing in a fifth) runs its trace repeated past three spans,
+ * with two warm segments whose edges cut runs of hit groups.  A lone
+ * machine, a batch of the machine with its timing variants (one front
+ * end, several back ends), and a lone machine reading the stream from
+ * a CTTRACE2 file (which keeps the warm start, not the segments) must
+ * each equal the oracle, at 1 and 4 threads.  This is what carries
+ * busy horizons, stepping and measurement state across span edges.
+ */
+TEST(Differential, LongStreamsMatchOracle)
+{
+    bool cache_was_enabled = SimCache::global().enabled();
+    SimCache::global().setEnabled(false);
+    const std::string path =
+        ::testing::TempDir() + "/long_stream_oracle.cttrace2";
+    auto expect_oracle = [](const SimResult &got, const SimResult &want,
+                            const std::string &context) {
+        std::vector<verify::FieldDiff> diffs =
+            verify::diffResults(got, want);
+        EXPECT_TRUE(diffs.empty())
+            << context << "\n" << verify::formatDiffs(diffs);
+    };
+
+    std::size_t cases = 0;
+    for (std::uint64_t seed = 98001; cases < 40; ++seed) {
+        SystemConfig config = verify::generateCase(seed).config;
+        if (config.coherent() || !verify::oracleSupports(config))
+            continue;
+        const std::size_t i = cases++;
+        config.cpu.earlyContinuation = i % 2 == 0;
+        if (i % 5 == 0)
+            config.addressing = AddressMode::Physical;
+
+        const Trace &base = verify::generateCase(seed).trace;
+        std::vector<Ref> refs;
+        while (refs.size() <= 3 * refChunkSize)
+            refs.insert(refs.end(), base.refs().begin(), base.refs().end());
+        const Trace plain("long-" + std::to_string(seed), refs,
+                          base.warmStart());
+        Trace segmented = plain;
+        std::size_t edges[4];
+        std::size_t at = refChunkSize + refChunkSize / 5;
+        for (std::size_t &edge : edges) {
+            edge = hitRunPosition(config, refs, at);
+            at = edge + refChunkSize / 3;
+        }
+        segmented.setWarmSegments(
+            {{edges[0], edges[1]}, {edges[2], edges[3]}});
+        writeV2(plain, path);
+
+        std::vector<SystemConfig> batch{config};
+        std::vector<SystemConfig> variants{config, config, config, config};
+        variants[0].cycleNs = 2 * config.cycleNs;
+        variants[1].memory.readLatencyNs += 120;
+        variants[2].l1Buffer.depth += 2;
+        variants[3].cpu.earlyContinuation = !config.cpu.earlyContinuation;
+        if (config.addressing == AddressMode::Physical) {
+            variants.push_back(config);
+            variants.back().tlb.missPenaltyCycles += 7;
+        }
+        batch.insert(batch.end(), variants.begin(), variants.end());
+        std::vector<SimResult> oracle;
+        for (const SystemConfig &c : batch) {
+            ASSERT_TRUE(frontEndKey(c) == frontEndKey(config));
+            oracle.push_back(verify::oracleRun(c, segmented));
+        }
+        const SimResult oracle_plain = verify::oracleRun(config, plain);
+
+        for (unsigned threads : {1u, 4u}) {
+            setParallelThreads(threads);
+            const std::string context = "seed " + std::to_string(seed) +
+                                        " threads " +
+                                        std::to_string(threads) + " " +
+                                        config.describe();
+            expect_oracle(makeSimulator(config)->run(segmented), oracle[0],
+                          context + " lone");
+            TraceRefSource source(segmented);
+            std::vector<SimResult> got = simulateBatch(batch, source);
+            ASSERT_EQ(got.size(), batch.size());
+            for (std::size_t k = 0; k < batch.size(); ++k)
+                expect_oracle(got[k], oracle[k],
+                              context + " batch member " +
+                                  std::to_string(k));
+            V2FileSource file(path);
+            expect_oracle(makeSimulator(config)->run(file), oracle_plain,
+                          context + " CTTRACE2 file");
+        }
+    }
+    std::remove(path.c_str());
+    setParallelThreads(0);
+    SimCache::global().setEnabled(cache_was_enabled);
 }
 
 /**

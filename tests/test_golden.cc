@@ -22,14 +22,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/blocksize_opt.hh"
 #include "core/breakeven.hh"
 #include "core/experiment.hh"
 #include "memory/memory_timing.hh"
+#include "sim/simulator.hh"
+#include "stats/interval.hh"
 #include "trace/ref_source.hh"
 #include "trace/workloads.hh"
+#include "verify/diff.hh"
 
 namespace cachetime
 {
@@ -263,6 +269,127 @@ TEST(Golden, Table3MissPenaltyOnMu3)
     EXPECT_EQ(result.cycles, 19981);
     expectNear(result.missPenaltyCycles.mean(), 11.850658858,
                kRatioTol, "missPenalty mean");
+}
+
+/** 64-bit FNV-1a of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** mu3 with two warm segments inside its measured suffix. */
+Trace
+segmentedMu3()
+{
+    const Trace &mu3 = traces().front();
+    Trace segmented(mu3.name(), mu3.refs(), mu3.warmStart());
+    segmented.setWarmSegments({{66000, 68501}, {72000, 73001}});
+    return segmented;
+}
+
+/**
+ * Every kind of work a lone machine's timing code does below its
+ * L1s - misses, victim swaps, prefetches (on miss and tagged),
+ * write-through and write-allocate stores, TLB misses, an L2, early
+ * continuation and a unified L1 - pinned as a digest of every
+ * counter and histogram a SimResult carries.  The oracle does not
+ * model prefetch or victim caches, so this is their only fixed
+ * anchor.
+ */
+TEST(Golden, EventKindsLoneMachines)
+{
+    struct Machine
+    {
+        const char *name;
+        SystemConfig config;
+        std::uint64_t digest;
+    };
+    const SystemConfig base = SystemConfig::paperDefault();
+    std::vector<Machine> machines;
+    auto add = [&](const char *name, std::uint64_t digest,
+                   auto &&edit) {
+        SystemConfig config = base;
+        edit(config);
+        machines.push_back({name, config, digest});
+    };
+    add("paper default", 0xf2164216245da480ULL, [](SystemConfig &) {});
+    add("early continuation", 0x00e566b8e8c8dd5aULL, [](SystemConfig &c) {
+        c.cpu.earlyContinuation = true;
+    });
+    add("write-through D", 0x098e149085498738ULL, [](SystemConfig &c) {
+        c.dcache.writePolicy = WritePolicy::WriteThrough;
+    });
+    add("write-allocate D", 0x296179ad2655534fULL, [](SystemConfig &c) {
+        c.dcache.allocPolicy = AllocPolicy::WriteAllocate;
+    });
+    add("on-miss prefetch", 0x0a9afcf11aaf852aULL, [](SystemConfig &c) {
+        c.icache.prefetchPolicy = PrefetchPolicy::OnMiss;
+        c.dcache.prefetchPolicy = PrefetchPolicy::OnMiss;
+    });
+    add("tagged prefetch", 0x520465fc3adda7beULL, [](SystemConfig &c) {
+        c.icache.prefetchPolicy = PrefetchPolicy::Tagged;
+        c.dcache.prefetchPolicy = PrefetchPolicy::Tagged;
+    });
+    add("victim caches", 0xbc4f650d026874abULL, [](SystemConfig &c) {
+        c.icache.victimEntries = 2;
+        c.dcache.victimEntries = 2;
+    });
+    add("physical, small TLB", 0xfdc59a868727e9faULL, [](SystemConfig &c) {
+        c.addressing = AddressMode::Physical;
+        c.tlb.entries = 4;
+        c.tlb.assoc = 4;
+    });
+    add("L2", 0x7d118f1fd8e4c5f1ULL, [](SystemConfig &c) { c.hasL2 = true; });
+    add("unified, no pair issue", 0xd2ca0f50ddc2919cULL, [](SystemConfig &c) {
+        c.split = false;
+        c.cpu.pairIssue = false;
+    });
+
+    const Trace trace = segmentedMu3();
+    std::set<std::uint64_t> digests;
+    for (const Machine &machine : machines) {
+        SimResult result = makeSimulator(machine.config)->run(trace);
+        EXPECT_GT(result.missPenaltyCycles.count(), 0u) << machine.name;
+        const std::string text =
+            verify::formatDiffs(verify::diffResults(result, SimResult()));
+        EXPECT_EQ(fnv1a(text), machine.digest)
+            << machine.name << " digest 0x" << std::hex << fnv1a(text);
+        digests.insert(machine.digest);
+    }
+    // Each feature moves some counter away from the paper default.
+    EXPECT_EQ(digests.size(), machines.size());
+
+    // The simulated columns of an early-continuation run's interval
+    // windows (host time left out).
+    SystemConfig early = base;
+    early.cpu.earlyContinuation = true;
+    IntervalCollector collector(5003);
+    std::unique_ptr<Simulator> machine = makeSimulator(early);
+    machine->setIntervalCollector(&collector);
+    machine->run(trace);
+    std::string columns;
+    for (const IntervalRecord &r : collector.records()) {
+        const IntervalCounters &c = r.c;
+        for (std::uint64_t v :
+             {std::uint64_t{r.index}, r.beginRef, r.endRef,
+              std::uint64_t{r.final}, c.refs, c.readRefs, c.writeRefs,
+              c.groups, c.cycles, c.ifetchAccesses, c.ifetchMisses,
+              c.readAccesses, c.readMisses, c.writeAccesses,
+              c.writeMisses, c.wbufEnqueued, c.wbufFullStalls,
+              c.wbufOccupancyCount, c.tlbAccesses, c.tlbMisses,
+              c.memReads, c.memWrites})
+            columns += std::to_string(v) + ",";
+        columns += std::to_string(c.wbufOccupancySum) + "\n";
+    }
+    EXPECT_EQ(collector.records().size(), 16u);
+    EXPECT_EQ(fnv1a(columns), 0xf2d75ea9e06eb9dfULL)
+        << "interval digest 0x" << std::hex << fnv1a(columns);
 }
 
 /** The golden trace suite itself: sizes pin the generator. */

@@ -36,6 +36,8 @@
 #include "core/sweep.hh"
 #include "fill_only_source.hh"
 #include "json_check.hh"
+#include "sim/system.hh"
+#include "stats/interval.hh"
 #include "stats/telemetry.hh"
 #include "thread_guard.hh"
 #include "trace/ref_source.hh"
@@ -453,7 +455,7 @@ timingVariants(const SystemConfig &config)
 /**
  * Case @p i's machine: the fuzz config of @p seed with physical
  * addressing, both prefetch policies and victim caches mixed in, so
- * every stream a front-end tape carries is exercised.
+ * every stream a front end's event list carries is exercised.
  */
 SystemConfig
 frontEndCase(std::uint64_t seed, std::size_t i)
@@ -658,8 +660,12 @@ TEST(SweepSharedFrontEnd, LonePassFansOutOverThePool)
 }
 
 /**
- * A follower owns no L1s or TLB, so everything that needs them
- * panics, and only a machine of the same front end can follow.
+ * A follower - a back end beyond the first - owns no L1s or TLB: it
+ * joins a machine only on the same front-end key, before the machine
+ * runs and while no interval collector watches it, and everything
+ * that needs one back end's whole machine (an interval collector,
+ * state capture and restore, endRun()) panics on a machine with
+ * several.
  */
 TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
 {
@@ -667,26 +673,39 @@ TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
     SystemConfig config = SystemConfig::paperDefault();
     SystemConfig slower = config;
     slower.cycleNs = 2 * config.cycleNs;
-    System leader(config);
-    std::unique_ptr<System> follower = leader.follower(slower);
+    SystemConfig bigger = config;
+    bigger.setL1SizeWordsEach(2 * config.dcache.sizeWords);
+
+    System group(config);
+    EXPECT_DEATH(group.addBackEnd(bigger), "cannot share");
+    group.addBackEnd(slower);
+    EXPECT_EQ(group.backEnds(), 2u);
 
     StateWriter writer;
     StateReader reader(nullptr, 0, "empty");
-    EXPECT_DEATH(follower->captureState(writer), "follower");
-    EXPECT_DEATH(follower->restoreState(reader), "follower");
-    EXPECT_DEATH(follower->restoreWarmState(reader), "follower");
-    EXPECT_DEATH(follower->setIntervalCollector(nullptr), "follower");
+    EXPECT_DEATH(group.captureState(writer), "one back end");
+    EXPECT_DEATH(group.restoreState(reader), "one back end");
+    EXPECT_DEATH(group.restoreWarmState(reader), "one back end");
+    EXPECT_DEATH(group.setIntervalCollector(nullptr), "one back end");
+    EXPECT_DEATH(group.endRun(), "one back end");
 
-    SystemConfig bigger = config;
-    bigger.setL1SizeWordsEach(2 * config.dcache.sizeWords);
-    EXPECT_DEATH(leader.follower(bigger), "cannot follow");
+    IntervalCollector collector(100);
+    System watched(config);
+    watched.setIntervalCollector(&collector);
+    EXPECT_DEATH(watched.addBackEnd(slower), "interval collector");
+
+    System ran(config);
+    ran.run(verify::generateCase(97201).trace);
+    EXPECT_DEATH(ran.addBackEnd(slower), "has not run");
 }
 
 /**
  * A grid of 2 L1 sizes x 3 cycle times over one trace at one thread
  * is cut into two groups of one organization each, so it builds six
- * machines of which four follow; the run manifest reports both
- * counts, and every aggregate equals the lone machine's.  A
+ * back ends of which four follow the first of their front end; the
+ * run manifest reports both counts, the references the two front
+ * ends scanned and the events the six back ends replayed, and every
+ * aggregate equals the lone machine's.  A
  * miss-ratio query over the same grid and two traces then runs one
  * stack pass per trace (one issue shape), which the manifest counts
  * as passes and stack points, building no machine.
@@ -741,6 +760,24 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
     EXPECT_EQ(count("stack_passes"), 0.0);
     EXPECT_EQ(count("stack_points"), 0.0);
 
+    // Each of the two front ends scans the trace once, and each of
+    // its three back ends replays the events a lone machine of its
+    // organization replays.
+    std::uint64_t lone_events = 0;
+    for (std::uint64_t words : {1024u, 4096u}) {
+        SystemConfig config = SystemConfig::paperDefault();
+        config.setL1SizeWordsEach(words);
+        System lone(config);
+        lone.run(traces[0]);
+        EXPECT_EQ(lone.scannedRefs(), traces[0].size());
+        EXPECT_GT(lone.replayedEvents(), 0u);
+        EXPECT_LT(lone.replayedEvents(), traces[0].size());
+        lone_events += 3 * lone.replayedEvents();
+    }
+    EXPECT_EQ(count("front_refs"),
+              2.0 * static_cast<double>(traces[0].size()));
+    EXPECT_EQ(count("events"), static_cast<double>(lone_events));
+
     ASSERT_EQ(grid.size(), configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         AggregateMetrics lone = aggregateResults(
@@ -762,6 +799,7 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
     EXPECT_EQ(count("stack_points"),
               2.0 * static_cast<double>(configs.size()));
     EXPECT_EQ(count("machines"), 6.0);
+    EXPECT_EQ(count("events"), static_cast<double>(lone_events));
 }
 
 } // namespace
