@@ -26,20 +26,27 @@ main()
     auto sizes = sizeAxisWordsEach(1, 9);
     SystemConfig base = SystemConfig::paperDefault();
 
-    TablePrinter table({"total L1", "measured cyc/ref",
-                        "analytic cyc/ref", "error"});
+    std::vector<SystemConfig> configs;
     for (auto words_each : sizes) {
         SystemConfig config = base;
         config.setL1SizeWordsEach(words_each);
+        configs.push_back(config);
+    }
+    const GridRuns grid = runGeoMeanGrid(configs, traces);
+    const std::size_t T = traces.size();
 
+    TablePrinter table({"total L1", "measured cyc/ref",
+                        "analytic cyc/ref", "error"});
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const std::uint64_t words_each = sizes[c];
         double measured = 0.0, analytic = 0.0;
-        for (const Trace &trace : traces) {
-            SimResult r = simulateOne(config, trace);
+        for (std::size_t t = 0; t < T; ++t) {
+            const SimResult &r = *grid.runs[c * T + t];
             measured += r.cyclesPerRef();
-            analytic += estimateCyclesPerRef(r, config);
+            analytic += estimateCyclesPerRef(r, configs[c]);
         }
-        measured /= traces.size();
-        analytic /= traces.size();
+        measured /= T;
+        analytic /= T;
         table.addRow(
             {TablePrinter::fmtSizeWords(2 * words_each),
              TablePrinter::fmt(measured, 3),

@@ -37,17 +37,24 @@ main()
         {"early + forwarding + streaming", true, true, true},
     };
 
-    TablePrinter table({"policy", "optimal BS (W)",
-                        "best exec (ns/ref)"});
+    std::vector<SystemConfig> bases;
     for (const Policy &p : policies) {
         SystemConfig config = base;
         config.cpu.earlyContinuation = p.early;
         config.memory.loadForwarding = p.forward;
         config.memory.streaming = p.stream;
-        BlockSizeCurve curve = sweepBlockSize(config, blocks, traces);
+        bases.push_back(config);
+    }
+    const std::vector<BlockSizeCurve> curves =
+        sweepBlockSize(bases, blocks, traces);
+
+    TablePrinter table({"policy", "optimal BS (W)",
+                        "best exec (ns/ref)"});
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+        const BlockSizeCurve &curve = curves[i];
         double best = *std::min_element(curve.execNsPerRef.begin(),
                                         curve.execNsPerRef.end());
-        table.addRow({p.name,
+        table.addRow({policies[i].name,
                       TablePrinter::fmt(optimalBlockWords(curve), 1),
                       TablePrinter::fmt(best, 2)});
     }

@@ -9,6 +9,8 @@
  * under the TTL-mux constants).
  */
 
+#include <iterator>
+
 #include "bench/common.hh"
 #include "core/experiment.hh"
 
@@ -28,7 +30,28 @@ main()
         {ReplPolicy::FIFO, "fifo"},
     };
 
-    for (unsigned assoc : {2u, 4u}) {
+    const unsigned assocs[] = {2u, 4u};
+
+    // One grid query over (set size, cache size, policy), in the
+    // order the tables print.
+    std::vector<SystemConfig> configs;
+    for (unsigned assoc : assocs) {
+        for (auto words_each : sizes) {
+            for (const auto &[policy, name] : policies) {
+                SystemConfig config = base;
+                config.setL1SizeWordsEach(words_each);
+                config.setL1Assoc(assoc);
+                config.icache.replPolicy = policy;
+                config.dcache.replPolicy = policy;
+                configs.push_back(config);
+            }
+        }
+    }
+    const std::vector<AggregateMetrics> metrics =
+        runGeoMeanMany(configs, traces);
+
+    std::size_t at = 0;
+    for (unsigned assoc : assocs) {
         std::vector<std::string> headers{"total L1"};
         for (const auto &[policy, name] : policies)
             headers.push_back(std::string(name) + " miss");
@@ -36,16 +59,9 @@ main()
         for (auto words_each : sizes) {
             std::vector<std::string> row{
                 TablePrinter::fmtSizeWords(2 * words_each)};
-            for (const auto &[policy, name] : policies) {
-                SystemConfig config = base;
-                config.setL1SizeWordsEach(words_each);
-                config.setL1Assoc(assoc);
-                config.icache.replPolicy = policy;
-                config.dcache.replPolicy = policy;
-                AggregateMetrics m = runGeoMean(config, traces);
+            for (std::size_t p = 0; p < std::size(policies); ++p)
                 row.push_back(
-                    TablePrinter::fmt(m.readMissRatio, 4));
-            }
+                    TablePrinter::fmt(metrics[at++].readMissRatio, 4));
             table.addRow(row);
         }
         emit(table, "Ablation: replacement policy at set size " +

@@ -97,6 +97,31 @@ cycleAxisNs(double lo = 20.0, double hi = 80.0, double step = 4.0)
 }
 
 /**
+ * The memory systems of Figures 5-2 to 5-4: @p base at each of
+ * @p latencies (read, write and recovery alike) under each of
+ * @p rates, rate-major, so system r * latencies + l is rates[r] at
+ * latencies[l].
+ */
+inline std::vector<SystemConfig>
+memorySystems(const SystemConfig &base,
+              const std::vector<TransferRate> &rates,
+              const std::vector<double> &latencies)
+{
+    std::vector<SystemConfig> systems;
+    for (const TransferRate &rate : rates) {
+        for (double lat : latencies) {
+            SystemConfig config = base;
+            config.memory.readLatencyNs = lat;
+            config.memory.writeNs = lat;
+            config.memory.recoveryNs = lat;
+            config.memory.rate = rate;
+            systems.push_back(config);
+        }
+    }
+    return systems;
+}
+
+/**
  * Sweep a two-axis grid of configurations in one parallel batch:
  * result[i][j] is @p engine's answer for make(rows[i], cols[j]).
  * The engine is runGeoMeanMany for full geometric-mean metrics, or

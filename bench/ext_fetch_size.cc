@@ -20,35 +20,52 @@ int
 main()
 {
     auto traces = standardTraces();
+    const double latencies[] = {180.0, 420.0};
+    const unsigned sizes[] = {4u, 8u, 16u, 32u};
 
-    for (double latency : {180.0, 420.0}) {
+    // One grid query, in the order the tables print: per latency,
+    // 32W blocks at each sub-block fetch size, then whole-block
+    // fetch at each block size.
+    std::vector<SystemConfig> configs;
+    for (double latency : latencies) {
         SystemConfig base = SystemConfig::paperDefault();
         base.memory.readLatencyNs = latency;
         base.memory.writeNs = latency;
         base.memory.recoveryNs = latency;
-
-        TablePrinter table({"organization", "read miss",
-                            "sub-block miss share", "ns/ref"});
-        for (unsigned fetch : {4u, 8u, 16u, 32u}) {
-            // 32W blocks, sub-block fetch.
+        for (unsigned fetch : sizes) {
             SystemConfig config = base;
             config.setL1BlockWords(32);
             config.icache.fetchWords = fetch;
             config.dcache.fetchWords = fetch;
             config.l1Buffer.matchGranularityWords = 32;
-            AggregateMetrics m = runGeoMean(config, traces);
+            configs.push_back(config);
+        }
+        for (unsigned block : sizes) {
+            SystemConfig config = base;
+            config.setL1BlockWords(block);
+            configs.push_back(config);
+        }
+    }
+    const GridRuns grid = runGeoMeanGrid(configs, traces);
+    const std::size_t T = traces.size();
 
-            // Sub-block-miss share needs raw counters; these are
-            // SimCache hits from the runGeoMean above.
+    std::size_t c = 0;
+    for (double latency : latencies) {
+        TablePrinter table({"organization", "read miss",
+                            "sub-block miss share", "ns/ref"});
+        for (unsigned fetch : sizes) {
+            const AggregateMetrics &m = grid.metrics[c];
+
+            // Sub-block-miss share needs the point's raw counters.
             double sub = 0, misses = 0;
-            for (const Trace &trace : traces) {
-                auto r = simulateOneCached(config, trace);
-                sub += static_cast<double>(
-                    r->icache.subBlockMisses +
-                    r->dcache.subBlockMisses);
-                misses += static_cast<double>(r->icache.readMisses +
-                                              r->dcache.readMisses);
+            for (std::size_t t = 0; t < T; ++t) {
+                const SimResult &r = *grid.runs[c * T + t];
+                sub += static_cast<double>(r.icache.subBlockMisses +
+                                           r.dcache.subBlockMisses);
+                misses += static_cast<double>(r.icache.readMisses +
+                                              r.dcache.readMisses);
             }
+            ++c;
             table.addRow(
                 {"32W block / " + std::to_string(fetch) + "W fetch",
                  TablePrinter::fmt(m.readMissRatio, 4),
@@ -56,10 +73,8 @@ main()
                                    2),
                  TablePrinter::fmt(m.execNsPerRef, 2)});
         }
-        for (unsigned block : {4u, 8u, 16u, 32u}) {
-            SystemConfig config = base;
-            config.setL1BlockWords(block);
-            AggregateMetrics m = runGeoMean(config, traces);
+        for (unsigned block : sizes) {
+            const AggregateMetrics &m = grid.metrics[c++];
             table.addRow({std::to_string(block) +
                               "W block / whole-block fetch",
                           TablePrinter::fmt(m.readMissRatio, 4), "-",

@@ -51,37 +51,27 @@ main()
     std::cout << "8ns CPU, 420ns memory: main-memory read penalty = "
               << timing.readTimeCycles(4) << " cycles\n\n";
 
+    // One grid query over the three hierarchies.
+    SystemConfig two = base;
+    two.midLevels.push_back(level(256, 16, 4));
+    SystemConfig three = two;
+    three.midLevels.push_back(level(4096, 32, 14));
+    const std::vector<AggregateMetrics> metrics =
+        runGeoMeanMany({base, two, three}, traces);
+    const char *const names[] = {"16KB L1 only", "+ 256KB L2 (4 cyc)",
+                                 "+ 256KB L2 + 4MB L3 (14 cyc)"};
+
     TablePrinter table({"hierarchy", "cycles/ref", "ns/ref",
                         "speedup vs L1-only"});
-    double baseline = 0.0;
-
-    {
-        AggregateMetrics m = runGeoMean(base, traces);
-        baseline = m.execNsPerRef;
-        table.addRow({"16KB L1 only",
-                      TablePrinter::fmt(m.cyclesPerRef, 3),
-                      TablePrinter::fmt(m.execNsPerRef, 2), "1.00x"});
-    }
-    {
-        SystemConfig two = base;
-        two.midLevels.push_back(level(256, 16, 4));
-        AggregateMetrics m = runGeoMean(two, traces);
-        table.addRow({"+ 256KB L2 (4 cyc)",
-                      TablePrinter::fmt(m.cyclesPerRef, 3),
+    const double baseline = metrics[0].execNsPerRef;
+    for (std::size_t h = 0; h < metrics.size(); ++h) {
+        const AggregateMetrics &m = metrics[h];
+        table.addRow({names[h], TablePrinter::fmt(m.cyclesPerRef, 3),
                       TablePrinter::fmt(m.execNsPerRef, 2),
-                      TablePrinter::fmt(baseline / m.execNsPerRef,
-                                        2) + "x"});
-    }
-    {
-        SystemConfig three = base;
-        three.midLevels.push_back(level(256, 16, 4));
-        three.midLevels.push_back(level(4096, 32, 14));
-        AggregateMetrics m = runGeoMean(three, traces);
-        table.addRow({"+ 256KB L2 + 4MB L3 (14 cyc)",
-                      TablePrinter::fmt(m.cyclesPerRef, 3),
-                      TablePrinter::fmt(m.execNsPerRef, 2),
-                      TablePrinter::fmt(baseline / m.execNsPerRef,
-                                        2) + "x"});
+                      h == 0 ? "1.00x"
+                             : TablePrinter::fmt(
+                                   baseline / m.execNsPerRef, 2) +
+                                   "x"});
     }
     emit(table, "Extension: hierarchy depth under an 8ns CPU and "
                 "420ns memory");

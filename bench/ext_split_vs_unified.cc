@@ -23,21 +23,31 @@ main()
     auto sizes = sizeAxisWordsEach(1, 9); // 4KB .. 1MB total
     SystemConfig base = SystemConfig::paperDefault();
 
-    TablePrinter table({"total L1", "split miss", "unified miss",
-                        "split ns/ref", "unified ns/ref",
-                        "split speedup"});
+    // One grid query: per size, the split machine, then the unified
+    // one.
+    std::vector<SystemConfig> configs;
     for (auto words_each : sizes) {
         SystemConfig split = base;
         split.setL1SizeWordsEach(words_each);
+        configs.push_back(split);
 
         SystemConfig unified = base;
         unified.split = false;
         unified.dcache = base.dcache;
         unified.dcache.sizeWords = 2 * words_each; // same total
         unified.l1Buffer = base.l1Buffer;
+        configs.push_back(unified);
+    }
+    const std::vector<AggregateMetrics> metrics =
+        runGeoMeanMany(configs, traces);
 
-        AggregateMetrics ms = runGeoMean(split, traces);
-        AggregateMetrics mu = runGeoMean(unified, traces);
+    TablePrinter table({"total L1", "split miss", "unified miss",
+                        "split ns/ref", "unified ns/ref",
+                        "split speedup"});
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        const std::uint64_t words_each = sizes[s];
+        const AggregateMetrics &ms = metrics[2 * s];
+        const AggregateMetrics &mu = metrics[2 * s + 1];
         table.addRow(
             {TablePrinter::fmtSizeWords(2 * words_each),
              TablePrinter::fmt(ms.readMissRatio, 4),

@@ -31,24 +31,33 @@ main()
     physical.tlb.pageWords = 1024;
     physical.tlb.missPenaltyCycles = 20;
 
-    TablePrinter table({"total L1", "virtual miss", "physical miss",
-                        "virtual ns/ref", "physical ns/ref",
-                        "tlb miss"});
+    // One grid query: per size, the virtual machine, then the
+    // physical one.
+    std::vector<SystemConfig> configs;
     for (auto words_each : sizes) {
         SystemConfig v = base;
         v.setL1SizeWordsEach(words_each);
+        configs.push_back(v);
         SystemConfig p = physical;
         p.setL1SizeWordsEach(words_each);
+        configs.push_back(p);
+    }
+    const GridRuns grid = runGeoMeanGrid(configs, traces);
+    const std::size_t T = traces.size();
 
-        AggregateMetrics mv = runGeoMean(v, traces);
-        AggregateMetrics mp = runGeoMean(p, traces);
+    TablePrinter table({"total L1", "virtual miss", "physical miss",
+                        "virtual ns/ref", "physical ns/ref",
+                        "tlb miss"});
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        const std::uint64_t words_each = sizes[s];
+        const AggregateMetrics &mv = grid.metrics[2 * s];
+        const AggregateMetrics &mp = grid.metrics[2 * s + 1];
 
-        // TLB counters come from the SimCache entries the
-        // runGeoMean above just populated.
+        // TLB counters come from the physical point's per-trace runs.
         double tlb_miss = 0;
-        for (const Trace &trace : traces)
-            tlb_miss += simulateOneCached(p, trace)->tlb.missRatio();
-        tlb_miss /= static_cast<double>(traces.size());
+        for (std::size_t t = 0; t < T; ++t)
+            tlb_miss += grid.runs[(2 * s + 1) * T + t]->tlb.missRatio();
+        tlb_miss /= static_cast<double>(T);
 
         table.addRow({TablePrinter::fmtSizeWords(2 * words_each),
                       TablePrinter::fmt(mv.readMissRatio, 4),

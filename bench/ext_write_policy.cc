@@ -22,28 +22,42 @@ main()
     SystemConfig base = SystemConfig::paperDefault();
     base.setL1SizeWordsEach(4 * 1024); // 16KB each: busier memory
 
-    TablePrinter table({"policy", "depth", "ns/ref", "full stalls",
-                        "read matches", "max occupancy"});
-    for (WritePolicy policy :
-         {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
-        for (unsigned depth : {1u, 2u, 4u, 8u, 16u}) {
+    const WritePolicy policies[] = {WritePolicy::WriteBack,
+                                    WritePolicy::WriteThrough};
+    const unsigned depths[] = {1u, 2u, 4u, 8u, 16u};
+
+    // One grid query over (policy, depth), in table order.
+    std::vector<SystemConfig> configs;
+    for (WritePolicy policy : policies) {
+        for (unsigned depth : depths) {
             SystemConfig config = base;
             config.icache.writePolicy = policy;
             config.dcache.writePolicy = policy;
             config.l1Buffer.depth = depth;
-            AggregateMetrics m = runGeoMean(config, traces);
+            configs.push_back(config);
+        }
+    }
+    const GridRuns grid = runGeoMeanGrid(configs, traces);
+    const std::size_t T = traces.size();
 
-            // Raw counters come from the SimCache entries the
-            // runGeoMean above just populated.
+    TablePrinter table({"policy", "depth", "ns/ref", "full stalls",
+                        "read matches", "max occupancy"});
+    std::size_t c = 0;
+    for (WritePolicy policy : policies) {
+        for (unsigned depth : depths) {
+            const AggregateMetrics &m = grid.metrics[c];
+
+            // Raw counters come from the point's per-trace runs.
             std::uint64_t stalls = 0, matches = 0;
             unsigned occupancy = 0;
-            for (const Trace &trace : traces) {
-                auto r = simulateOneCached(config, trace);
-                stalls += r->l1Buffer.fullStalls;
-                matches += r->l1Buffer.readMatches;
-                occupancy = std::max(occupancy,
-                                     r->l1Buffer.maxOccupancy);
+            for (std::size_t t = 0; t < T; ++t) {
+                const SimResult &r = *grid.runs[c * T + t];
+                stalls += r.l1Buffer.fullStalls;
+                matches += r.l1Buffer.readMatches;
+                occupancy =
+                    std::max(occupancy, r.l1Buffer.maxOccupancy);
             }
+            ++c;
             table.addRow({writePolicyName(policy),
                           std::to_string(depth),
                           TablePrinter::fmt(m.execNsPerRef, 2),

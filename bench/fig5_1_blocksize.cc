@@ -28,7 +28,7 @@ main()
     base.memory.recoveryNs = 260.0;
 
     const std::vector<unsigned> blocks{1, 2, 4, 8, 16, 32, 64, 128};
-    BlockSizeCurve curve = sweepBlockSize(base, blocks, traces);
+    BlockSizeCurve curve = sweepBlockSize({base}, blocks, traces)[0];
 
     double best_exec =
         *std::min_element(curve.execNsPerRef.begin(),

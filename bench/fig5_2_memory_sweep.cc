@@ -28,20 +28,19 @@ main()
     const std::vector<TransferRate> rates{
         {4, 1}, {2, 1}, {1, 1}, {1, 2}, {1, 4}};
 
+    // Every memory system's block sweep in one grid query.
+    const std::vector<BlockSizeCurve> curves = sweepBlockSize(
+        memorySystems(base, rates, latencies), blocks, traces);
+
     double best = 1e300, worst_at_opt = 0.0;
+    std::size_t at = 0;
     for (const TransferRate &rate : rates) {
         std::vector<std::string> headers{"latency"};
         for (unsigned b : blocks)
             headers.push_back(std::to_string(b) + "W");
         TablePrinter table(headers);
         for (double lat : latencies) {
-            SystemConfig config = base;
-            config.memory.readLatencyNs = lat;
-            config.memory.writeNs = lat;
-            config.memory.recoveryNs = lat;
-            config.memory.rate = rate;
-            BlockSizeCurve curve =
-                sweepBlockSize(config, blocks, traces);
+            const BlockSizeCurve &curve = curves[at++];
             std::vector<std::string> row{
                 TablePrinter::fmt(lat, 0) + "ns"};
             for (double e : curve.execNsPerRef)

@@ -33,6 +33,10 @@ main()
         headers.push_back(TablePrinter::fmt(lat, 0) + "ns");
     TablePrinter table(headers);
 
+    // Every memory system's block sweep in one grid query.
+    const std::vector<BlockSizeCurve> curves = sweepBlockSize(
+        memorySystems(base, rates, latencies), blocks, traces);
+
     // exec-at-optimum for the sensitivity summary
     std::vector<std::vector<double>> opt_exec(
         rates.size(), std::vector<double>(latencies.size()));
@@ -42,13 +46,8 @@ main()
             std::to_string(rates[r].words) + "W/" +
             std::to_string(rates[r].cycles) + "cyc"};
         for (std::size_t l = 0; l < latencies.size(); ++l) {
-            SystemConfig config = base;
-            config.memory.readLatencyNs = latencies[l];
-            config.memory.writeNs = latencies[l];
-            config.memory.recoveryNs = latencies[l];
-            config.memory.rate = rates[r];
-            BlockSizeCurve curve =
-                sweepBlockSize(config, blocks, traces);
+            const BlockSizeCurve &curve =
+                curves[r * latencies.size() + l];
             row.push_back(
                 TablePrinter::fmt(optimalBlockWords(curve), 1));
             opt_exec[r][l] =

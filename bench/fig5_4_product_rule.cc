@@ -31,32 +31,30 @@ main()
     const std::vector<TransferRate> rates{
         {4, 1}, {2, 1}, {1, 1}, {1, 2}, {1, 4}};
 
+    // Every memory system's block sweep in one grid query.
+    const std::vector<SystemConfig> memories =
+        memorySystems(base, rates, latencies);
+    const std::vector<BlockSizeCurve> curves =
+        sweepBlockSize(memories, blocks, traces);
+
     TablePrinter table({"rate", "latency (cyc)", "la x tr",
                         "optimal BS (W)", "balanced BS (W)",
                         "opt/balanced"});
-    for (const TransferRate &rate : rates) {
-        for (double lat : latencies) {
-            SystemConfig config = base;
-            config.memory.readLatencyNs = lat;
-            config.memory.writeNs = lat;
-            config.memory.recoveryNs = lat;
-            config.memory.rate = rate;
-            MemoryTiming timing(config.memory, config.cycleNs);
-            double la =
-                static_cast<double>(timing.readLatencyCycles());
-            double product = la * rate.wordsPerCycle();
-            BlockSizeCurve curve =
-                sweepBlockSize(config, blocks, traces);
-            double opt = optimalBlockWords(curve);
-            double balanced = balancedBlockWords(la, rate);
-            table.addRow({std::to_string(rate.words) + "W/" +
-                              std::to_string(rate.cycles) + "cyc",
-                          TablePrinter::fmt(la, 0),
-                          TablePrinter::fmt(product, 1),
-                          TablePrinter::fmt(opt, 1),
-                          TablePrinter::fmt(balanced, 1),
-                          TablePrinter::fmt(opt / balanced, 2)});
-        }
+    for (std::size_t m = 0; m < memories.size(); ++m) {
+        const SystemConfig &config = memories[m];
+        const TransferRate &rate = config.memory.rate;
+        MemoryTiming timing(config.memory, config.cycleNs);
+        double la = static_cast<double>(timing.readLatencyCycles());
+        double product = la * rate.wordsPerCycle();
+        double opt = optimalBlockWords(curves[m]);
+        double balanced = balancedBlockWords(la, rate);
+        table.addRow({std::to_string(rate.words) + "W/" +
+                          std::to_string(rate.cycles) + "cyc",
+                      TablePrinter::fmt(la, 0),
+                      TablePrinter::fmt(product, 1),
+                      TablePrinter::fmt(opt, 1),
+                      TablePrinter::fmt(balanced, 1),
+                      TablePrinter::fmt(opt / balanced, 2)});
     }
     emit(table, "Figure 5-4: optimal block size vs the la x tr "
                 "product (sorted by rate, then latency)");

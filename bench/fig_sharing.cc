@@ -15,17 +15,15 @@
  * Exclusive state saves the upgrade transactions MSI pays on
  * private data written after a read.
  *
- * Each workload runs all nine machine points through the batched
- * sweep engine (simulateSourceCachedMany), one trace pass per
- * sub-batch.  For every point the run asserts the miss-class
- * decomposition: compulsory + capacity + conflict + coherence must
- * equal the total L1 misses.
+ * All nine machine points over the three workloads are one grid
+ * query (runGeoMeanGrid), whose per-trace runs fill the table.  For
+ * every point the run asserts the miss-class decomposition:
+ * compulsory + capacity + conflict + coherence must equal the total
+ * L1 misses.
  */
 
 #include "bench/common.hh"
 #include "cache/coherence.hh"
-#include "core/sweep.hh"
-#include "trace/ref_source.hh"
 
 using namespace cachetime;
 using namespace cachetime::bench;
@@ -84,11 +82,10 @@ main()
     TablePrinter table({"sharing", "protocol", "cores", "cycles/ref",
                         "read miss", "coh miss share", "inval/kref",
                         "upgrades/kref", "bus busy"});
+    const GridRuns grid = runGeoMeanGrid(configs, traces);
     for (std::size_t t = 0; t < traces.size(); ++t) {
-        TraceRefSource source(traces[t]);
-        auto results = simulateSourceCachedMany(configs, source);
         for (std::size_t c = 0; c < configs.size(); ++c) {
-            const SimResult &r = *results[c];
+            const SimResult &r = *grid.runs[c * traces.size() + t];
 
             // The taxonomy must be a *decomposition*: every measured
             // L1 miss lands in exactly one of the four classes.

@@ -49,21 +49,29 @@ main()
     const std::vector<double> cycles{20.0, 30.0, 40.0, 60.0};
     SystemConfig base = SystemConfig::paperDefault();
 
-    for (bool l2 : {false, true}) {
+    const bool hierarchies[] = {false, true};
+
+    // One grid query over (hierarchy, size, cycle time).
+    std::vector<SystemConfig> configs;
+    for (bool l2 : hierarchies) {
+        for (std::uint64_t words_each : sizes) {
+            for (double t : cycles) {
+                SystemConfig config = l2 ? withL2(base) : base;
+                config.setL1SizeWordsEach(words_each);
+                config.cycleNs = t;
+                configs.push_back(config);
+            }
+        }
+    }
+    const std::vector<AggregateMetrics> metrics =
+        runGeoMeanMany(configs, traces);
+
+    std::size_t at = 0;
+    for (bool l2 : hierarchies) {
         std::vector<std::string> headers{"total L1"};
         for (double t : cycles)
             headers.push_back(TablePrinter::fmt(t, 0) + "ns");
         TablePrinter table(headers);
-
-        // One parallel batch per hierarchy over (size, cycle time).
-        auto metrics = sweepGrid(
-            runGeoMeanMany, sizes, cycles, traces,
-            [&](std::uint64_t words_each, double t) {
-                SystemConfig config = l2 ? withL2(base) : base;
-                config.setL1SizeWordsEach(words_each);
-                config.cycleNs = t;
-                return config;
-            });
 
         double best = std::numeric_limits<double>::infinity();
         std::string best_at;
@@ -73,7 +81,7 @@ main()
                 TablePrinter::fmtSizeWords(2 * words_each)};
             for (std::size_t j = 0; j < cycles.size(); ++j) {
                 double t = cycles[j];
-                const AggregateMetrics &m = metrics[s][j];
+                const AggregateMetrics &m = metrics[at++];
                 row.push_back(TablePrinter::fmt(m.execNsPerRef, 2));
                 if (m.execNsPerRef < best) {
                     best = m.execNsPerRef;

@@ -51,7 +51,7 @@ main(int argc, char **argv)
               << "cyc transfer\n\n";
 
     const std::vector<unsigned> blocks{1, 2, 4, 8, 16, 32, 64, 128};
-    BlockSizeCurve curve = sweepBlockSize(config, blocks, traces);
+    BlockSizeCurve curve = sweepBlockSize({config}, blocks, traces)[0];
 
     double best = *std::min_element(curve.execNsPerRef.begin(),
                                     curve.execNsPerRef.end());

@@ -188,6 +188,10 @@ Cache::selectWay(Addr block_addr)
     const std::size_t base =
         static_cast<std::size_t>(block_addr & setMask_) << assocShift_;
     const unsigned ways = config_.assoc;
+    // A one-way set has one candidate, so no policy is consulted and
+    // the Random policy's stream does not advance.
+    if (ways == 1)
+        return lines_[base];
     // Prefer an invalid way (scan the hot keys, not the cold lines).
     const std::uint64_t *keys = keys_.data() + base;
     for (unsigned w = 0; w < ways; ++w) {

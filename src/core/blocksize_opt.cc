@@ -8,30 +8,40 @@
 namespace cachetime
 {
 
-BlockSizeCurve
-sweepBlockSize(const SystemConfig &base,
+std::vector<BlockSizeCurve>
+sweepBlockSize(const std::vector<SystemConfig> &bases,
                const std::vector<unsigned> &block_words,
                const std::vector<Trace> &traces)
 {
     if (block_words.empty())
         fatal("sweepBlockSize: empty block-size axis");
 
-    BlockSizeCurve curve;
-    curve.blockWords = block_words;
     std::vector<SystemConfig> configs;
-    configs.reserve(block_words.size());
-    for (unsigned bw : block_words) {
-        SystemConfig config = base;
-        config.setL1BlockWords(bw);
-        configs.push_back(config);
+    configs.reserve(bases.size() * block_words.size());
+    for (const SystemConfig &base : bases) {
+        for (unsigned bw : block_words) {
+            SystemConfig config = base;
+            config.setL1BlockWords(bw);
+            configs.push_back(config);
+        }
     }
-    for (const AggregateMetrics &m : runGeoMeanMany(configs, traces)) {
-        curve.execNsPerRef.push_back(m.execNsPerRef);
-        curve.readMissRatio.push_back(m.readMissRatio);
-        curve.ifetchMissRatio.push_back(m.ifetchMissRatio);
-        curve.loadMissRatio.push_back(m.loadMissRatio);
+    const std::vector<AggregateMetrics> metrics =
+        runGeoMeanMany(configs, traces);
+
+    std::vector<BlockSizeCurve> curves(bases.size());
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+        BlockSizeCurve &curve = curves[b];
+        curve.blockWords = block_words;
+        for (std::size_t k = 0; k < block_words.size(); ++k) {
+            const AggregateMetrics &m =
+                metrics[b * block_words.size() + k];
+            curve.execNsPerRef.push_back(m.execNsPerRef);
+            curve.readMissRatio.push_back(m.readMissRatio);
+            curve.ifetchMissRatio.push_back(m.ifetchMissRatio);
+            curve.loadMissRatio.push_back(m.loadMissRatio);
+        }
     }
-    return curve;
+    return curves;
 }
 
 namespace

@@ -6,12 +6,13 @@
  * transfer), so the execution-time-optimal block size is much
  * smaller than the miss-ratio-optimal one, and - to first order -
  * depends only on the product la x tr.  These helpers sweep block
- * size under a given memory model, estimate the non-integral
- * optimum by fitting a parabola through the lowest three points
- * (the paper's procedure, done in log2(block size) space since the
- * figures' block axis is logarithmic), and compute the "balanced"
- * block size at which transfer time equals latency (the dotted line
- * of Figure 5-4 that the real optimum does *not* follow).
+ * size under any number of memory models in one grid query,
+ * estimate the non-integral optimum by fitting a parabola through
+ * the lowest three points (the paper's procedure, done in log2(block
+ * size) space since the figures' block axis is logarithmic), and
+ * compute the "balanced" block size at which transfer time equals
+ * latency (the dotted line of Figure 5-4 that the real optimum does
+ * *not* follow).
  */
 
 #ifndef CACHETIME_CORE_BLOCKSIZE_OPT_HH
@@ -34,10 +35,17 @@ struct BlockSizeCurve
     std::vector<double> loadMissRatio;
 };
 
-/** Sweep L1 block size with all else fixed by @p base. */
-BlockSizeCurve sweepBlockSize(const SystemConfig &base,
-                              const std::vector<unsigned> &block_words,
-                              const std::vector<Trace> &traces);
+/**
+ * Sweep L1 block size with all else fixed by each of @p bases: one
+ * curve per base, in order, from one runGeoMeanGrid over every
+ * (base, block size) point.  Bases that differ only in timing (the
+ * memory systems of Figures 5-2 to 5-4) share one front end per
+ * block size.
+ */
+std::vector<BlockSizeCurve>
+sweepBlockSize(const std::vector<SystemConfig> &bases,
+               const std::vector<unsigned> &block_words,
+               const std::vector<Trace> &traces);
 
 /**
  * @return the non-integral block size minimizing execution time,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/sweep.hh"
+#include "sim/simulator.hh"
 #include "util/mathutil.hh"
 
 namespace cachetime
@@ -63,13 +63,6 @@ SimResult
 simulateOne(const SystemConfig &config, const Trace &trace)
 {
     return makeSimulator(config)->run(trace);
-}
-
-SimResultPtr
-simulateOneCached(const SystemConfig &config, const Trace &trace)
-{
-    TraceRefSource source(trace);
-    return simulateSourceCachedMany({config}, source)[0];
 }
 
 AggregateMetrics

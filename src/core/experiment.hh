@@ -6,11 +6,14 @@
  * geometric mean of warm start runs for all eight traces").
  *
  * Trace runs are independent, so the grid driver behind
- * runGeoMeanMany (core/sweep.hh) dispatches its (config group, trace)
- * tasks through the process-wide thread pool (util/parallel.hh) and
- * memoizes results in the global SimCache; results land in slots
- * indexed by (config, trace), so the aggregated output is
- * bit-identical at any thread count.
+ * runGeoMeanGrid (core/sweep.hh) dispatches its (config group, trace)
+ * tasks through the process-wide thread pool (util/parallel.hh);
+ * results land in slots indexed by (config, trace), so the output is
+ * bit-identical at any thread count.  A figure asks for its whole
+ * grid in one call: configs that share an L1 organization then share
+ * one front end, and the call hands back every (config, trace) run
+ * beside the aggregates, so a bench that also reads raw counters
+ * needs no second query.
  */
 
 #ifndef CACHETIME_CORE_EXPERIMENT_HH
@@ -58,19 +61,10 @@ double geoMeanFloored(std::vector<double> values);
 SimResult simulateOne(const SystemConfig &config, const Trace &trace);
 
 /**
- * Simulate one trace on one configuration through the global
- * SimCache: a sweep revisiting this (config, trace) pair returns
- * the memoized result instead of re-simulating.  A one-config
- * simulateSourceCachedMany (core/sweep.hh) over the trace.
- */
-std::shared_ptr<const SimResult>
-simulateOneCached(const SystemConfig &config, const Trace &trace);
-
-/**
  * Geometric-mean the per-result metrics, in the order given: the one
- * aggregation behind runGeoMeanMany and runMissRatioMany.  Also for
+ * aggregation behind runGeoMeanGrid and runMissRatioMany.  Also for
  * callers that already hold results - e.g. from streamed sources,
- * which runGeoMeanMany's Trace interface cannot express without
+ * which runGeoMeanGrid's Trace interface cannot express without
  * materializing.
  */
 AggregateMetrics
@@ -85,18 +79,39 @@ aggregateResults(const SystemConfig &config,
 AggregateMetrics runGeoMean(const SystemConfig &config,
                             const std::vector<Trace> &traces);
 
+/** Every result of one timing grid query (runGeoMeanGrid). */
+struct GridRuns
+{
+    /** metrics[c]: configs[c] aggregated over the traces. */
+    std::vector<AggregateMetrics> metrics;
+    /**
+     * runs[c * T + t]: configs[c] over traces[t], config-major, for
+     * T traces.  metrics[c] is aggregateResults() of runs c * T ..
+     * c * T + T - 1.
+     */
+    std::vector<std::shared_ptr<const SimResult>> runs;
+};
+
 /**
- * Aggregate metrics for every configuration in @p configs: the grid
- * driver (core/sweep.hh) over the fused timing lattice.  Configs are
- * fused in groups per trace pass and every (group, trace) task goes
- * into one parallel dispatch, so a sweep of N points parallelizes
- * across the grid rather than traces at a time.  Element i of the
- * result corresponds to configs[i]; output is independent of the
- * thread count.  Defined in core/sweep.cc.
+ * Simulate every configuration in @p configs over every trace and
+ * aggregate each: the grid driver (core/sweep.hh) over the fused
+ * timing lattice.  Configs are fused in groups per trace pass and
+ * every (group, trace) task goes into one parallel dispatch, so a
+ * sweep of N points parallelizes across the grid rather than traces
+ * at a time.  The output is independent of the thread count, and
+ * each run equals simulateOne() of its (config, trace).  Defined in
+ * core/sweep.cc.
  *
  * Ratios that are zero for some trace are floored at a tiny epsilon
  * before entering the geometric mean so one perfectly-cached trace
  * cannot annihilate the aggregate.
+ */
+GridRuns runGeoMeanGrid(const std::vector<SystemConfig> &configs,
+                        const std::vector<Trace> &traces);
+
+/**
+ * runGeoMeanGrid's metrics alone: element i of the result
+ * corresponds to configs[i].
  */
 std::vector<AggregateMetrics>
 runGeoMeanMany(const std::vector<SystemConfig> &configs,

@@ -2,15 +2,14 @@
  * @file
  * Config-keyed memoization of simulation results.
  *
- * The paper's sweeps revisit the same machine repeatedly: the
- * equal-performance lines re-probe grid corners, the break-even
- * search simulates the direct-mapped grid once per associativity
- * comparison, and the Figure 3-4 worked example re-runs two points
- * of the grid that was just built.  SimCache memoizes SimResults
- * keyed by a canonical 128-bit hash of every timing-relevant
- * SystemConfig field plus the trace's identity (name, warm-start
- * boundary and full reference stream), so a revisited (machine,
- * trace) pair costs a hash lookup instead of a trace run.
+ * SimCache memoizes SimResults keyed by a canonical 128-bit hash of
+ * every timing-relevant SystemConfig field plus the trace's identity
+ * (name, warm-start boundary and full reference stream), so a
+ * revisited (machine, trace) pair costs a hash lookup instead of a
+ * trace run.  The figure benches no longer revisit one: each asks
+ * for its whole grid once, and the timing query returns the
+ * per-trace runs with the aggregates (core/experiment.hh).  The
+ * benchmark harness's cold-run check is what still reads it.
  *
  * Simulation is deterministic — equal key means equal result — so
  * hits are bit-identical to re-simulation.  The cache is process

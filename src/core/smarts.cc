@@ -900,9 +900,10 @@ runSmartsMany(const std::vector<SystemConfig> &configs,
     // The first config of each warm-key group runs the full run; the
     // rest of the group replays its units on the same pass, each
     // restoring from the live point the full run has just taken.
+    // Both exact keys of a comparison hash one stream, so any fixed
+    // trace hash decides it; the source is never hashed here.
     std::vector<Group> groups;
     std::vector<SimKey> keys;
-    std::optional<std::uint64_t> hash;
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SimKey wk = warmStateKey(configs[i]);
         auto found = std::find(keys.begin(), keys.end(), wk);
@@ -915,10 +916,8 @@ runSmartsMany(const std::vector<SystemConfig> &configs,
         }
         Group &group = groups[found - keys.begin()];
         const FullRun &lead = *group.lead();
-        if (!hash)
-            hash = source.contentHash();
-        bool exact = exactStateKey(configs[i], *hash) ==
-                     exactStateKey(lead.config(), *hash);
+        bool exact = exactStateKey(configs[i], 0) ==
+                     exactStateKey(lead.config(), 0);
         group.addReplay(i, configs[i],
                         exact ? SmartsMode::ExactReplay
                               : SmartsMode::WarmReplay,

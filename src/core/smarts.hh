@@ -199,7 +199,8 @@ SmartsRunResult runSmarts(const SystemConfig &config,
  * replay on the same pass (exact replay for identical configs, warm
  * replay otherwise), each restoring from the live point its leader
  * has just captured.  A group holds at most one live point at a
- * time.  @return one result per config, in input order.
+ * time.  The pass is the only read of @p source; it is never
+ * hashed.  @return one result per config, in input order.
  */
 std::vector<SmartsRunResult>
 runSmartsMany(const std::vector<SystemConfig> &configs,

@@ -250,16 +250,16 @@ planGrid(const std::vector<SystemConfig> &configs, std::size_t traces,
 }
 
 /**
- * The grid driver behind runGeoMeanMany and runMissRatioMany: one
+ * The grid driver behind runGeoMeanGrid and runMissRatioMany: one
  * task per (group, trace) on the pool, each answered through
  * cachedRun by its group's engine, then every config aggregated over
  * the traces in trace order.  Results land in (config, trace) slots,
  * so the output is independent of the thread count and the batch
  * width.  In a miss-ratio query the stack points' results carry
  * counters only, so only the MissRatioMetrics part of their
- * aggregates is meaningful.
+ * aggregates is meaningful, and runMissRatioMany hands out no run.
  */
-std::vector<AggregateMetrics>
+GridRuns
 runGrid(const std::vector<SystemConfig> &configs,
         const std::vector<Trace> &traces, bool miss_ratios_only)
 {
@@ -267,7 +267,7 @@ runGrid(const std::vector<SystemConfig> &configs,
         return {};
     if (traces.empty())
         fatal("%s: no traces supplied",
-              miss_ratios_only ? "runMissRatioMany" : "runGeoMeanMany");
+              miss_ratios_only ? "runMissRatioMany" : "runGeoMeanGrid");
 
     telemetry::PhaseTimer timer("simulate");
     const std::size_t C = configs.size();
@@ -297,20 +297,20 @@ runGrid(const std::vector<SystemConfig> &configs,
                 });
         });
 
-    std::vector<SimResultPtr> results(C * T);
+    GridRuns out;
+    out.runs.resize(C * T);
     for (std::size_t task = 0; task < outputs.size(); ++task) {
         const GridGroup &group = groups[task / T];
         for (std::size_t k = 0; k < group.members.size(); ++k)
-            results[group.members[k] * T + task % T] =
+            out.runs[group.members[k] * T + task % T] =
                 std::move(outputs[task][k]);
     }
-    std::vector<AggregateMetrics> out;
-    out.reserve(C);
+    out.metrics.reserve(C);
     for (std::size_t c = 0; c < C; ++c) {
         std::vector<SimResultPtr> slice(
-            results.begin() + static_cast<std::ptrdiff_t>(c * T),
-            results.begin() + static_cast<std::ptrdiff_t>((c + 1) * T));
-        out.push_back(aggregateResults(configs[c], slice));
+            out.runs.begin() + static_cast<std::ptrdiff_t>(c * T),
+            out.runs.begin() + static_cast<std::ptrdiff_t>((c + 1) * T));
+        out.metrics.push_back(aggregateResults(configs[c], slice));
     }
     return out;
 }
@@ -455,19 +455,27 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
                      });
 }
 
+GridRuns
+runGeoMeanGrid(const std::vector<SystemConfig> &configs,
+               const std::vector<Trace> &traces)
+{
+    return runGrid(configs, traces, false);
+}
+
 std::vector<AggregateMetrics>
 runGeoMeanMany(const std::vector<SystemConfig> &configs,
                const std::vector<Trace> &traces)
 {
-    return runGrid(configs, traces, false);
+    return runGeoMeanGrid(configs, traces).metrics;
 }
 
 std::vector<MissRatioMetrics>
 runMissRatioMany(const std::vector<SystemConfig> &configs,
                  const std::vector<Trace> &traces)
 {
-    std::vector<AggregateMetrics> grid = runGrid(configs, traces, true);
-    return std::vector<MissRatioMetrics>(grid.begin(), grid.end());
+    std::vector<AggregateMetrics> metrics =
+        runGrid(configs, traces, true).metrics;
+    return std::vector<MissRatioMetrics>(metrics.begin(), metrics.end());
 }
 
 } // namespace cachetime

@@ -32,7 +32,7 @@
  * per reference, for each cycle time.
  *
  * The grid driver (sweep.cc) answers both of the paper's grid
- * queries: runGeoMeanMany (core/experiment.hh) for execution time and
+ * queries: runGeoMeanGrid (core/experiment.hh) for execution time and
  * runMissRatioMany (core/stack_sim.hh) for miss ratios are thin
  * wrappers over it.  It is the one place that picks the engine for a
  * grid point - the single-pass stack kernel (core/stack_sim.hh) for
@@ -40,6 +40,9 @@
  * lattice for everything else - and it probes the SimCache, runs one
  * task per (config group, trace) on the pool, and aggregates every
  * config with aggregateResults, all inside one "simulate" phase.
+ * The timing query also hands back every (config, trace) run it
+ * aggregated, so one query per figure serves the figure's aggregates
+ * and raw counters alike.
  */
 
 #ifndef CACHETIME_CORE_SWEEP_HH

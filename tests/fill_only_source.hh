@@ -3,7 +3,8 @@
  * A fill()-only view of a Trace for tests.  It hides borrow(), so a
  * ChunkFeeder stages the stream through its buffer, the path that
  * file-backed and generated sources take, instead of slicing the
- * trace in place.
+ * trace in place.  It counts the references it hands out, so a test
+ * can tell how often a stream was read.
  */
 
 #ifndef CACHETIME_TESTS_FILL_ONLY_SOURCE_HH
@@ -40,12 +41,17 @@ class FillOnlySource : public RefSource
         std::size_t n = std::min(max, refs.size() - pos_);
         std::copy_n(refs.data() + pos_, n, out);
         pos_ += n;
+        filled_ += n;
         return n;
     }
+
+    /** @return the references fill() has handed out in all. */
+    std::uint64_t filled() const { return filled_; }
 
   private:
     const Trace *trace_;
     std::size_t pos_ = 0;
+    std::uint64_t filled_ = 0;
 };
 
 } // namespace cachetime

@@ -81,7 +81,7 @@ TEST_F(BlockSizeSim, SweepProducesOnePointPerBlockSize)
 {
     SystemConfig base = SystemConfig::paperDefault();
     std::vector<unsigned> blocks{2, 4, 8, 16};
-    BlockSizeCurve curve = sweepBlockSize(base, blocks, *traces_);
+    BlockSizeCurve curve = sweepBlockSize({base}, blocks, *traces_)[0];
     EXPECT_EQ(curve.blockWords, blocks);
     EXPECT_EQ(curve.execNsPerRef.size(), blocks.size());
     EXPECT_EQ(curve.readMissRatio.size(), blocks.size());
@@ -95,7 +95,7 @@ TEST_F(BlockSizeSim, MissRatioFallsFromOneWordBlocks)
     // miss ratio.
     SystemConfig base = SystemConfig::paperDefault();
     BlockSizeCurve curve =
-        sweepBlockSize(base, {1, 4}, *traces_);
+        sweepBlockSize({base}, {1, 4}, *traces_)[0];
     EXPECT_LT(curve.readMissRatio[1], curve.readMissRatio[0]);
 }
 
@@ -107,7 +107,7 @@ TEST_F(BlockSizeSim, ExecOptimumNotAboveMissOptimum)
     base.memory.writeNs = 260.0;
     base.memory.recoveryNs = 260.0;
     BlockSizeCurve curve =
-        sweepBlockSize(base, {1, 2, 4, 8, 16, 32, 64}, *traces_);
+        sweepBlockSize({base}, {1, 2, 4, 8, 16, 32, 64}, *traces_)[0];
     EXPECT_LE(optimalBlockWords(curve),
               missOptimalBlockWords(curve) + 1e-9);
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "util/rng.hh"
+#include "util/serialize.hh"
 
 namespace cachetime
 {
@@ -75,6 +77,32 @@ TEST(Cache, DirectMappedConflict)
     cache.read(0, 1, 0);
     cache.read(64, 1, 0); // same set (0), different tag -> evict
     EXPECT_FALSE(cache.read(0, 1, 0).hit);
+}
+
+/**
+ * A one-way set has one candidate, so a direct-mapped Random cache
+ * consults no policy on a miss: after conflict misses, the
+ * replacement stream its checkpoint records is still the seed's.
+ */
+TEST(Cache, OneWaySetsDrawNoReplacementNumber)
+{
+    CacheConfig config = smallConfig(); // 16 sets of 4W
+    config.replPolicy = ReplPolicy::Random;
+    Cache cache(config);
+    for (Addr addr = 0; addr < 8 * 64; addr += 64)
+        cache.read(addr, 1, 0); // set 0, a new tag each time
+    EXPECT_EQ(cache.stats().readMisses, 8u);
+    EXPECT_EQ(cache.stats().blocksReplaced, 7u);
+
+    StateWriter writer;
+    cache.saveState(writer);
+    StateReader reader(writer.buffer().data(), writer.buffer().size(),
+                       "cache");
+    reader.u64(); // the recency sequence
+    std::uint64_t seed_state[4];
+    Rng(config.replSeed).state(seed_state);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(reader.u64(), seed_state[i]) << "state word " << i;
 }
 
 TEST(Cache, TwoWayAvoidsThatConflict)

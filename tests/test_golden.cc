@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -30,9 +31,11 @@
 #include "core/blocksize_opt.hh"
 #include "core/breakeven.hh"
 #include "core/experiment.hh"
+#include "core/sweep.hh"
 #include "memory/memory_timing.hh"
 #include "sim/simulator.hh"
 #include "stats/interval.hh"
+#include "thread_guard.hh"
 #include "trace/ref_source.hh"
 #include "trace/workloads.hh"
 #include "verify/diff.hh"
@@ -235,7 +238,7 @@ TEST(Golden, Fig51BlockSizeOptima)
     config.memory.recoveryNs = 260.0;
 
     const std::vector<unsigned> blocks{1, 2, 4, 8, 16, 32, 64, 128};
-    BlockSizeCurve curve = sweepBlockSize(config, blocks, traces());
+    BlockSizeCurve curve = sweepBlockSize({config}, blocks, traces())[0];
 
     const double goldenExec[] = {
         175.823650809, 123.828110579, 93.4773959561, 78.9714535096,
@@ -258,6 +261,63 @@ TEST(Golden, Fig51BlockSizeOptima)
                "optimalBlockWords");
     EXPECT_LT(optimalBlockWords(curve),
               missOptimalBlockWords(curve) / 4.0);
+}
+
+/**
+ * The Section 5 memory grid (Figures 5-2 to 5-4) as one many-base
+ * block sweep: nine memory systems (transfer rate x latency) x seven
+ * block sizes.  Each base's optimum and its execution time there are
+ * pinned to the values one single-base sweep per memory system
+ * gives, and the memory systems share front ends.
+ */
+TEST(Golden, Sec5MemoryGridOptima)
+{
+    ThreadGuard guard;
+    setParallelThreads(4);
+    struct Row
+    {
+        TransferRate rate;
+        double latencyNs;
+        double optimalBlockWords;
+        double execAtOptimum; ///< the curve's least exec ns/ref
+    };
+    const Row rows[] = {
+        {{4, 1}, 100, 16.1498263197, 48.6212291563},
+        {{4, 1}, 260, 28.182831449, 55.1189907706},
+        {{4, 1}, 420, 40.5564940505, 61.2433741527},
+        {{1, 1}, 100, 10.4974835447, 63.2161410757},
+        {{1, 1}, 260, 18.2462585328, 73.3087644677},
+        {{1, 1}, 420, 24.3371608764, 83.2041495817},
+        {{1, 4}, 100, 3.47572729296, 109.790116092},
+        {{1, 4}, 260, 7.0567287647, 132.898794856},
+        {{1, 4}, 420, 10.5639536381, 150.820063814},
+    };
+    std::vector<SystemConfig> bases;
+    for (const Row &row : rows) {
+        SystemConfig config = SystemConfig::paperDefault();
+        config.memory.readLatencyNs = row.latencyNs;
+        config.memory.writeNs = row.latencyNs;
+        config.memory.recoveryNs = row.latencyNs;
+        config.memory.rate = row.rate;
+        bases.push_back(config);
+    }
+    const std::vector<unsigned> blocks{1, 2, 4, 8, 16, 32, 64};
+
+    resetSweepCounters();
+    const std::vector<BlockSizeCurve> curves =
+        sweepBlockSize(bases, blocks, traces());
+    ASSERT_EQ(curves.size(), bases.size());
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+        SCOPED_TRACE(bases[b].describe());
+        EXPECT_EQ(curves[b].blockWords, blocks);
+        expectNear(optimalBlockWords(curves[b]),
+                   rows[b].optimalBlockWords, kFitTol,
+                   "optimalBlockWords");
+        expectNear(*std::min_element(curves[b].execNsPerRef.begin(),
+                                     curves[b].execNsPerRef.end()),
+                   rows[b].execAtOptimum, kRatioTol, "exec at optimum");
+    }
+    EXPECT_GT(sweepCounters().followers, 0u);
 }
 
 /** Table 3 flavor: the miss-penalty distribution on one trace. */

@@ -107,7 +107,7 @@ TEST_F(Integration, ExecutionTimeOptimalBlockBelowMissOptimal)
     config.memory.writeNs = 260.0;
     config.memory.recoveryNs = 260.0;
     BlockSizeCurve curve = sweepBlockSize(
-        config, {1, 2, 4, 8, 16, 32, 64}, traces());
+        {config}, {1, 2, 4, 8, 16, 32, 64}, traces())[0];
     EXPECT_LT(optimalBlockWords(curve),
               missOptimalBlockWords(curve));
 }
@@ -120,10 +120,10 @@ TEST_F(Integration, OptimalBlockGrowsWithMemoryProduct)
     SystemConfig slow_bus = SystemConfig::paperDefault();
     slow_bus.memory.rate = {1, 4};
     std::vector<unsigned> blocks{1, 2, 4, 8, 16, 32, 64};
-    double opt_fast = optimalBlockWords(
-        sweepBlockSize(fast_bus, blocks, traces()));
-    double opt_slow = optimalBlockWords(
-        sweepBlockSize(slow_bus, blocks, traces()));
+    std::vector<BlockSizeCurve> curves =
+        sweepBlockSize({fast_bus, slow_bus}, blocks, traces());
+    double opt_fast = optimalBlockWords(curves[0]);
+    double opt_slow = optimalBlockWords(curves[1]);
     EXPECT_GT(opt_fast, opt_slow);
 }
 

@@ -21,9 +21,11 @@
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
+#include "core/sweep.hh"
 #include "core/tradeoff.hh"
 #include "thread_guard.hh"
 #include "trace/interleave.hh"
+#include "trace/ref_source.hh"
 #include "trace/workloads.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -280,18 +282,20 @@ TEST(SimCacheTest, HitAndMissAccounting)
     SimCache::global().clear();
     SystemConfig config = SystemConfig::paperDefault();
 
+    TraceRefSource source0(traces[0]);
+    TraceRefSource source1(traces[1]);
     std::uint64_t misses0 = SimCache::global().misses();
-    auto first = simulateOneCached(config, traces[0]);
+    auto first = simulateSourceCachedMany({config}, source0)[0];
     EXPECT_EQ(SimCache::global().misses(), misses0 + 1);
 
     std::uint64_t hits0 = SimCache::global().hits();
-    auto second = simulateOneCached(config, traces[0]);
+    auto second = simulateSourceCachedMany({config}, source0)[0];
     EXPECT_EQ(SimCache::global().hits(), hits0 + 1);
     // Memoized: literally the same immutable result object.
     EXPECT_EQ(first.get(), second.get());
 
     // A different trace is a distinct key.
-    simulateOneCached(config, traces[1]);
+    simulateSourceCachedMany({config}, source1);
     EXPECT_EQ(SimCache::global().misses(), misses0 + 2);
 }
 
@@ -304,7 +308,8 @@ TEST(SimCacheTest, CachedResultMatchesUncachedSimulation)
     config.setL1SizeWordsEach(2048);
 
     SimResult plain = simulateOne(config, traces[0]);
-    auto cached = simulateOneCached(config, traces[0]);
+    TraceRefSource source(traces[0]);
+    auto cached = simulateSourceCachedMany({config}, source)[0];
     EXPECT_EQ(plain.cycles, cached->cycles);
     EXPECT_EQ(plain.refs, cached->refs);
     EXPECT_EQ(plain.dcache.readMisses, cached->dcache.readMisses);
@@ -317,8 +322,9 @@ TEST(SimCacheTest, DisabledCacheBypassesMemoization)
     SimCache::global().setEnabled(false);
     SimCache::global().clear();
     SystemConfig config = SystemConfig::paperDefault();
-    auto a = simulateOneCached(config, traces[0]);
-    auto b = simulateOneCached(config, traces[0]);
+    TraceRefSource source(traces[0]);
+    auto a = simulateSourceCachedMany({config}, source)[0];
+    auto b = simulateSourceCachedMany({config}, source)[0];
     EXPECT_EQ(SimCache::global().size(), 0u);
     EXPECT_NE(a.get(), b.get());
     EXPECT_EQ(a->cycles, b->cycles);

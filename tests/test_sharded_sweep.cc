@@ -13,7 +13,9 @@
  * fused lattice, configs sharing a front end (frontEndKey) must get
  * exactly the results they get running alone, whichever sources
  * feed the batch and whichever machines sit between them, and a
- * lone batch must hand its front-end groups to the pool.
+ * lone batch must hand its front-end groups to the pool.  A timing
+ * grid query's per-trace runs must equal lone runs, and its
+ * aggregates must be exactly those runs' aggregates.
  *
  * Every test here saves and restores the process-wide pool size, so
  * the suite is safe to interleave with the other parallel suites
@@ -800,6 +802,104 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
               2.0 * static_cast<double>(configs.size()));
     EXPECT_EQ(count("machines"), 6.0);
     EXPECT_EQ(count("events"), static_cast<double>(lone_events));
+}
+
+/** Every field of two aggregates, compared bit for bit. */
+void
+expectSameMetrics(const AggregateMetrics &got,
+                  const AggregateMetrics &want,
+                  const std::string &context)
+{
+    EXPECT_EQ(got.readMissRatio, want.readMissRatio) << context;
+    EXPECT_EQ(got.ifetchMissRatio, want.ifetchMissRatio) << context;
+    EXPECT_EQ(got.loadMissRatio, want.loadMissRatio) << context;
+    EXPECT_EQ(got.writeMissRatio, want.writeMissRatio) << context;
+    EXPECT_EQ(got.cyclesPerRef, want.cyclesPerRef) << context;
+    EXPECT_EQ(got.execNsPerRef, want.execNsPerRef) << context;
+    EXPECT_EQ(got.readTrafficRatio, want.readTrafficRatio) << context;
+    EXPECT_EQ(got.writeTrafficBlockRatio, want.writeTrafficBlockRatio)
+        << context;
+    EXPECT_EQ(got.writeTrafficWordRatio, want.writeTrafficWordRatio)
+        << context;
+}
+
+/**
+ * The grid query's runs: a grid of machines sharing a front end
+ * (timing-only variants of the paper default), another L1
+ * organization, two physical machines of one front end and a
+ * coherent machine, over three traces (one longer than a span), at 1
+ * and 4 threads.  Each runs[c * T + t] must equal the lone machine's
+ * run, and each metrics[c] must equal, bit for bit, both
+ * aggregateResults() over its runs and runGeoMeanMany()'s answer.
+ */
+TEST(SweepGrid, RunsMatchLoneMachines)
+{
+    ThreadGuard guard;
+    SimCacheOff off;
+
+    const SystemConfig base = SystemConfig::paperDefault();
+    std::vector<SystemConfig> configs{base};
+    configs.push_back(base);
+    configs.back().cycleNs = 30.0;
+    configs.push_back(base);
+    configs.back().memory.readLatencyNs = 420.0;
+    configs.push_back(base);
+    configs.back().setL1SizeWordsEach(2 * base.dcache.sizeWords);
+    SystemConfig physical = base;
+    physical.addressing = AddressMode::Physical;
+    physical.tlb.entries = 64;
+    physical.tlb.assoc = 64;
+    physical.tlb.pageWords = 1024;
+    physical.tlb.missPenaltyCycles = 20;
+    configs.push_back(physical);
+    physical.tlb.missPenaltyCycles = 35;
+    configs.push_back(physical);
+    SystemConfig coherent = base;
+    coherent.cores = 2;
+    coherent.protocol = CoherenceProtocol::MESI;
+    coherent.applyCoherenceDefaults();
+    coherent.validate();
+    configs.push_back(coherent);
+
+    const std::vector<Trace> traces{
+        longTrace(verify::generateCase(97701).trace),
+        verify::generateCase(97702).trace,
+        verify::generateCase(97703).trace};
+    const std::size_t T = traces.size();
+
+    resetSweepCounters();
+    for (unsigned threads : {1u, 4u}) {
+        setParallelThreads(threads);
+        const GridRuns grid = runGeoMeanGrid(configs, traces);
+        const std::vector<AggregateMetrics> many =
+            runGeoMeanMany(configs, traces);
+        ASSERT_EQ(grid.metrics.size(), configs.size());
+        ASSERT_EQ(grid.runs.size(), configs.size() * T);
+        ASSERT_EQ(many.size(), configs.size());
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            const std::string context =
+                "threads " + std::to_string(threads) + " config " +
+                std::to_string(c) + " " + configs[c].describe();
+            std::vector<std::shared_ptr<const SimResult>> slice;
+            for (std::size_t t = 0; t < T; ++t) {
+                const std::shared_ptr<const SimResult> &run =
+                    grid.runs[c * T + t];
+                ASSERT_NE(run, nullptr) << context;
+                std::vector<verify::FieldDiff> diffs = verify::diffResults(
+                    *run, simulateOne(configs[c], traces[t]));
+                EXPECT_TRUE(diffs.empty())
+                    << context << " trace " << t << "\n"
+                    << verify::formatDiffs(diffs);
+                slice.push_back(run);
+            }
+            expectSameMetrics(grid.metrics[c],
+                              aggregateResults(configs[c], slice),
+                              context + " vs aggregateResults");
+            expectSameMetrics(grid.metrics[c], many[c],
+                              context + " vs runGeoMeanMany");
+        }
+    }
+    EXPECT_GT(sweepCounters().followers, 0u);
 }
 
 } // namespace

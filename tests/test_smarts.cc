@@ -345,6 +345,29 @@ TEST(Smarts, RunSmartsManySharesLivePoints)
     EXPECT_LT(results[1].simulatedRefs, results[0].simulatedRefs);
 }
 
+/**
+ * Telling exact from warm replay needs no trace hash: configs of one
+ * warm key - one slower, one identical to the first - are sorted on
+ * the pass's own read of the stream, the only one.
+ */
+TEST(Smarts, ManyReadsItsSourceOnce)
+{
+    SystemConfig base = SystemConfig::paperDefault();
+    SystemConfig slower = base;
+    slower.cycleNs = 2 * base.cycleNs;
+
+    FillOnlySource source(testTrace());
+    std::vector<SmartsRunResult> results = runSmartsMany(
+        {base, slower, base}, source, testSmartsConfig());
+
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].mode, SmartsMode::FullPass);
+    EXPECT_EQ(results[1].mode, SmartsMode::WarmReplay);
+    EXPECT_EQ(results[2].mode, SmartsMode::ExactReplay);
+    EXPECT_GT(source.filled(), 0u);
+    EXPECT_LE(source.filled(), source.size());
+}
+
 TEST(Smarts, CheckpointDirRoundTrip)
 {
     SystemConfig config = SystemConfig::paperDefault();
