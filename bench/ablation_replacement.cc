@@ -24,11 +24,8 @@ main()
     auto sizes = sizeAxisWordsEach(2, 8); // 16KB .. 512KB total
     SystemConfig base = SystemConfig::paperDefault();
 
-    const std::pair<ReplPolicy, const char *> policies[] = {
-        {ReplPolicy::Random, "random"},
-        {ReplPolicy::LRU, "lru"},
-        {ReplPolicy::FIFO, "fifo"},
-    };
+    const ReplPolicy policies[] = {ReplPolicy::Random, ReplPolicy::LRU,
+                                   ReplPolicy::FIFO};
 
     const unsigned assocs[] = {2u, 4u};
 
@@ -37,7 +34,7 @@ main()
     std::vector<SystemConfig> configs;
     for (unsigned assoc : assocs) {
         for (auto words_each : sizes) {
-            for (const auto &[policy, name] : policies) {
+            for (ReplPolicy policy : policies) {
                 SystemConfig config = base;
                 config.setL1SizeWordsEach(words_each);
                 config.setL1Assoc(assoc);
@@ -53,8 +50,9 @@ main()
     std::size_t at = 0;
     for (unsigned assoc : assocs) {
         std::vector<std::string> headers{"total L1"};
-        for (const auto &[policy, name] : policies)
-            headers.push_back(std::string(name) + " miss");
+        for (ReplPolicy policy : policies)
+            headers.push_back(std::string(replPolicyName(policy)) +
+                              " miss");
         TablePrinter table(headers);
         for (auto words_each : sizes) {
             std::vector<std::string> row{

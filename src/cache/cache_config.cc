@@ -3,56 +3,74 @@
 namespace cachetime
 {
 
+EnumNames<WritePolicy>
+enumNames(WritePolicy)
+{
+    static constexpr EnumName<WritePolicy> names[] = {
+        {WritePolicy::WriteBack, "write-back"},
+        {WritePolicy::WriteThrough, "write-through"},
+        {WritePolicy::WriteBack, "wb"},
+        {WritePolicy::WriteThrough, "wt"},
+    };
+    return names;
+}
+
+EnumNames<AllocPolicy>
+enumNames(AllocPolicy)
+{
+    static constexpr EnumName<AllocPolicy> names[] = {
+        {AllocPolicy::NoWriteAllocate, "no-write-allocate"},
+        {AllocPolicy::WriteAllocate, "write-allocate"},
+        {AllocPolicy::NoWriteAllocate, "nwa"},
+        {AllocPolicy::WriteAllocate, "wa"},
+    };
+    return names;
+}
+
+EnumNames<ReplPolicy>
+enumNames(ReplPolicy)
+{
+    static constexpr EnumName<ReplPolicy> names[] = {
+        {ReplPolicy::Random, "random"},
+        {ReplPolicy::LRU, "lru"},
+        {ReplPolicy::FIFO, "fifo"},
+    };
+    return names;
+}
+
+EnumNames<PrefetchPolicy>
+enumNames(PrefetchPolicy)
+{
+    static constexpr EnumName<PrefetchPolicy> names[] = {
+        {PrefetchPolicy::None, "none"},
+        {PrefetchPolicy::OnMiss, "on-miss"},
+        {PrefetchPolicy::Tagged, "tagged"},
+    };
+    return names;
+}
+
 const char *
 prefetchPolicyName(PrefetchPolicy policy)
 {
-    switch (policy) {
-      case PrefetchPolicy::None:
-        return "none";
-      case PrefetchPolicy::OnMiss:
-        return "on-miss";
-      case PrefetchPolicy::Tagged:
-        return "tagged";
-    }
-    return "?";
+    return enumName(enumNames(policy), policy);
 }
 
 const char *
 writePolicyName(WritePolicy policy)
 {
-    switch (policy) {
-      case WritePolicy::WriteBack:
-        return "write-back";
-      case WritePolicy::WriteThrough:
-        return "write-through";
-    }
-    return "?";
+    return enumName(enumNames(policy), policy);
 }
 
 const char *
 allocPolicyName(AllocPolicy policy)
 {
-    switch (policy) {
-      case AllocPolicy::NoWriteAllocate:
-        return "no-write-allocate";
-      case AllocPolicy::WriteAllocate:
-        return "write-allocate";
-    }
-    return "?";
+    return enumName(enumNames(policy), policy);
 }
 
 const char *
 replPolicyName(ReplPolicy policy)
 {
-    switch (policy) {
-      case ReplPolicy::Random:
-        return "random";
-      case ReplPolicy::LRU:
-        return "lru";
-      case ReplPolicy::FIFO:
-        return "fifo";
-    }
-    return "?";
+    return enumName(enumNames(policy), policy);
 }
 
 } // namespace cachetime

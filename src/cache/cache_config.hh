@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "util/parse.hh"
 #include "util/types.hh"
 
 namespace cachetime
@@ -47,6 +48,12 @@ enum class PrefetchPolicy : std::uint8_t
     OnMiss,     ///< one-block-lookahead after each demand miss
     Tagged,     ///< lookahead on miss and on first use of a block
 };
+
+/** @return every spelling of each policy (util/parse.hh). */
+EnumNames<WritePolicy> enumNames(WritePolicy);
+EnumNames<AllocPolicy> enumNames(AllocPolicy);
+EnumNames<ReplPolicy> enumNames(ReplPolicy);
+EnumNames<PrefetchPolicy> enumNames(PrefetchPolicy);
 
 /** @return a short stable name for the policy. */
 const char *prefetchPolicyName(PrefetchPolicy policy);

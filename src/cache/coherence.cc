@@ -6,35 +6,29 @@
 namespace cachetime
 {
 
+EnumNames<CoherenceProtocol>
+enumNames(CoherenceProtocol)
+{
+    static constexpr EnumName<CoherenceProtocol> names[] = {
+        {CoherenceProtocol::None, "none"},
+        {CoherenceProtocol::VI, "vi"},
+        {CoherenceProtocol::MSI, "msi"},
+        {CoherenceProtocol::MESI, "mesi"},
+    };
+    return names;
+}
+
 const char *
 coherenceProtocolName(CoherenceProtocol protocol)
 {
-    switch (protocol) {
-      case CoherenceProtocol::None:
-        return "none";
-      case CoherenceProtocol::VI:
-        return "vi";
-      case CoherenceProtocol::MSI:
-        return "msi";
-      case CoherenceProtocol::MESI:
-        return "mesi";
-    }
-    return "?";
+    return enumName(enumNames(protocol), protocol);
 }
 
 CoherenceProtocol
 parseCoherenceProtocol(const std::string &name)
 {
-    if (name == "none")
-        return CoherenceProtocol::None;
-    if (name == "vi")
-        return CoherenceProtocol::VI;
-    if (name == "msi")
-        return CoherenceProtocol::MSI;
-    if (name == "mesi")
-        return CoherenceProtocol::MESI;
-    fatal("coherence: unknown protocol '%s' (none|vi|msi|mesi)",
-          name.c_str());
+    return parseEnum(enumNames(CoherenceProtocol{}), name,
+                     "coherence: protocol");
 }
 
 const char *

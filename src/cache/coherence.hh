@@ -39,6 +39,7 @@
 #include "cache/cache.hh" // CacheStats
 #include "cache/cache_config.hh"
 #include "trace/ref.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 
 namespace cachetime
@@ -55,6 +56,9 @@ enum class CoherenceProtocol : std::uint8_t
     MSI,
     MESI,
 };
+
+/** @return every spelling of a protocol (util/parse.hh). */
+EnumNames<CoherenceProtocol> enumNames(CoherenceProtocol);
 
 /** @return a short stable name ("none", "vi", "msi", "mesi"). */
 const char *coherenceProtocolName(CoherenceProtocol protocol);

@@ -7,27 +7,27 @@
 namespace cachetime
 {
 
+EnumNames<CoreMapPolicy>
+enumNames(CoreMapPolicy)
+{
+    static constexpr EnumName<CoreMapPolicy> names[] = {
+        {CoreMapPolicy::Modulo, "modulo"},
+        {CoreMapPolicy::Direct, "direct"},
+    };
+    return names;
+}
+
 const char *
 coreMapPolicyName(CoreMapPolicy policy)
 {
-    switch (policy) {
-      case CoreMapPolicy::Modulo:
-        return "modulo";
-      case CoreMapPolicy::Direct:
-        return "direct";
-    }
-    return "?";
+    return enumName(enumNames(policy), policy);
 }
 
 CoreMapPolicy
 parseCoreMapPolicy(const std::string &name)
 {
-    if (name == "modulo")
-        return CoreMapPolicy::Modulo;
-    if (name == "direct")
-        return CoreMapPolicy::Direct;
-    fatal("core_map: unknown policy '%s' (modulo|direct)",
-          name.c_str());
+    return parseEnum(enumNames(CoreMapPolicy{}), name,
+                     "core_map: policy");
 }
 
 CoreMap::CoreMap(CoreMapPolicy policy, unsigned cores)

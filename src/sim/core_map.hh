@@ -19,6 +19,7 @@
 #include <string>
 
 #include "trace/ref.hh"
+#include "util/parse.hh"
 
 namespace cachetime
 {
@@ -29,6 +30,9 @@ enum class CoreMapPolicy : std::uint8_t
     Modulo, ///< core = pid % cores (processes share cores)
     Direct, ///< core = pid; fatal when pid >= cores
 };
+
+/** @return every spelling of a policy (util/parse.hh). */
+EnumNames<CoreMapPolicy> enumNames(CoreMapPolicy);
 
 /** @return a short stable name ("modulo", "direct"). */
 const char *coreMapPolicyName(CoreMapPolicy policy);

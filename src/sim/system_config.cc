@@ -2,25 +2,33 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 
 namespace cachetime
 {
 
+EnumNames<AddressMode>
+enumNames(AddressMode)
+{
+    static constexpr EnumName<AddressMode> names[] = {
+        {AddressMode::Virtual, "virtual"},
+        {AddressMode::Physical, "physical"},
+    };
+    return names;
+}
+
 const char *
 addressModeName(AddressMode mode)
 {
-    switch (mode) {
-      case AddressMode::Virtual:
-        return "virtual";
-      case AddressMode::Physical:
-        return "physical";
-    }
-    return "?";
+    return enumName(enumNames(mode), mode);
 }
 
 std::vector<SystemConfig::MidLevelConfig>
@@ -36,8 +44,18 @@ SystemConfig::resolvedMidLevels() const
 void
 SystemConfig::validate() const
 {
-    if (cycleNs <= 0.0)
-        fatal("system: cycleNs must be positive, got %f", cycleNs);
+    // Configs built in code never meet the parser's finite check.
+    if (!std::isfinite(cycleNs) || cycleNs <= 0.0)
+        fatal("system: cycleNs must be positive and finite, got %f",
+              cycleNs);
+    const std::pair<const char *, double> memoryNs[] = {
+        {"readLatencyNs", memory.readLatencyNs},
+        {"writeNs", memory.writeNs},
+        {"recoveryNs", memory.recoveryNs},
+    };
+    for (const auto &[name, ns] : memoryNs)
+        if (!std::isfinite(ns))
+            fatal("system: memory.%s must be finite, got %f", name, ns);
     if (addressing == AddressMode::Physical)
         tlb.validate();
     if (cpu.readHitCycles == 0 || cpu.writeHitCycles == 0)
@@ -256,122 +274,21 @@ SystemConfig::paperDefault()
 namespace
 {
 
-bool
-parseBool(const std::string &value, const std::string &key)
+/** Boolean values are spelled like an enum; 0/1 are written. */
+EnumNames<bool>
+enumNames(bool)
 {
-    if (value == "1" || value == "true" || value == "yes")
-        return true;
-    if (value == "0" || value == "false" || value == "no")
-        return false;
-    fatal("config: bad boolean '%s' for key '%s'", value.c_str(),
-          key.c_str());
+    static constexpr EnumName<bool> names[] = {
+        {true, "1"},    {false, "0"},
+        {true, "true"}, {false, "false"},
+        {true, "yes"},  {false, "no"},
+    };
+    return names;
 }
 
-WritePolicy
-parseWritePolicy(const std::string &value, const std::string &key)
-{
-    if (value == "write-back" || value == "wb")
-        return WritePolicy::WriteBack;
-    if (value == "write-through" || value == "wt")
-        return WritePolicy::WriteThrough;
-    fatal("config: bad write policy '%s' for key '%s'", value.c_str(),
-          key.c_str());
-}
-
-AllocPolicy
-parseAllocPolicy(const std::string &value, const std::string &key)
-{
-    if (value == "no-write-allocate" || value == "nwa")
-        return AllocPolicy::NoWriteAllocate;
-    if (value == "write-allocate" || value == "wa")
-        return AllocPolicy::WriteAllocate;
-    fatal("config: bad alloc policy '%s' for key '%s'", value.c_str(),
-          key.c_str());
-}
-
-PrefetchPolicy
-parsePrefetchPolicy(const std::string &value, const std::string &key)
-{
-    if (value == "none")
-        return PrefetchPolicy::None;
-    if (value == "on-miss")
-        return PrefetchPolicy::OnMiss;
-    if (value == "tagged")
-        return PrefetchPolicy::Tagged;
-    fatal("config: bad prefetch policy '%s' for key '%s'",
-          value.c_str(), key.c_str());
-}
-
-ReplPolicy
-parseReplPolicy(const std::string &value, const std::string &key)
-{
-    if (value == "random")
-        return ReplPolicy::Random;
-    if (value == "lru")
-        return ReplPolicy::LRU;
-    if (value == "fifo")
-        return ReplPolicy::FIFO;
-    fatal("config: bad replacement policy '%s' for key '%s'",
-          value.c_str(), key.c_str());
-}
-
-void
-applyCacheKey(CacheConfig &cache, const std::string &field,
-              const std::string &value, const std::string &key)
-{
-    if (field == "size_words")
-        cache.sizeWords = std::stoull(value);
-    else if (field == "size_kb")
-        cache.sizeWords = std::stoull(value) * 1024 / wordBytes;
-    else if (field == "block_words")
-        cache.blockWords = static_cast<unsigned>(std::stoul(value));
-    else if (field == "assoc")
-        cache.assoc = static_cast<unsigned>(std::stoul(value));
-    else if (field == "fetch_words")
-        cache.fetchWords = static_cast<unsigned>(std::stoul(value));
-    else if (field == "write_policy")
-        cache.writePolicy = parseWritePolicy(value, key);
-    else if (field == "alloc_policy")
-        cache.allocPolicy = parseAllocPolicy(value, key);
-    else if (field == "repl_policy")
-        cache.replPolicy = parseReplPolicy(value, key);
-    else if (field == "prefetch")
-        cache.prefetchPolicy = parsePrefetchPolicy(value, key);
-    else if (field == "victim_entries")
-        cache.victimEntries =
-            static_cast<unsigned>(std::stoul(value));
-    else if (field == "virtual_tags")
-        cache.virtualTags = parseBool(value, key);
-    else if (field == "repl_seed")
-        cache.replSeed = std::stoull(value);
-    else
-        fatal("config: unknown cache field '%s'", key.c_str());
-}
-
-void
-applyBufferKey(WriteBufferConfig &buffer, const std::string &field,
-               const std::string &value, const std::string &key)
-{
-    if (field == "enabled")
-        buffer.enabled = parseBool(value, key);
-    else if (field == "depth")
-        buffer.depth = static_cast<unsigned>(std::stoul(value));
-    else if (field == "read_priority")
-        buffer.readPriority = parseBool(value, key);
-    else if (field == "check_read_match")
-        buffer.checkReadMatch = parseBool(value, key);
-    else if (field == "match_granularity_words")
-        buffer.matchGranularityWords =
-            static_cast<unsigned>(std::stoul(value));
-    else if (field == "coalesce")
-        buffer.coalesce = parseBool(value, key);
-    else if (field == "drain_on_idle")
-        buffer.drainOnIdle = parseBool(value, key);
-    else if (field == "high_water")
-        buffer.highWater = static_cast<unsigned>(std::stoul(value));
-    else
-        fatal("config: unknown write-buffer field '%s'", key.c_str());
-}
+template <typename T>
+constexpr bool spelledByName =
+    std::is_enum_v<T> || std::is_same_v<T, bool>;
 
 } // namespace
 
@@ -391,102 +308,54 @@ applyKeyValues(SystemConfig &config, const std::string &text)
         auto eq = token.find('=');
         if (eq == std::string::npos)
             fatal("config: expected key=value, got '%s'", line.c_str());
-        std::string key = token.substr(0, eq);
-        std::string value = token.substr(eq + 1);
-
-        if (key == "cycle_ns") {
-            config.cycleNs = std::stod(value);
-        } else if (key == "addressing") {
-            if (value == "virtual")
-                config.addressing = AddressMode::Virtual;
-            else if (value == "physical")
-                config.addressing = AddressMode::Physical;
-            else
-                fatal("config: bad addressing '%s'", value.c_str());
-        } else if (key == "tlb.entries") {
-            config.tlb.entries =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "tlb.assoc") {
-            config.tlb.assoc =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "tlb.page_words") {
-            config.tlb.pageWords = std::stoull(value);
-        } else if (key == "tlb.miss_penalty_cycles") {
-            config.tlb.missPenaltyCycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "tlb.phys_frames") {
-            config.tlb.physFrames = std::stoull(value);
-        } else if (key == "split") {
-            config.split = parseBool(value, key);
-        } else if (key == "cores") {
-            config.cores = static_cast<unsigned>(std::stoul(value));
-        } else if (key == "protocol") {
-            config.protocol = parseCoherenceProtocol(value);
-        } else if (key == "core_map") {
-            config.coreMap = parseCoreMapPolicy(value);
-        } else if (key == "has_l2") {
-            config.hasL2 = parseBool(value, key);
-        } else if (key == "cpu.read_hit_cycles") {
-            config.cpu.readHitCycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "cpu.write_hit_cycles") {
-            config.cpu.writeHitCycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "cpu.pair_issue") {
-            config.cpu.pairIssue = parseBool(value, key);
-        } else if (key == "cpu.early_continuation") {
-            config.cpu.earlyContinuation = parseBool(value, key);
-        } else if (key == "memory.read_latency_ns") {
-            config.memory.readLatencyNs = std::stod(value);
-        } else if (key == "memory.write_ns") {
-            config.memory.writeNs = std::stod(value);
-        } else if (key == "memory.recovery_ns") {
-            config.memory.recoveryNs = std::stod(value);
-        } else if (key == "memory.address_cycles") {
-            config.memory.addressCycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "memory.rate_words") {
-            config.memory.rate.words =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "memory.rate_cycles") {
-            config.memory.rate.cycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "memory.banks") {
-            config.memory.banks =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "memory.load_forwarding") {
-            config.memory.loadForwarding = parseBool(value, key);
-        } else if (key == "memory.streaming") {
-            config.memory.streaming = parseBool(value, key);
-        } else if (key == "l2.hit_cycles") {
-            config.l2Timing.hitCycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "l2.upstream_rate_words") {
-            config.l2Timing.upstreamRate.words =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "l2.upstream_rate_cycles") {
-            config.l2Timing.upstreamRate.cycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "l2.victim_rate_words") {
-            config.l2Timing.victimRate.words =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "l2.victim_rate_cycles") {
-            config.l2Timing.victimRate.cycles =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key.rfind("icache.", 0) == 0) {
-            applyCacheKey(config.icache, key.substr(7), value, key);
-        } else if (key.rfind("dcache.", 0) == 0) {
-            applyCacheKey(config.dcache, key.substr(7), value, key);
-        } else if (key.rfind("l2cache.", 0) == 0) {
-            applyCacheKey(config.l2cache, key.substr(8), value, key);
-        } else if (key.rfind("l1buffer.", 0) == 0) {
-            applyBufferKey(config.l1Buffer, key.substr(9), value, key);
-        } else if (key.rfind("l2buffer.", 0) == 0) {
-            applyBufferKey(config.l2Buffer, key.substr(9), value, key);
-        } else {
+        const std::string key = token.substr(0, eq);
+        const std::string value = token.substr(eq + 1);
+        const std::string what = "config: " + key;
+        bool found = false;
+        forEachKey(config, [&](const std::string &name, auto &field,
+                               auto... scale) {
+            using T = std::remove_reference_t<decltype(field)>;
+            if (name != key)
+                return;
+            found = true;
+            if constexpr (spelledByName<T>) {
+                field = parseEnum(enumNames(T{}), value, what.c_str());
+            } else if constexpr (std::is_floating_point_v<T>) {
+                field = parseNumber<T>(value, what.c_str());
+            } else {
+                // An alias's unit bounds it so the product cannot wrap.
+                const T unit = (T{1} * ... * scale);
+                const T most = std::numeric_limits<T>::max() / unit;
+                field = parseNumber<T>(value, what.c_str(), 0, most) * unit;
+            }
+        });
+        if (!found)
             fatal("config: unknown key '%s'", key.c_str());
-        }
     }
+}
+
+std::string
+configKeyValues(const SystemConfig &config)
+{
+    std::string text;
+    forEachKey(config, [&](const std::string &name, const auto &field,
+                           auto... alias) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (sizeof...(alias) == 0) { // aliases only parse
+            text += name + "=";
+            if constexpr (spelledByName<T>) {
+                text += enumName(enumNames(field), field);
+            } else if constexpr (std::is_floating_point_v<T>) {
+                char buf[40];
+                std::snprintf(buf, sizeof(buf), "%.17g", field);
+                text += buf;
+            } else {
+                text += std::to_string(field);
+            }
+            text += '\n';
+        }
+    });
+    return text;
 }
 
 } // namespace cachetime

@@ -14,6 +14,13 @@
  * block fetched on a miss, write-back data cache with no fetch on
  * write miss, a four-block write buffer, 40ns cycle time, and a
  * 180/100/120ns memory transferring one word per cycle.
+ *
+ * The key=value format of specification and variation files is
+ * defined here, once: forEachKey() lists every key beside the field
+ * it sets, and applyKeyValues() (text to config) and
+ * configKeyValues() (config to text) are two walks of that list.
+ * Numbers go through parseNumber() and enum values through their
+ * enumNames() tables (util/parse.hh).
  */
 
 #ifndef CACHETIME_SIM_SYSTEM_CONFIG_HH
@@ -30,6 +37,7 @@
 #include "memory/tlb.hh"
 #include "memory/write_buffer.hh"
 #include "sim/core_map.hh"
+#include "util/parse.hh"
 
 namespace cachetime
 {
@@ -45,6 +53,9 @@ enum class AddressMode : std::uint8_t
      */
     Physical,
 };
+
+/** @return every spelling of a mode (util/parse.hh). */
+EnumNames<AddressMode> enumNames(AddressMode);
 
 /** @return a short stable name for the mode. */
 const char *addressModeName(AddressMode mode);
@@ -164,12 +175,99 @@ struct SystemConfig
 };
 
 /**
+ * The key=value format: calls @p visit(key, field) for every key, in
+ * the order configKeyValues() writes them, with the field of
+ * @p config (a SystemConfig, const or not) that the key sets.  A
+ * field is a double, an unsigned integer, a bool or an enum with
+ * enumNames().  @p visit(key, field, scale) is a parse-only alias:
+ * its value times scale sets the field (size_kb).  A key added here
+ * is read, written and round-trip tested with no other change.
+ */
+template <typename Config, typename Visit>
+void
+forEachKey(Config &config, Visit &&visit)
+{
+    auto cache = [&](const std::string &prefix, auto &c) {
+        visit(prefix + "size_words", c.sizeWords);
+        visit(prefix + "size_kb", c.sizeWords, 1024 / wordBytes);
+        visit(prefix + "block_words", c.blockWords);
+        visit(prefix + "assoc", c.assoc);
+        visit(prefix + "fetch_words", c.fetchWords);
+        visit(prefix + "write_policy", c.writePolicy);
+        visit(prefix + "alloc_policy", c.allocPolicy);
+        visit(prefix + "repl_policy", c.replPolicy);
+        visit(prefix + "prefetch", c.prefetchPolicy);
+        visit(prefix + "victim_entries", c.victimEntries);
+        visit(prefix + "virtual_tags", c.virtualTags);
+        visit(prefix + "repl_seed", c.replSeed);
+    };
+    auto buffer = [&](const std::string &prefix, auto &b) {
+        visit(prefix + "enabled", b.enabled);
+        visit(prefix + "depth", b.depth);
+        visit(prefix + "read_priority", b.readPriority);
+        visit(prefix + "check_read_match", b.checkReadMatch);
+        visit(prefix + "match_granularity_words",
+              b.matchGranularityWords);
+        visit(prefix + "coalesce", b.coalesce);
+        visit(prefix + "drain_on_idle", b.drainOnIdle);
+        visit(prefix + "high_water", b.highWater);
+    };
+    visit("cycle_ns", config.cycleNs);
+    visit("addressing", config.addressing);
+    visit("tlb.entries", config.tlb.entries);
+    visit("tlb.assoc", config.tlb.assoc);
+    visit("tlb.page_words", config.tlb.pageWords);
+    visit("tlb.miss_penalty_cycles", config.tlb.missPenaltyCycles);
+    visit("tlb.phys_frames", config.tlb.physFrames);
+    visit("split", config.split);
+    visit("cores", config.cores);
+    visit("protocol", config.protocol);
+    visit("core_map", config.coreMap);
+    visit("cpu.read_hit_cycles", config.cpu.readHitCycles);
+    visit("cpu.write_hit_cycles", config.cpu.writeHitCycles);
+    visit("cpu.pair_issue", config.cpu.pairIssue);
+    visit("cpu.early_continuation", config.cpu.earlyContinuation);
+    cache("icache.", config.icache);
+    cache("dcache.", config.dcache);
+    buffer("l1buffer.", config.l1Buffer);
+    // The single-L2 sugar (hasL2, l2cache, l2Timing, l2Buffer).
+    visit("has_l2", config.hasL2);
+    cache("l2cache.", config.l2cache);
+    visit("l2.hit_cycles", config.l2Timing.hitCycles);
+    visit("l2.upstream_rate_words", config.l2Timing.upstreamRate.words);
+    visit("l2.upstream_rate_cycles",
+          config.l2Timing.upstreamRate.cycles);
+    visit("l2.victim_rate_words", config.l2Timing.victimRate.words);
+    visit("l2.victim_rate_cycles", config.l2Timing.victimRate.cycles);
+    buffer("l2buffer.", config.l2Buffer);
+    visit("memory.read_latency_ns", config.memory.readLatencyNs);
+    visit("memory.write_ns", config.memory.writeNs);
+    visit("memory.recovery_ns", config.memory.recoveryNs);
+    visit("memory.address_cycles", config.memory.addressCycles);
+    visit("memory.rate_words", config.memory.rate.words);
+    visit("memory.rate_cycles", config.memory.rate.cycles);
+    visit("memory.banks", config.memory.banks);
+    visit("memory.load_forwarding", config.memory.loadForwarding);
+    visit("memory.streaming", config.memory.streaming);
+}
+
+/**
  * Parse "key=value" lines (# comments allowed) into @p config,
- * starting from its current values.  Unknown keys are fatal.  This
- * plays the role of the paper's variation files layered over a
+ * starting from its current values; later lines override earlier
+ * ones.  Unknown keys and malformed values are fatal.  This plays
+ * the role of the paper's variation files layered over a
  * specification file.
  */
 void applyKeyValues(SystemConfig &config, const std::string &text);
+
+/**
+ * @return @p config as key=value lines, one per forEachKey() key
+ * except the parse-only aliases, in that order: doubles as %.17g,
+ * bools as 0/1, enums by name.  Applying the text to any
+ * SystemConfig sets every field it names to @p config's value.
+ * Explicit midLevels have no keys.
+ */
+std::string configKeyValues(const SystemConfig &config);
 
 } // namespace cachetime
 

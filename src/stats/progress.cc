@@ -2,11 +2,13 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <unistd.h>
 
 #include "stats/stats.hh"
 #include "stats/telemetry.hh"
 #include "util/parallel.hh"
+#include "util/parse.hh"
 
 namespace cachetime
 {
@@ -44,9 +46,9 @@ ProgressMeter::openSpec(const std::string &spec)
         return true;
     }
     if (spec.rfind("fd:", 0) == 0) {
-        int fd = std::atoi(spec.c_str() + 3);
-        if (fd < 0)
-            return false;
+        const int fd = static_cast<int>(parseNumber<unsigned>(
+            spec.substr(3), "progress: fd:N",
+            0, std::numeric_limits<int>::max()));
         std::FILE *f = fdopen(dup(fd), "w");
         if (!f)
             return false;

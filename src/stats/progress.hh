@@ -48,6 +48,7 @@ class ProgressMeter
     /**
      * Open the sink named by @p spec: "-" for stderr, "fd:N" for an
      * inherited file descriptor, anything else a path (truncated).
+     * An N that is not a decimal count is fatal.
      * @return false when the spec cannot be opened.
      */
     bool openSpec(const std::string &spec);

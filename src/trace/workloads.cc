@@ -2,11 +2,13 @@
 
 #include <cstdlib>
 #include <cmath>
+#include <limits>
 
 #include "trace/interleave.hh"
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 
 namespace cachetime
@@ -132,13 +134,10 @@ generateTable1(double scale)
 double
 benchScale(double fallback)
 {
-    if (const char *env = std::getenv("CACHETIME_SCALE")) {
-        double v = std::atof(env);
-        if (v > 0.0 && std::isfinite(v))
-            return v;
-        warn("ignoring bad CACHETIME_SCALE='%s'", env);
-    }
-    return fallback;
+    const char *env = std::getenv("CACHETIME_SCALE");
+    return env ? parseNumber<double>(env, "CACHETIME_SCALE",
+                                     std::numeric_limits<double>::min())
+               : fallback;
 }
 
 } // namespace cachetime

@@ -83,8 +83,9 @@ std::vector<Trace> generateTable1(double scale = 1.0);
 
 /**
  * @return the default scale used by benches: the value of the
- * CACHETIME_SCALE environment variable if it is a finite positive
- * number, else @p fallback (with a warning when the variable is set).
+ * CACHETIME_SCALE environment variable when it is set, else
+ * @p fallback.  A set value that is not a finite positive number is
+ * fatal.
  */
 double benchScale(double fallback = 0.20);
 

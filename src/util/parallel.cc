@@ -10,12 +10,25 @@
 
 #include "stats/trace_event.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace cachetime
 {
 
 namespace
 {
+
+/** @return @p requested, clamped to maxParallelThreads with a warning. */
+unsigned
+boundedThreads(std::uint64_t requested, const char *what)
+{
+    if (requested <= maxParallelThreads)
+        return static_cast<unsigned>(requested);
+    warn("%s asks for %llu threads; using %u", what,
+         static_cast<unsigned long long>(requested),
+         maxParallelThreads);
+    return maxParallelThreads;
+}
 
 /** Set while this thread is executing pool work: nested calls inline. */
 thread_local bool inPoolWork = false;
@@ -102,14 +115,10 @@ class ThreadPool
   private:
     ThreadPool()
     {
-        threads_ = defaultThreads();
-        if (const char *env = std::getenv("CACHETIME_THREADS")) {
-            long v = std::atol(env);
-            if (v >= 1)
-                threads_ = static_cast<unsigned>(v);
-            else
-                warn("ignoring bad CACHETIME_THREADS='%s'", env);
-        }
+        const char *env = std::getenv("CACHETIME_THREADS");
+        threads_ = env ? parseThreadCount(env) : 0;
+        if (threads_ == 0)
+            threads_ = defaultThreads();
         startWorkers();
     }
 
@@ -252,10 +261,19 @@ parallelInWorker()
     return inPoolWork;
 }
 
+unsigned
+parseThreadCount(const std::string &text)
+{
+    return boundedThreads(
+        parseNumber<std::uint64_t>(text, "CACHETIME_THREADS"),
+        "CACHETIME_THREADS");
+}
+
 void
 setParallelThreads(unsigned threads)
 {
-    ThreadPool::instance().resize(threads);
+    ThreadPool::instance().resize(
+        boundedThreads(threads, "setParallelThreads"));
 }
 
 void

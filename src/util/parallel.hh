@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace cachetime
@@ -70,11 +71,22 @@ struct PoolStats
 /** @return a snapshot of the process-wide pool counters. */
 PoolStats poolStats();
 
+/** Most executors the pool runs; a larger request warns and clamps. */
+constexpr unsigned maxParallelThreads = 1024;
+
+/**
+ * @return the pool size CACHETIME_THREADS=@p text asks for (0 =
+ * hardware concurrency), clamped to maxParallelThreads with a
+ * warning; fatal unless @p text is a decimal count.  Starts no pool.
+ */
+unsigned parseThreadCount(const std::string &text);
+
 /**
  * Resize the pool to @p threads executors (0 = hardware
- * concurrency).  Overrides CACHETIME_THREADS; used by tests and
- * benches to compare thread counts within one process.  Must not be
- * called concurrently with parallelFor().
+ * concurrency), clamped to maxParallelThreads with a warning.
+ * Overrides CACHETIME_THREADS; used by tests and benches to compare
+ * thread counts within one process.  Must not be called
+ * concurrently with parallelFor().
  */
 void setParallelThreads(unsigned threads);
 

@@ -260,121 +260,6 @@ randomTrace(Rng &rng, std::uint64_t seed, bool sharing)
 }
 
 // ---------------------------------------------------------------
-// Repro serialization.
-// ---------------------------------------------------------------
-
-void
-emitCache(std::ostream &os, const std::string &prefix,
-          const CacheConfig &cache)
-{
-    os << prefix << ".size_words=" << cache.sizeWords << "\n"
-       << prefix << ".block_words=" << cache.blockWords << "\n"
-       << prefix << ".assoc=" << cache.assoc << "\n"
-       << prefix << ".fetch_words=" << cache.fetchWords << "\n"
-       << prefix
-       << ".write_policy=" << writePolicyName(cache.writePolicy)
-       << "\n"
-       << prefix
-       << ".alloc_policy=" << allocPolicyName(cache.allocPolicy)
-       << "\n"
-       << prefix
-       << ".repl_policy=" << replPolicyName(cache.replPolicy)
-       << "\n"
-       << prefix
-       << ".prefetch=" << prefetchPolicyName(cache.prefetchPolicy)
-       << "\n"
-       << prefix << ".victim_entries=" << cache.victimEntries
-       << "\n"
-       << prefix << ".virtual_tags=" << (cache.virtualTags ? 1 : 0)
-       << "\n"
-       << prefix << ".repl_seed=" << cache.replSeed << "\n";
-}
-
-void
-emitBuffer(std::ostream &os, const std::string &prefix,
-           const WriteBufferConfig &buffer)
-{
-    os << prefix << ".enabled=" << (buffer.enabled ? 1 : 0) << "\n"
-       << prefix << ".depth=" << buffer.depth << "\n"
-       << prefix << ".read_priority=" << (buffer.readPriority ? 1 : 0)
-       << "\n"
-       << prefix
-       << ".check_read_match=" << (buffer.checkReadMatch ? 1 : 0)
-       << "\n"
-       << prefix << ".match_granularity_words="
-       << buffer.matchGranularityWords << "\n"
-       << prefix << ".coalesce=" << (buffer.coalesce ? 1 : 0) << "\n"
-       << prefix << ".drain_on_idle=" << (buffer.drainOnIdle ? 1 : 0)
-       << "\n"
-       << prefix << ".high_water=" << buffer.highWater << "\n";
-}
-
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::string
-configKeyValues(const SystemConfig &config)
-{
-    std::ostringstream os;
-    os << "cycle_ns=" << formatDouble(config.cycleNs) << "\n"
-       << "addressing=" << addressModeName(config.addressing)
-       << "\n"
-       << "tlb.entries=" << config.tlb.entries << "\n"
-       << "tlb.assoc=" << config.tlb.assoc << "\n"
-       << "tlb.page_words=" << config.tlb.pageWords << "\n"
-       << "tlb.miss_penalty_cycles="
-       << config.tlb.missPenaltyCycles << "\n"
-       << "tlb.phys_frames=" << config.tlb.physFrames << "\n"
-       << "split=" << (config.split ? 1 : 0) << "\n"
-       << "cores=" << config.cores << "\n"
-       << "protocol=" << coherenceProtocolName(config.protocol)
-       << "\n"
-       << "core_map=" << coreMapPolicyName(config.coreMap) << "\n"
-       << "cpu.read_hit_cycles=" << config.cpu.readHitCycles << "\n"
-       << "cpu.write_hit_cycles=" << config.cpu.writeHitCycles
-       << "\n"
-       << "cpu.pair_issue=" << (config.cpu.pairIssue ? 1 : 0) << "\n"
-       << "cpu.early_continuation="
-       << (config.cpu.earlyContinuation ? 1 : 0) << "\n";
-    emitCache(os, "icache", config.icache);
-    emitCache(os, "dcache", config.dcache);
-    emitBuffer(os, "l1buffer", config.l1Buffer);
-    os << "has_l2=" << (config.hasL2 ? 1 : 0) << "\n";
-    emitCache(os, "l2cache", config.l2cache);
-    os << "l2.hit_cycles=" << config.l2Timing.hitCycles << "\n"
-       << "l2.upstream_rate_words="
-       << config.l2Timing.upstreamRate.words << "\n"
-       << "l2.upstream_rate_cycles="
-       << config.l2Timing.upstreamRate.cycles << "\n"
-       << "l2.victim_rate_words="
-       << config.l2Timing.victimRate.words << "\n"
-       << "l2.victim_rate_cycles="
-       << config.l2Timing.victimRate.cycles << "\n";
-    emitBuffer(os, "l2buffer", config.l2Buffer);
-    os << "memory.read_latency_ns="
-       << formatDouble(config.memory.readLatencyNs) << "\n"
-       << "memory.write_ns=" << formatDouble(config.memory.writeNs)
-       << "\n"
-       << "memory.recovery_ns="
-       << formatDouble(config.memory.recoveryNs) << "\n"
-       << "memory.address_cycles=" << config.memory.addressCycles
-       << "\n"
-       << "memory.rate_words=" << config.memory.rate.words << "\n"
-       << "memory.rate_cycles=" << config.memory.rate.cycles << "\n"
-       << "memory.banks=" << config.memory.banks << "\n"
-       << "memory.load_forwarding="
-       << (config.memory.loadForwarding ? 1 : 0) << "\n"
-       << "memory.streaming=" << (config.memory.streaming ? 1 : 0)
-       << "\n";
-    return os.str();
-}
-
-// ---------------------------------------------------------------
 // Minimization.
 // ---------------------------------------------------------------
 

@@ -13,7 +13,10 @@
  * On a mismatch the harness shrinks the case - ddmin over the
  * trace, then a fixpoint of config simplifications - and writes a
  * standalone repro file (config key=values + text trace + seed)
- * that `cachetime_verify --repro FILE` replays directly.
+ * that `cachetime_verify --repro FILE` replays directly.  The
+ * config lines are configKeyValues() and are read back by
+ * applyKeyValues(): the key=value format lives in
+ * sim/system_config.hh, and this file knows none of its keys.
  */
 
 #ifndef CACHETIME_VERIFY_FUZZ_HH
@@ -73,7 +76,7 @@ FuzzCase minimizeCase(const FuzzCase &fuzz_case);
 
 /**
  * Serialize @p fuzz_case as a standalone repro file: a `%config`
- * section of applyKeyValues() lines followed by a `%trace` section
+ * section of configKeyValues() lines followed by a `%trace` section
  * in the text trace format.  Requires the config to use the hasL2
  * sugar (the generator always does); fatal on deeper midLevels.
  */

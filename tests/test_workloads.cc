@@ -118,18 +118,28 @@ TEST(Workloads, BenchScaleUsesEnvironment)
     EXPECT_DOUBLE_EQ(benchScale(0.25), 0.25);
     setenv("CACHETIME_SCALE", "0.5", 1);
     EXPECT_DOUBLE_EQ(benchScale(0.25), 0.5);
-    setenv("CACHETIME_SCALE", "junk", 1);
-    EXPECT_DOUBLE_EQ(benchScale(0.25), 0.25);
-    // A scale no trace length can follow falls back like junk.
-    setenv("CACHETIME_SCALE", "inf", 1);
-    EXPECT_DOUBLE_EQ(benchScale(0.25), 0.25);
-    setenv("CACHETIME_SCALE", "1e400", 1);
-    EXPECT_DOUBLE_EQ(benchScale(0.25), 0.25);
     unsetenv("CACHETIME_SCALE");
 }
 
 // The unit binary runs the pool, so death tests re-execute rather
 // than fork.
+TEST(WorkloadsDeathTest, BadScaleEnvironmentIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Junk, and a scale no trace length can follow, name the variable
+    // and the text.
+    for (const char *text : {"junk", "0.02x", "inf", "1e400", "0", "-1"}) {
+        EXPECT_EXIT(
+            {
+                setenv("CACHETIME_SCALE", text, 1);
+                benchScale(0.25);
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("fatal: CACHETIME_SCALE: '") + text + "'")
+            << text;
+    }
+}
+
 TEST(WorkloadsDeathTest, UnrepresentableScaleIsFatal)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -56,7 +56,9 @@
  *     --quiet             suppress informational output (default)
  *     --verbose           informational output + distributions
  *
- * Every --opt VALUE may also be written --opt=VALUE.
+ * Every --opt VALUE may also be written --opt=VALUE.  Numbers, here
+ * and in key=value lines, are checked whole (util/parse.hh): counts
+ * are decimal digits only, and a malformed value is fatal.
  * With no --trace/--workloads, runs the Table 1 set at scale 0.1.
  */
 
@@ -82,6 +84,7 @@
 #include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 
 using namespace cachetime;
@@ -205,18 +208,25 @@ parseSampleSpec(const std::string &spec)
                   item.c_str());
         std::string key = item.substr(0, eq);
         std::string value = item.substr(eq + 1);
+        const std::string what = "cachetime_sim: --sample " + key;
+        auto count = [&] {
+            return parseNumber<std::uint64_t>(value, what.c_str());
+        };
+        auto real = [&] {
+            return parseNumber<double>(value, what.c_str());
+        };
         if (key == "U")
-            cfg.unitRefs = std::stoull(value);
+            cfg.unitRefs = count();
         else if (key == "W")
-            cfg.warmupRefs = std::stoull(value);
+            cfg.warmupRefs = count();
         else if (key == "period")
-            cfg.periodRefs = std::stoull(value);
+            cfg.periodRefs = count();
         else if (key == "pilot")
-            cfg.pilotUnits = std::stoull(value);
+            cfg.pilotUnits = count();
         else if (key == "rel")
-            cfg.targetRelError = std::stod(value);
+            cfg.targetRelError = real();
         else if (key == "conf")
-            cfg.confidence = std::stod(value);
+            cfg.confidence = real();
         else
             fatal("cachetime_sim: unknown --sample key '%s'",
                   key.c_str());
@@ -365,12 +375,11 @@ main(int argc, char **argv)
         } else if (arg == "--trace" || arg == "--trace-file") {
             trace_files.push_back(need(arg.c_str()));
         } else if (arg == "--workloads") {
-            workload_scale = std::stod(need("--workloads"));
+            workload_scale = parseNumber<double>(
+                need("--workloads"), "cachetime_sim: --workloads scale");
         } else if (arg == "--cores") {
-            cli_cores =
-                static_cast<unsigned>(std::stoul(need("--cores")));
-            if (cli_cores == 0)
-                fatal("cachetime_sim: --cores needs at least 1");
+            cli_cores = parseNumber<unsigned>(
+                need("--cores"), "cachetime_sim: --cores", 1);
         } else if (arg == "--protocol") {
             cli_protocol = need("--protocol");
         } else if (arg == "--core-map") {
@@ -382,10 +391,10 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--interval-stats") {
-            interval_refs = std::stoull(need("--interval-stats"));
-            if (interval_refs == 0)
-                fatal("cachetime_sim: --interval-stats needs a "
-                      "window of at least 1 reference");
+            // A window of at least one reference.
+            interval_refs = parseNumber<std::uint64_t>(
+                need("--interval-stats"),
+                "cachetime_sim: --interval-stats", 1);
         } else if (arg == "--interval-csv") {
             interval_csv_path = need("--interval-csv");
         } else if (arg == "--trace-out") {

@@ -24,16 +24,16 @@
  *     --load-one FILE (internal) drain one trace file and exit;
  *                     the I/O fuzzer re-execs itself with this
  *
- * Exit status is 0 when every case agreed, 1 on any mismatch.
+ * Counts are decimal digits only; anything else is fatal.  Exit
+ * status is 0 when every case agreed, 1 on any mismatch.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "stats/progress.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "verify/diff.hh"
 #include "verify/fuzz.hh"
 #include "verify/io_fuzz.hh"
@@ -85,25 +85,28 @@ main(int argc, char **argv)
                       arg.c_str());
             return argv[++i];
         };
+        auto count = [&] {
+            const std::string what = "cachetime_verify: " + arg;
+            return parseNumber<std::uint64_t>(value(), what.c_str());
+        };
         if (arg == "--fuzz")
-            options.cases = std::strtoull(value(), nullptr, 0);
+            options.cases = count();
         else if (arg == "--fuzz-io") {
             io_fuzz = true;
-            io_cases = std::strtoull(value(), nullptr, 0);
+            io_cases = count();
         } else if (arg == "--load-one")
             load_one_path = value();
         else if (arg == "--seed")
-            options.seed = std::strtoull(value(), nullptr, 0);
+            options.seed = count();
         else if (arg == "--repro")
             repro_path = value();
         else if (arg == "--case") {
             single_case = true;
-            single_seed = std::strtoull(value(), nullptr, 0);
+            single_seed = count();
         } else if (arg == "--repro-dir")
             options.reproDir = value();
         else if (arg == "--progress")
-            options.progressEvery =
-                std::strtoull(value(), nullptr, 0);
+            options.progressEvery = count();
         else if (arg == "--progress-out")
             progress_spec = value();
         else if (arg == "--no-minimize")
