@@ -33,11 +33,11 @@ namespace cachetime::bench
 /**
  * Arm what every bench shares: quiet mode unless CACHETIME_VERBOSE
  * is set, and run telemetry.  With CACHETIME_MANIFEST=<path> set, a
- * JSON run manifest (phase wall times, pool utilization, SimCache
- * and sweep counters) is written to <path> at exit, and with
- * CACHETIME_TRACE_OUT=<path> set, a Chrome/Perfetto trace-event
- * file (phase spans, per-worker pool chunks, sweep sub-batches) is
- * collected and written at exit.  Idempotent.
+ * JSON run manifest (each stage's wall time and counts, pool
+ * utilization, SimCache counters) is written to <path> at exit, and
+ * with CACHETIME_TRACE_OUT=<path> set, a Chrome/Perfetto trace-event
+ * file (stage spans, per-worker pool chunks) is collected and
+ * written at exit.  Idempotent.
  */
 inline void
 armBench()
@@ -57,7 +57,7 @@ armBench()
 
 /**
  * Arm the bench (armBench()) and generate the Table 1 traces at the
- * environment-selected scale under the manifest's trace-gen phase.
+ * environment-selected scale under the manifest's trace-gen stage.
  * Generation runs through the thread pool (each workload is seeded
  * independently, so the result is order-independent).
  */
@@ -65,7 +65,7 @@ inline std::vector<Trace>
 standardTraces(double fallback_scale = 0.20)
 {
     armBench();
-    telemetry::PhaseTimer timer("trace-gen");
+    telemetry::Span stage("trace-gen");
     return generateTable1(benchScale(fallback_scale));
 }
 

@@ -47,7 +47,7 @@ main()
 
     std::vector<Trace> traces;
     {
-        telemetry::PhaseTimer generation("trace-gen");
+        telemetry::Span stage("trace-gen");
         for (std::size_t i = 0; i < levels.size(); ++i) {
             WorkloadSpec spec;
             spec.name = std::string("share-") + levels[i].name;

@@ -13,7 +13,7 @@
 #include "core/sim_cache.hh"
 #include "sim/system.hh"
 #include "stats/interval.hh"
-#include "stats/trace_event.hh"
+#include "stats/telemetry.hh"
 #include "trace/ref_source.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -724,11 +724,10 @@ runPass(RefSource &source, std::vector<Group> &groups)
     std::size_t runs = 0;
     for (const Group &group : groups)
         runs += group.runs();
-    trace_event::Span pass(trace_event::Cat::Sweep,
-                           "smarts pass groups=" +
-                               std::to_string(groups.size()) +
-                               " runs=" + std::to_string(runs) +
-                               " trace=" + source.name());
+    telemetry::Span stage("smarts-pass");
+    stage.label(source.name());
+    stage.count("groups", groups.size());
+    stage.count("runs", runs);
     PipelinedFeeder feeder(source);
     std::uint64_t at = 0;
     auto pending = [&] {

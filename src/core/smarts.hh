@@ -38,7 +38,8 @@
  * outside a pool task runs them on the pool's threads concurrently.
  * Inside a group the full run takes each span before its replays,
  * and every run sees the spans in order, so results are the same at
- * any thread count (DESIGN.md §14).
+ * any thread count (DESIGN.md §14).  Each pass is one "smarts-pass"
+ * stage span (stats/telemetry.hh) counting its groups and runs.
  *
  * Unit boundaries respect couplet pairing: checkpoint and stop cuts
  * go through coupletSafeCut() (trace/ref.hh) with the full run's

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "core/sweep.hh"
-#include "stats/trace_event.hh"
+#include "stats/telemetry.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 
@@ -666,12 +666,17 @@ runStackSweep(const std::vector<SystemConfig> &configs,
             {plan.bits, log2u(parallelThreads()) + 2, 6u});
     }
 
-    trace_event::Span span(
-        trace_event::Cat::Sweep,
-        "stack n=" + std::to_string(configs.size()) +
-            " layers=" + std::to_string(layers.size()) +
-            " shards=" + std::to_string(1u << shard_bits) +
-            " trace=" + source.name());
+    telemetry::Span stage("stack");
+    stage.label(source.name());
+    stage.count("layers", layers.size());
+    stage.count("shards", std::uint64_t{1} << shard_bits);
+    // A stream too wide for the fused keys is re-answered by
+    // simulateBatch, which counts its machines; only an answered
+    // pass counts as one.
+    auto answered = [&] {
+        stage.count("passes", 1);
+        stage.count("points", configs.size());
+    };
     std::vector<SimResult> out(configs.size());
 
     if (shard_bits == 0) {
@@ -695,7 +700,7 @@ runStackSweep(const std::vector<SystemConfig> &configs,
             });
         if (counts.wide())
             return simulateBatch(configs, source);
-        countStackPass(configs.size());
+        answered();
         fillCommon(out, configs, source.name(), split, counts);
         addMissCounters(out, split, iPlan, dPlan, layers);
         return out;
@@ -778,7 +783,7 @@ runStackSweep(const std::vector<SystemConfig> &configs,
     if (counts.wide())
         return simulateBatch(configs, source);
 
-    countStackPass(configs.size());
+    answered();
     fillCommon(out, configs, source.name(), split, counts);
     for (const Shard &shard : shards)
         addMissCounters(out, split, iPlan, dPlan, shard.layers);

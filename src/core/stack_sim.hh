@@ -122,9 +122,10 @@ unsigned stackShardBits(const std::vector<SystemConfig> &configs);
  * answered by simulateBatch (core/sweep.hh) instead, returning full
  * results after the wasted pass.
  *
- * Each answered pass is one `stack` span in the trace-event session
- * and one pass, of configs.size() points, in sweepCounters(); a pass
- * re-answered by simulateBatch counts there as machines instead.
+ * Each call is one "stack" stage span (stats/telemetry.hh) counting
+ * the layers and shards it built; an answered pass also counts one
+ * of `passes` and configs.size() `points`, while a pass re-answered
+ * by simulateBatch counts in its "batch" span as machines instead.
  *
  * Preconditions: every config is stackEligible(), and all share
  * `split` and effective pair-issue (the two knobs that shape issue

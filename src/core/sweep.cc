@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <numeric>
-#include <string>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
-#include "stats/progress.hh"
 #include "stats/telemetry.hh"
-#include "stats/trace_event.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 
@@ -25,13 +21,6 @@ using SimResultPtr = std::shared_ptr<const SimResult>;
 
 /** Per-line cost of the SoA cache arrays (keys + flags + cold Line). */
 constexpr std::size_t bytesPerLine = 80;
-
-std::atomic<std::uint64_t> machinesBuilt{0};
-std::atomic<std::uint64_t> followersBuilt{0};
-std::atomic<std::uint64_t> stackPasses{0};
-std::atomic<std::uint64_t> stackPoints{0};
-std::atomic<std::uint64_t> frontRefsScanned{0};
-std::atomic<std::uint64_t> eventsReplayed{0};
 
 std::size_t
 cacheFootprintBytes(const CacheConfig &config)
@@ -178,11 +167,6 @@ simulateBounded(const std::vector<SystemConfig> &configs,
                 end = front;
         }
 
-        trace_event::Span span(
-            trace_event::Cat::Sweep,
-            "sub-batch [" + std::to_string(at) + "," +
-                std::to_string(end) + ") of " +
-                std::to_string(configs.size()) + " missing");
         std::vector<SystemConfig> batch;
         for (std::size_t k = at; k < end; ++k)
             batch.push_back(configs[order[k]]);
@@ -269,7 +253,7 @@ runGrid(const std::vector<SystemConfig> &configs,
         fatal("%s: no traces supplied",
               miss_ratios_only ? "runMissRatioMany" : "runGeoMeanGrid");
 
-    telemetry::PhaseTimer timer("simulate");
+    telemetry::Span stage("simulate");
     const std::size_t C = configs.size();
     const std::size_t T = traces.size();
     const std::vector<GridGroup> groups =
@@ -328,32 +312,6 @@ configFootprintBytes(const SystemConfig &config)
     return bytes;
 }
 
-SweepCounters
-sweepCounters()
-{
-    return {machinesBuilt.load(),     followersBuilt.load(),
-            stackPasses.load(),       stackPoints.load(),
-            frontRefsScanned.load(), eventsReplayed.load()};
-}
-
-void
-resetSweepCounters()
-{
-    machinesBuilt.store(0);
-    followersBuilt.store(0);
-    stackPasses.store(0);
-    stackPoints.store(0);
-    frontRefsScanned.store(0);
-    eventsReplayed.store(0);
-}
-
-void
-countStackPass(std::size_t points)
-{
-    stackPasses.fetch_add(1, std::memory_order_relaxed);
-    stackPoints.fetch_add(points, std::memory_order_relaxed);
-}
-
 std::vector<SimResult>
 simulateBatch(const std::vector<SystemConfig> &configs,
               RefSource &source)
@@ -361,6 +319,8 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     std::vector<SimResult> out;
     if (configs.empty())
         return out;
+    telemetry::Span stage("batch");
+    stage.label(source.name());
 
     // One machine per frontEndKey: makeSimulator builds it for the
     // first classic config of a key, and every later config of the
@@ -386,14 +346,8 @@ simulateBatch(const std::vector<SystemConfig> &configs,
         }
         machineOf[i] = m;
     }
-    machinesBuilt.fetch_add(n, std::memory_order_relaxed);
-    followersBuilt.fetch_add(followers, std::memory_order_relaxed);
-
-    trace_event::Span batchSpan(
-        trace_event::Cat::Sweep,
-        "batch n=" + std::to_string(n) +
-            " fronts=" + std::to_string(machines.size()) +
-            " trace=" + source.name());
+    stage.count("machines", n);
+    stage.count("followers", followers);
 
     // One decode, many replays: every span the feeder produces is
     // fed to each machine before the next span is pulled, so stream
@@ -410,13 +364,10 @@ simulateBatch(const std::vector<SystemConfig> &configs,
     PipelinedFeeder feeder(source);
     for (auto &machine : machines)
         machine->beginRun(source);
-    ProgressMeter *meter = progress::global();
     while (ChunkFeeder::Span span = feeder.next()) {
         parallelFor(machines.size(), [&](std::size_t m) {
             machines[m]->feedChunk(span.data, span.size);
         });
-        if (meter)
-            meter->bump(span.size * n);
     }
 
     // Each machine's results come back in the order its configs
@@ -433,8 +384,8 @@ simulateBatch(const std::vector<SystemConfig> &configs,
             results[m].push_back(machines[m]->endRun());
         }
     }
-    frontRefsScanned.fetch_add(scanned, std::memory_order_relaxed);
-    eventsReplayed.fetch_add(replayed, std::memory_order_relaxed);
+    stage.count("front_refs", scanned);
+    stage.count("events", replayed);
 
     std::vector<std::size_t> taken(machines.size(), 0);
     out.reserve(n);

@@ -39,7 +39,8 @@
  * stack-eligible points of a miss-ratio query, this fused timing
  * lattice for everything else - and it probes the SimCache, runs one
  * task per (config group, trace) on the pool, and aggregates every
- * config with aggregateResults, all inside one "simulate" phase.
+ * config with aggregateResults, all inside one "simulate" stage span
+ * (stats/telemetry.hh).
  * The timing query also hands back every (config, trace) run it
  * aggregated, so one query per figure serves the figure's aggregates
  * and raw counters alike.
@@ -90,7 +91,11 @@ struct BatchOptions
  * runs its machines on the pool's threads concurrently; every
  * machine still runs on one thread at a time and sees the spans in
  * order, so results are the same at any thread count (DESIGN.md
- * §14).
+ * §14).  Each call is one "batch" stage span, which counts the
+ * machines (every config: a back end or a coherent machine), the
+ * followers (back ends beyond the first of their front end), the
+ * references the front ends scanned and the events the back ends
+ * replayed.
  */
 std::vector<SimResult>
 simulateBatch(const std::vector<SystemConfig> &configs,
@@ -120,34 +125,6 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
  * already counts.
  */
 std::size_t configFootprintBytes(const SystemConfig &config);
-
-/**
- * Process-wide counts of the machines simulateBatch() has built and
- * of the passes runStackSweep() has answered.
- */
-struct SweepCounters
-{
-    /** Every config's machine: a back end, or a coherent machine. */
-    std::uint64_t machines = 0;
-    /** Back ends beyond the first of their front end. */
-    std::uint64_t followers = 0;
-    std::uint64_t stackPasses = 0; ///< stack passes that answered
-    std::uint64_t stackPoints = 0; ///< configs those passes answered
-    std::uint64_t frontRefs = 0;   ///< references front ends scanned
-    std::uint64_t events = 0;      ///< events back ends replayed
-};
-
-/** @return the counts so far (the run manifest's "sweep" entry). */
-SweepCounters sweepCounters();
-
-/** Zero the counts (tests). */
-void resetSweepCounters();
-
-/**
- * Count one stack pass that answered @p points configs.  A pass that
- * hands its configs to simulateBatch() counts there, as machines.
- */
-void countStackPass(std::size_t points);
 
 } // namespace cachetime
 

@@ -53,9 +53,11 @@ SystemConfig::validate() const
         {"writeNs", memory.writeNs},
         {"recoveryNs", memory.recoveryNs},
     };
+    // A negative time would round to a free zero-cycle operation.
     for (const auto &[name, ns] : memoryNs)
-        if (!std::isfinite(ns))
-            fatal("system: memory.%s must be finite, got %f", name, ns);
+        if (!std::isfinite(ns) || ns < 0.0)
+            fatal("system: memory.%s must be finite and non-negative, "
+                  "got %f", name, ns);
     if (addressing == AddressMode::Physical)
         tlb.validate();
     if (cpu.readHitCycles == 0 || cpu.writeHitCycles == 0)
@@ -308,6 +310,9 @@ applyKeyValues(SystemConfig &config, const std::string &text)
         auto eq = token.find('=');
         if (eq == std::string::npos)
             fatal("config: expected key=value, got '%s'", line.c_str());
+        if (std::string extra; probe >> extra)
+            fatal("config: expected one key=value per line, got '%s'",
+                  line.c_str());
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
         const std::string what = "config: " + key;

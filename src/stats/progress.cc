@@ -1,6 +1,5 @@
 #include "stats/progress.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <unistd.h>
@@ -16,8 +15,6 @@ namespace cachetime
 namespace
 {
 
-std::atomic<ProgressMeter *> globalMeter{nullptr};
-
 std::string
 jsonNumber(double v)
 {
@@ -32,8 +29,6 @@ ProgressMeter::~ProgressMeter()
 {
     if (out_ && owned_)
         std::fclose(out_);
-    if (progress::global() == this)
-        progress::setGlobal(nullptr);
 }
 
 bool
@@ -195,20 +190,4 @@ ProgressMeter::emitLocked(const char *event)
     emitted_ = true;
 }
 
-namespace progress
-{
-
-void
-setGlobal(ProgressMeter *meter)
-{
-    globalMeter.store(meter, std::memory_order_release);
-}
-
-ProgressMeter *
-global()
-{
-    return globalMeter.load(std::memory_order_acquire);
-}
-
-} // namespace progress
 } // namespace cachetime

@@ -2,9 +2,9 @@
  * @file
  * Live progress telemetry: throttled NDJSON progress records.
  *
- * A long trace run, fuzz campaign or lattice sweep is opaque while
- * it runs; ProgressMeter streams one JSON object per line to a file
- * or inherited fd so another process (a wrapper script today, the
+ * A long trace run or fuzz campaign is opaque while it runs;
+ * ProgressMeter streams one JSON object per line to a file or
+ * inherited fd so another process (a wrapper script today, the
  * future cachetime_serve daemon tomorrow) can follow along:
  *
  *   {"event":"progress","tool":"cachetime_sim","label":"mu3",
@@ -18,10 +18,10 @@
  * Thread-safe: concurrent bump()/update() serialize on a mutex
  * whose hold time is one clock read on the throttled path.
  *
- * Deep engines (the sweep batch driver, the verify fuzz campaigns)
- * report through the global registration hook instead of threading
- * a pointer through every layer: tools call
- * progress::setGlobal(&meter) around the work.
+ * A meter is a sink that only a tool's top-level loop drives - one
+ * phase per trace (cachetime_sim) or per campaign (the fuzz
+ * campaigns take it in their options) - so nested work never resets
+ * the phase its caller armed.  Stage timing is telemetry::Span's job.
  */
 
 #ifndef CACHETIME_STATS_PROGRESS_HH
@@ -97,20 +97,6 @@ class ProgressMeter
     bool emitted_ = false;    ///< any record for this phase yet
 };
 
-namespace progress
-{
-
-/**
- * Register @p meter as the process-wide progress sink (nullptr to
- * clear).  Engines that cannot see the caller's meter - the sweep
- * batch driver - report here.  The meter must outlive the work.
- */
-void setGlobal(ProgressMeter *meter);
-
-/** @return the registered meter, or nullptr. */
-ProgressMeter *global();
-
-} // namespace progress
 } // namespace cachetime
 
 #endif // CACHETIME_STATS_PROGRESS_HH

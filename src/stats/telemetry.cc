@@ -1,5 +1,7 @@
 #include "stats/telemetry.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -7,10 +9,10 @@
 #include <ostream>
 
 #include "core/sim_cache.hh"
-#include "core/sweep.hh"
 #include "stats/stats.hh"
 #include "stats/trace_event.hh"
 #include "trace_debug/trace_debug.hh"
+#include "util/logging.hh"
 #include "util/parallel.hh"
 
 namespace cachetime
@@ -21,8 +23,10 @@ namespace telemetry
 namespace
 {
 
-std::mutex phaseMutex;
-std::vector<PhaseRecord> phaseTable; ///< guarded by phaseMutex
+// Namespace-scope, so built before any std::atexit call and alive
+// when the at-exit manifest reads it.
+std::mutex stageMutex;
+std::vector<StageRecord> stageTable; ///< guarded by stageMutex
 
 const std::chrono::steady_clock::time_point processStart =
     std::chrono::steady_clock::now();
@@ -33,6 +37,12 @@ numberToJson(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
+}
+
+std::uint64_t
+micros(double seconds)
+{
+    return static_cast<std::uint64_t>(seconds * 1e6);
 }
 
 // At-exit manifest state (enableManifestAtExit).
@@ -55,51 +65,83 @@ writeExitManifest()
 
 } // namespace
 
-PhaseTimer::PhaseTimer(std::string name)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now())
+Span::Span(const char *stage)
+    : stage_(stage), start_(processWallSeconds()),
+      traced_(trace_event::enabled())
 {
-}
-
-PhaseTimer::~PhaseTimer()
-{
-    double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start_)
-            .count();
-    if (trace_event::enabled()) {
-        // Span export shares the scope's own clock reads: the end
-        // stamp is "now", the start stamp is now minus the scope's
-        // duration, both on the session timebase.
-        std::uint64_t dur_us =
-            static_cast<std::uint64_t>(seconds * 1e6);
-        std::uint64_t end_us = trace_event::nowMicros();
-        trace_event::emitComplete(
-            trace_event::Cat::Phase, name_,
-            end_us >= dur_us ? end_us - dur_us : 0, dur_us);
-    }
-    std::lock_guard<std::mutex> lock(phaseMutex);
-    for (PhaseRecord &record : phaseTable) {
-        if (record.name == name_) {
-            record.seconds += seconds;
-            ++record.count;
-            return;
-        }
-    }
-    phaseTable.push_back({name_, seconds, 1});
-}
-
-std::vector<PhaseRecord>
-phases()
-{
-    std::lock_guard<std::mutex> lock(phaseMutex);
-    return phaseTable;
 }
 
 void
-resetPhases()
+Span::count(const char *key, std::uint64_t value)
 {
-    std::lock_guard<std::mutex> lock(phaseMutex);
-    phaseTable.clear();
+    if (used_ == counts_.size())
+        panic("telemetry: span '%s' holds at most %zu counts", stage_,
+              counts_.size());
+    counts_[used_++] = {key, value};
+}
+
+void
+Span::label(const std::string &text)
+{
+    if (traced_)
+        label_ = text;
+}
+
+Span::~Span()
+{
+    const double end = processWallSeconds();
+    if (traced_ && trace_event::enabled()) {
+        std::string args;
+        auto arg = [&](const char *key, const std::string &json) {
+            args += args.empty() ? "{\"" : ",\"";
+            args += key;
+            args += "\":";
+            args += json;
+        };
+        if (!label_.empty())
+            arg("label", '"' + stats::jsonEscape(label_) + '"');
+        for (std::size_t i = 0; i < used_; ++i)
+            arg(counts_[i].first, std::to_string(counts_[i].second));
+        if (!args.empty())
+            args += '}';
+        // Both stamps come from the span's own clock reads, so a
+        // span nested in another ends no later than it.
+        trace_event::emitComplete(trace_event::Cat::Stage, stage_,
+                                  micros(start_),
+                                  micros(end) - micros(start_), args);
+    }
+    std::lock_guard<std::mutex> lock(stageMutex);
+    auto record = std::find_if(
+        stageTable.begin(), stageTable.end(),
+        [&](const StageRecord &r) { return r.name == stage_; });
+    if (record == stageTable.end())
+        record = stageTable.insert(record, StageRecord{stage_, 0.0, 0, {}});
+    record->seconds += end - start_;
+    ++record->count;
+    for (std::size_t i = 0; i < used_; ++i) {
+        const auto &[key, value] = counts_[i];
+        auto slot = std::find_if(
+            record->counts.begin(), record->counts.end(),
+            [&](const auto &c) { return c.first == key; });
+        if (slot == record->counts.end())
+            record->counts.emplace_back(key, value);
+        else
+            slot->second += value;
+    }
+}
+
+std::vector<StageRecord>
+stages()
+{
+    std::lock_guard<std::mutex> lock(stageMutex);
+    return stageTable;
+}
+
+void
+resetStages()
+{
+    std::lock_guard<std::mutex> lock(stageMutex);
+    stageTable.clear();
 }
 
 double
@@ -151,13 +193,16 @@ writeManifest(std::ostream &os, const RunManifest &manifest)
     os << ",\"wall_seconds\":" << numberToJson(processWallSeconds());
 
     os << ",\"phases\":{";
-    std::vector<PhaseRecord> table = phases();
+    std::vector<StageRecord> table = stages();
     for (std::size_t i = 0; i < table.size(); ++i) {
         if (i)
             os << ',';
         os << '"' << stats::jsonEscape(table[i].name)
            << "\":{\"seconds\":" << numberToJson(table[i].seconds)
-           << ",\"count\":" << table[i].count << '}';
+           << ",\"count\":" << table[i].count;
+        for (const auto &[key, value] : table[i].counts)
+            os << ",\"" << stats::jsonEscape(key) << "\":" << value;
+        os << '}';
     }
     os << '}';
 
@@ -177,14 +222,6 @@ writeManifest(std::ostream &os, const RunManifest &manifest)
        << ",\"misses\":" << sim_cache.misses()
        << ",\"dropped\":" << sim_cache.dropped()
        << ",\"entries\":" << sim_cache.size() << '}';
-
-    SweepCounters sweep = sweepCounters();
-    os << ",\"sweep\":{\"machines\":" << sweep.machines
-       << ",\"followers\":" << sweep.followers
-       << ",\"stack_passes\":" << sweep.stackPasses
-       << ",\"stack_points\":" << sweep.stackPoints
-       << ",\"front_refs\":" << sweep.frontRefs
-       << ",\"events\":" << sweep.events << '}';
 
     for (const auto &[key, json] : manifest.extra)
         os << ",\"" << stats::jsonEscape(key) << "\":" << json;

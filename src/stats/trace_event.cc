@@ -1,11 +1,11 @@
 #include "stats/trace_event.hh"
 
-#include <chrono>
 #include <fstream>
 #include <mutex>
 #include <vector>
 
 #include "stats/stats.hh"
+#include "stats/telemetry.hh"
 
 namespace cachetime
 {
@@ -23,19 +23,20 @@ namespace
 /** One buffered event; ph is implied by dur/instant flags. */
 struct Event
 {
-    std::uint64_t ts = 0;  ///< microseconds since process start
+    std::uint64_t ts = 0;  ///< microseconds on the process clock
     std::uint64_t dur = 0; ///< complete events only
     std::uint32_t tid = 0;
-    Cat cat = Cat::Phase;
+    Cat cat = Cat::Stage;
     bool instant = false;
     std::string name;
+    std::string args; ///< serialized JSON object, or empty
 };
 
 /** thread_name metadata for one (category, thread) pair. */
 struct ThreadMeta
 {
     std::uint32_t tid = 0;
-    Cat cat = Cat::Phase;
+    Cat cat = Cat::Stage;
     std::string name;
 };
 
@@ -58,9 +59,6 @@ struct ThreadState
 };
 
 thread_local ThreadState threadState;
-
-const std::chrono::steady_clock::time_point processStart =
-    std::chrono::steady_clock::now();
 
 std::uint32_t
 myTid()
@@ -99,9 +97,8 @@ const char *
 catName(Cat cat)
 {
     switch (cat) {
-      case Cat::Phase: return "phases";
+      case Cat::Stage: return "stages";
       case Cat::Pool: return "pool";
-      case Cat::Sweep: return "sweep";
       case Cat::SimCacheT: return "simcache";
     }
     return "other";
@@ -117,6 +114,8 @@ writeEvent(std::ostream &os, const Event &e)
         os << ",\"dur\":" << e.dur;
     else
         os << ",\"s\":\"t\""; // thread-scoped instant
+    if (!e.args.empty())
+        os << ",\"args\":" << e.args;
     os << ",\"pid\":" << static_cast<unsigned>(e.cat)
        << ",\"tid\":" << e.tid << '}';
 }
@@ -126,10 +125,8 @@ writeEvent(std::ostream &os, const Event &e)
 std::uint64_t
 nowMicros()
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - processStart)
-            .count());
+    return static_cast<std::uint64_t>(telemetry::processWallSeconds() *
+                                      1e6);
 }
 
 bool
@@ -172,8 +169,7 @@ endSession()
     unsigned cats = 0;
     for (const Event &e : events)
         cats |= 1u << static_cast<unsigned>(e.cat);
-    for (Cat cat :
-         {Cat::Phase, Cat::Pool, Cat::Sweep, Cat::SimCacheT}) {
+    for (Cat cat : {Cat::Stage, Cat::Pool, Cat::SimCacheT}) {
         if (!(cats & (1u << static_cast<unsigned>(cat))))
             continue;
         sep();
@@ -201,7 +197,7 @@ endSession()
 
 void
 emitComplete(Cat cat, const std::string &name, std::uint64_t ts_us,
-             std::uint64_t dur_us)
+             std::uint64_t dur_us, const std::string &args)
 {
     if (!enabled())
         return;
@@ -210,7 +206,7 @@ emitComplete(Cat cat, const std::string &name, std::uint64_t ts_us,
     if (!detail::sessionOpen.load(std::memory_order_relaxed))
         return;
     announceLocked(cat);
-    events.push_back({ts_us, dur_us, tid, cat, false, name});
+    events.push_back({ts_us, dur_us, tid, cat, false, name, args});
 }
 
 void
@@ -224,7 +220,7 @@ emitInstant(Cat cat, const char *name)
     if (!detail::sessionOpen.load(std::memory_order_relaxed))
         return;
     announceLocked(cat);
-    events.push_back({ts, 0, tid, cat, true, name});
+    events.push_back({ts, 0, tid, cat, true, name, {}});
 }
 
 void

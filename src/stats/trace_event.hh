@@ -3,28 +3,29 @@
  * Chrome/Perfetto trace-event export: spans with wall-clock
  * timestamps, loadable in chrome://tracing or ui.perfetto.dev.
  *
- * The run manifest (telemetry.hh) says how long each phase took in
+ * The run manifest (telemetry.hh) says how long each stage took in
  * aggregate; this sink says *when* everything happened.  A session
  * buffers typed events in memory and writes one Trace Event Format
  * JSON file at endSession():
  *
- *  - PhaseTimer scopes (telemetry.cc emits a span per scope);
+ *  - stage spans (telemetry::Span): tool phases, grid queries, fused
+ *    batches, stack passes and SMARTS passes, each with the counts
+ *    it attached as args;
  *  - work-stealing pool chunk execution, one track per worker
  *    (util/parallel.cc), so pool balance is visible as a timeline;
- *  - SimCache lookup hits and misses as instant events;
- *  - sweep-engine sub-batches (core/sweep.cc) and SMARTS passes
- *    (core/smarts.cc), so a "7x" sweep speedup claim can be
- *    inspected span by span.
+ *  - SimCache lookup hits and misses as instant events.
  *
- * Categories map to trace processes (pid 1 = phases, 2 = pool,
- * 3 = sweep, 4 = simcache); within a process each OS thread gets
- * its own track, so concurrent spans never overlap on one line.
+ * Categories map to trace processes (pid 1 = stages, 2 = pool,
+ * 4 = simcache); within a process each OS thread gets its own track,
+ * so a thread's stage spans nest (a batch inside its query) and
+ * concurrent spans never overlap on one line.  Timestamps are
+ * microseconds on the process clock (telemetry::processWallSeconds).
  *
  * The disabled path is one relaxed atomic load per call site -
  * cheap enough to leave the hooks permanently in the pool worker
  * loop and the SimCache.  Enabled emission takes one short mutex
  * hold per event; every hook fires at coarse granularity (chunks,
- * phases, batches - never per reference), so contention is noise.
+ * stages - never per reference), so contention is noise.
  * Exactly one session can be open at a time.
  */
 
@@ -43,9 +44,8 @@ namespace trace_event
 /** Track group an event renders under (trace "process"). */
 enum class Cat : std::uint8_t
 {
-    Phase = 1,    ///< PhaseTimer scopes
+    Stage = 1,    ///< telemetry::Span stage spans
     Pool = 2,     ///< work-stealing pool chunk execution
-    Sweep = 3,    ///< sweep-engine sub-batches
     SimCacheT = 4 ///< SimCache lookup instants
 };
 
@@ -78,15 +78,16 @@ bool beginSession(const std::string &path);
  */
 bool endSession();
 
-/** @return microseconds since process start (span timebase). */
+/** @return microseconds on the process clock (span timebase). */
 std::uint64_t nowMicros();
 
 /**
  * Record a completed span [ts, ts+dur] named @p name on the calling
- * thread's track in @p cat.  No-op without a session.
+ * thread's track in @p cat, with @p args (a serialized JSON object,
+ * or empty for none).  No-op without a session.
  */
-void emitComplete(Cat cat, const std::string &name,
-                  std::uint64_t ts_us, std::uint64_t dur_us);
+void emitComplete(Cat cat, const std::string &name, std::uint64_t ts_us,
+                  std::uint64_t dur_us, const std::string &args = {});
 
 /** Record an instant event at now() on the calling thread's track. */
 void emitInstant(Cat cat, const char *name);
@@ -97,32 +98,6 @@ void emitInstant(Cat cat, const char *name);
  * current and any later session.
  */
 void setThreadName(const std::string &name);
-
-/** Scoped span: construction stamps the start, destruction emits. */
-class Span
-{
-  public:
-    Span(Cat cat, std::string name)
-        : cat_(cat), name_(std::move(name)),
-          armed_(enabled()), start_(armed_ ? nowMicros() : 0)
-    {
-    }
-
-    ~Span()
-    {
-        if (armed_ && enabled())
-            emitComplete(cat_, name_, start_, nowMicros() - start_);
-    }
-
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-
-  private:
-    Cat cat_;
-    std::string name_;
-    bool armed_;
-    std::uint64_t start_;
-};
 
 } // namespace trace_event
 } // namespace cachetime

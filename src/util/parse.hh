@@ -51,7 +51,11 @@ checkNumber(std::string_view text, T &value,
                                  std::chars_format::general);
     else
         result = std::from_chars(text.data(), end, parsed);
-    const std::string quoted = "'" + std::string(text) + "' is ";
+    // Appended piece by piece: in Release builds GCC 12's -Wrestrict
+    // misfires on a string literal + std::string.
+    std::string quoted = "'";
+    quoted += text;
+    quoted += "' is ";
     if (result.ec == std::errc::invalid_argument || result.ptr != end)
         return quoted + (real ? "not a decimal number"
                               : "not a decimal integer");
@@ -69,7 +73,11 @@ checkNumber(std::string_view text, T &value,
         std::snprintf(buf, sizeof(buf), "[%g, %g]", lo, hi);
         range = buf;
     } else {
-        range = "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+        range = '[';
+        range += std::to_string(lo);
+        range += ", ";
+        range += std::to_string(hi);
+        range += ']';
     }
     return quoted + "out of range " + range;
 }

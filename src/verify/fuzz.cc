@@ -1,7 +1,6 @@
 #include "verify/fuzz.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -597,7 +596,7 @@ FuzzReport
 runFuzz(const FuzzOptions &options)
 {
     FuzzReport report;
-    ProgressMeter *meter = progress::global();
+    ProgressMeter *meter = options.progress;
     if (meter)
         meter->setTotal(options.cases, "cases");
     for (std::uint64_t i = 0; i < options.cases; ++i) {
@@ -607,14 +606,6 @@ runFuzz(const FuzzOptions &options)
         ++report.casesRun;
         if (meter)
             meter->update(report.casesRun);
-        if (options.progressEvery != 0 &&
-            report.casesRun % options.progressEvery == 0) {
-            std::fprintf(stderr, "fuzz: %llu/%llu cases ok\n",
-                         static_cast<unsigned long long>(
-                             report.casesRun),
-                         static_cast<unsigned long long>(
-                             options.cases));
-        }
         if (!outcome.mismatch)
             continue;
 

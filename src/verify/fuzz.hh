@@ -32,6 +32,9 @@
 
 namespace cachetime
 {
+
+class ProgressMeter;
+
 namespace verify
 {
 
@@ -93,8 +96,8 @@ struct FuzzOptions
     std::uint64_t cases = 1000;  ///< number of consecutive seeds
     std::string reproDir = ".";  ///< where repro files are written
     bool minimize = true;        ///< shrink before writing the repro
-    /** Print a progress line every this many cases (0 = quiet). */
-    std::uint64_t progressEvery = 0;
+    /** One progress phase of `cases` cases, or nullptr for none. */
+    ProgressMeter *progress = nullptr;
 };
 
 /** Campaign result; `mismatches == 0` means the property held. */
@@ -111,7 +114,7 @@ struct FuzzReport
  * Run @p options.cases consecutive seeds; on the first mismatch,
  * minimize, dump a repro and stop (one shrunk failure is worth more
  * than a count of unshrunk ones).  Reports one update per case to
- * the registered progress::global() meter, if any.
+ * @p options.progress, if any, and finishes its phase.
  */
 FuzzReport runFuzz(const FuzzOptions &options);
 

@@ -199,7 +199,7 @@ IoFuzzReport
 runIoFuzz(const IoFuzzOptions &options)
 {
     IoFuzzReport report;
-    ProgressMeter *meter = progress::global();
+    ProgressMeter *meter = options.progress;
     if (meter)
         meter->setTotal(options.cases, "cases");
     for (std::uint64_t i = 0; i < options.cases; ++i) {
@@ -231,16 +231,6 @@ runIoFuzz(const IoFuzzOptions &options)
         else
             ++report.rejected;
         std::remove(path.c_str());
-
-        if (options.progressEvery &&
-            (i + 1) % options.progressEvery == 0) {
-            inform("io fuzz: %llu/%llu cases (%llu ok, %llu "
-                   "rejected)",
-                   static_cast<unsigned long long>(i + 1),
-                   static_cast<unsigned long long>(options.cases),
-                   static_cast<unsigned long long>(report.accepted),
-                   static_cast<unsigned long long>(report.rejected));
-        }
     }
     if (meter)
         meter->finish();

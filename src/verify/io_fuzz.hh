@@ -22,6 +22,9 @@
 
 namespace cachetime
 {
+
+class ProgressMeter;
+
 namespace verify
 {
 
@@ -31,8 +34,8 @@ struct IoFuzzOptions
     std::uint64_t seed = 1;     ///< seed of the first case
     std::uint64_t cases = 500;  ///< number of consecutive seeds
     std::string workDir = ".";  ///< scratch + repro directory
-    /** Print a progress line every this many cases (0 = quiet). */
-    std::uint64_t progressEvery = 0;
+    /** One progress phase of `cases` cases, or nullptr for none. */
+    ProgressMeter *progress = nullptr;
 };
 
 /** Campaign result; `failures == 0` means the loaders held up. */
@@ -49,8 +52,8 @@ struct IoFuzzReport
 /**
  * Run @p options.cases consecutive seeds.  Stops at the first
  * failure, keeping the input file; intermediate files from clean
- * cases are deleted.  Reports one update per case to the registered
- * progress::global() meter, if any.
+ * cases are deleted.  Reports one update per case to
+ * @p options.progress, if any, and finishes its phase.
  */
 IoFuzzReport runIoFuzz(const IoFuzzOptions &options);
 

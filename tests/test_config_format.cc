@@ -258,5 +258,24 @@ TEST(SystemConfigDeathTest, NonFiniteTimesAreFatal)
                 "memory.recoveryNs must be finite");
 }
 
+/**
+ * A negative memory time would round to a free operation, so it is
+ * fatal; zero stays a valid time.
+ */
+TEST(SystemConfigDeathTest, NegativeMemoryTimesAreFatal)
+{
+    SystemConfig config = SystemConfig::paperDefault();
+    config.memory.writeNs = -50.0;
+    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                "memory.writeNs must be finite and non-negative, got -50");
+    config = SystemConfig::paperDefault();
+    config.memory.readLatencyNs = -1e-9;
+    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                "memory.readLatencyNs must be finite and non-negative");
+    config = SystemConfig::paperDefault();
+    config.memory.recoveryNs = 0.0;
+    config.validate();
+}
+
 } // namespace
 } // namespace cachetime

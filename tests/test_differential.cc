@@ -87,9 +87,9 @@ TEST(Differential, BitIdenticalAcrossThreadCounts)
 /**
  * The observability hard invariant: running with every time-resolved
  * instrument live — an interval collector slicing the stream, an
- * open trace-event session, and a global progress meter fed by the
- * pool — must not change a single simulated counter, at any thread
- * count.  The window width is co-prime with the chunk size so
+ * open trace-event session, and a progress meter bumped from every
+ * pool worker — must not change a single simulated counter, at any
+ * thread count.  The window width is co-prime with the chunk size so
  * interval cuts land at arbitrary stream offsets.
  */
 TEST(Differential, InstrumentedRunsBitIdenticalAcrossThreadCounts)
@@ -133,10 +133,8 @@ TEST(Differential, InstrumentedRunsBitIdenticalAcrossThreadCounts)
     };
 
     ASSERT_TRUE(trace_event::beginSession(trace_path));
-    progress::setGlobal(&meter);
     std::vector<std::string> one = run_instrumented(1);
     std::vector<std::string> eight = run_instrumented(8);
-    progress::setGlobal(nullptr);
     ASSERT_TRUE(trace_event::endSession());
     meter.finish();
     std::remove(trace_path.c_str());

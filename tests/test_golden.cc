@@ -31,10 +31,10 @@
 #include "core/blocksize_opt.hh"
 #include "core/breakeven.hh"
 #include "core/experiment.hh"
-#include "core/sweep.hh"
 #include "memory/memory_timing.hh"
 #include "sim/simulator.hh"
 #include "stats/interval.hh"
+#include "stats/telemetry.hh"
 #include "thread_guard.hh"
 #include "trace/ref_source.hh"
 #include "trace/workloads.hh"
@@ -303,7 +303,7 @@ TEST(Golden, Sec5MemoryGridOptima)
     }
     const std::vector<unsigned> blocks{1, 2, 4, 8, 16, 32, 64};
 
-    resetSweepCounters();
+    telemetry::resetStages();
     const std::vector<BlockSizeCurve> curves =
         sweepBlockSize(bases, blocks, traces());
     ASSERT_EQ(curves.size(), bases.size());
@@ -317,7 +317,13 @@ TEST(Golden, Sec5MemoryGridOptima)
                                      curves[b].execNsPerRef.end()),
                    rows[b].execAtOptimum, kRatioTol, "exec at optimum");
     }
-    EXPECT_GT(sweepCounters().followers, 0u);
+    std::uint64_t followers = 0;
+    for (const telemetry::StageRecord &stage : telemetry::stages()) {
+        for (const auto &[key, value] : stage.counts)
+            if (stage.name == "batch" && key == "followers")
+                followers += value;
+    }
+    EXPECT_GT(followers, 0u);
 }
 
 /** Table 3 flavor: the miss-penalty distribution on one trace. */

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the NDJSON progress meter: record shape, throttling,
- * sink specs and the global registration hook the sweep engine
- * reports through.
+ * Tests for the NDJSON progress meter: record shape, throttling
+ * and sink specs.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 
 #include "json_check.hh"
 #include "stats/progress.hh"
-#include "trace/workloads.hh"
-#include "core/sweep.hh"
 
 using namespace cachetime;
 
@@ -132,35 +129,4 @@ TEST(Progress, FdSpecWritesThroughInheritedDescriptor)
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].find("event")->text, "done");
-}
-
-TEST(Progress, GlobalHookFeedsSweepEngine)
-{
-    std::string path = testing::TempDir() + "progress_sweep.ndjson";
-    WorkloadSpec spec;
-    spec.name = "progress_sweep";
-    spec.lengthRefs = 4000;
-    spec.seed = 5;
-    Trace trace = generate(spec);
-
-    std::vector<SystemConfig> configs(
-        3, SystemConfig::paperDefault());
-    {
-        ProgressMeter meter;
-        ASSERT_TRUE(meter.openSpec(path));
-        meter.setThrottleSeconds(0.0);
-        meter.setTotal(trace.size() * configs.size(), "refs");
-        progress::setGlobal(&meter);
-        TraceRefSource source(trace);
-        simulateBatch(configs, source);
-        progress::setGlobal(nullptr);
-        meter.finish();
-    }
-    EXPECT_EQ(progress::global(), nullptr);
-    std::vector<json_check::JsonValue> records = readRecords(path);
-    std::remove(path.c_str());
-    ASSERT_GE(records.size(), 2u);
-    // The batch driver bumped one span x three machines.
-    EXPECT_EQ(records.back().find("done")->number,
-              static_cast<double>(trace.size() * configs.size()));
 }

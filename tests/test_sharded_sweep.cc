@@ -27,13 +27,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
+#include "core/smarts.hh"
 #include "core/stack_sim.hh"
 #include "core/sweep.hh"
 #include "fill_only_source.hh"
@@ -41,6 +44,7 @@
 #include "sim/system.hh"
 #include "stats/interval.hh"
 #include "stats/telemetry.hh"
+#include "stats/trace_event.hh"
 #include "thread_guard.hh"
 #include "trace/ref_source.hh"
 #include "trace/trace_v2.hh"
@@ -499,6 +503,20 @@ loneRuns(const std::vector<SystemConfig> &configs, const Trace &trace)
     return out;
 }
 
+/** @return count @p key of stage @p stage in the stage table, or 0. */
+std::uint64_t
+stageCount(const std::string &stage, const std::string &key)
+{
+    for (const telemetry::StageRecord &record : telemetry::stages()) {
+        if (record.name != stage)
+            continue;
+        for (const auto &[name, value] : record.counts)
+            if (name == key)
+                return value;
+    }
+    return 0;
+}
+
 /** @return copies of the memoized results @p shared points at. */
 std::vector<SimResult>
 values(const std::vector<std::shared_ptr<const SimResult>> &shared)
@@ -538,7 +556,7 @@ TEST(SweepSharedFrontEnd, BatchesMatchLoneMachines)
 {
     ThreadGuard guard;
     SimCacheOff off;
-    resetSweepCounters();
+    telemetry::resetStages();
     const std::string path =
         ::testing::TempDir() + "/shared_front_end.cttrace2";
     for (std::size_t i = 0; i < 50; ++i) {
@@ -595,7 +613,7 @@ TEST(SweepSharedFrontEnd, BatchesMatchLoneMachines)
         }
     }
     std::remove(path.c_str());
-    EXPECT_GT(sweepCounters().followers, 0u);
+    EXPECT_GT(stageCount("batch", "followers"), 0u);
 }
 
 /**
@@ -701,23 +719,10 @@ TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
     EXPECT_DEATH(ran.addBackEnd(slower), "has not run");
 }
 
-/**
- * A grid of 2 L1 sizes x 3 cycle times over one trace at one thread
- * is cut into two groups of one organization each, so it builds six
- * back ends of which four follow the first of their front end; the
- * run manifest reports both counts, the references the two front
- * ends scanned and the events the six back ends replayed, and every
- * aggregate equals the lone machine's.  A
- * miss-ratio query over the same grid and two traces then runs one
- * stack pass per trace (one issue shape), which the manifest counts
- * as passes and stack points, building no machine.
- */
-TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
+/** 2 L1 sizes x 3 cycle times of the paper default. */
+std::vector<SystemConfig>
+frontEndGrid()
 {
-    ThreadGuard guard;
-    SimCacheOff off;
-    setParallelThreads(1);
-
     std::vector<SystemConfig> configs;
     for (double cycle : {20.0, 40.0, 60.0}) {
         for (std::uint64_t words : {1024u, 4096u}) {
@@ -727,10 +732,31 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
             configs.push_back(config);
         }
     }
+    return configs;
+}
+
+/**
+ * The frontEndGrid() over one trace at one thread is cut into two
+ * groups of one organization each, so it builds six back ends of
+ * which four follow the first of their front end; the run
+ * manifest's "batch" stage reports both counts, the references the
+ * two front ends scanned and the events the six back ends replayed,
+ * and every aggregate equals the lone machine's.  A miss-ratio query
+ * over the same grid and two traces then runs one stack pass per
+ * trace (one issue shape), which the "stack" stage counts as passes
+ * and points, building no machine.
+ */
+TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
+{
+    ThreadGuard guard;
+    SimCacheOff off;
+    setParallelThreads(1);
+
+    const std::vector<SystemConfig> configs = frontEndGrid();
     const std::vector<Trace> traces{
         longTrace(verify::generateCase(97301).trace)};
 
-    resetSweepCounters();
+    telemetry::resetStages();
     std::vector<AggregateMetrics> grid = runGeoMeanMany(configs, traces);
 
     telemetry::RunManifest run;
@@ -741,8 +767,10 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
     std::string error;
     ASSERT_TRUE(json_check::parseJson(manifest.str(), &doc, &error))
         << error;
-    const json_check::JsonValue *machines = doc.path("sweep.machines");
-    const json_check::JsonValue *followers = doc.path("sweep.followers");
+    const json_check::JsonValue *machines =
+        doc.path("phases.batch.machines");
+    const json_check::JsonValue *followers =
+        doc.path("phases.batch.followers");
     ASSERT_NE(machines, nullptr);
     ASSERT_NE(followers, nullptr);
     EXPECT_EQ(machines->number, 6.0);
@@ -756,11 +784,11 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
         std::string why;
         if (!json_check::parseJson(text.str(), &fresh, &why))
             return -2.0;
-        const json_check::JsonValue *value = fresh.path("sweep." + key);
+        const json_check::JsonValue *value = fresh.path("phases." + key);
         return value ? value->number : -1.0;
     };
-    EXPECT_EQ(count("stack_passes"), 0.0);
-    EXPECT_EQ(count("stack_points"), 0.0);
+    // No stack pass has run, so the manifest has no stack stage.
+    EXPECT_EQ(count("stack"), -1.0);
 
     // Each of the two front ends scans the trace once, and each of
     // its three back ends replays the events a lone machine of its
@@ -776,9 +804,9 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
         EXPECT_LT(lone.replayedEvents(), traces[0].size());
         lone_events += 3 * lone.replayedEvents();
     }
-    EXPECT_EQ(count("front_refs"),
+    EXPECT_EQ(count("batch.front_refs"),
               2.0 * static_cast<double>(traces[0].size()));
-    EXPECT_EQ(count("events"), static_cast<double>(lone_events));
+    EXPECT_EQ(count("batch.events"), static_cast<double>(lone_events));
 
     ASSERT_EQ(grid.size(), configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -797,11 +825,127 @@ TEST(SweepSharedFrontEnd, ManifestCountsMachinesAndFollowers)
         ASSERT_TRUE(stackEligible(config));
     runMissRatioMany(configs,
                      {traces[0], verify::generateCase(97302).trace});
-    EXPECT_EQ(count("stack_passes"), 2.0);
-    EXPECT_EQ(count("stack_points"),
+    EXPECT_EQ(count("stack.passes"), 2.0);
+    EXPECT_EQ(count("stack.points"),
               2.0 * static_cast<double>(configs.size()));
-    EXPECT_EQ(count("machines"), 6.0);
-    EXPECT_EQ(count("events"), static_cast<double>(lone_events));
+    EXPECT_EQ(count("batch.machines"), 6.0);
+    EXPECT_EQ(count("batch.events"), static_cast<double>(lone_events));
+}
+
+/**
+ * Every engine stage is one span.  With a trace-event session open,
+ * a timing grid (fused batches, at 1 and then 4 threads), a
+ * miss-ratio grid (stack passes) and a SMARTS sweep (one pass) each
+ * leave their stage in the manifest's "phases", with a count equal
+ * to the stage's complete events in the trace file; every stage
+ * event renders in the one stage process, and on the opener's track
+ * each batch lies inside a "simulate" span.  The one-thread grid's
+ * batches count 6 machines and 4 followers.
+ */
+TEST(TraceEventStages, EveryEngineStageIsOneSpan)
+{
+    ThreadGuard guard;
+    SimCacheOff off;
+    const std::vector<SystemConfig> configs = frontEndGrid();
+    const Trace trace = longTrace(verify::generateCase(97301).trace);
+    const std::vector<Trace> traces{trace,
+                                    verify::generateCase(97302).trace,
+                                    verify::generateCase(97303).trace};
+    SystemConfig physical = SystemConfig::paperDefault();
+    physical.addressing = AddressMode::Physical;
+    SmartsConfig sampling;
+    sampling.unitRefs = 200;
+    sampling.warmupRefs = 400;
+    sampling.periodRefs = 2000;
+    sampling.pilotUnits = 5;
+
+    const std::string path = ::testing::TempDir() + "/stage_spans.json";
+    telemetry::resetStages();
+    ASSERT_TRUE(trace_event::beginSession(path));
+    setParallelThreads(1);
+    runGeoMeanMany(configs, {trace});
+    EXPECT_EQ(stageCount("batch", "machines"), 6u);
+    EXPECT_EQ(stageCount("batch", "followers"), 4u);
+    // The stage table is written from the pool's workers from here.
+    setParallelThreads(4);
+    runGeoMeanMany(configs, traces);
+    runMissRatioMany(configs, traces);
+    TraceRefSource source(trace);
+    runSmartsMany({configs[0], configs[1], physical}, source, sampling);
+    ASSERT_TRUE(trace_event::endSession());
+
+    std::stringstream text;
+    {
+        std::ifstream in(path);
+        text << in.rdbuf();
+    }
+    std::remove(path.c_str());
+    json_check::JsonValue events;
+    std::string error;
+    ASSERT_TRUE(json_check::parseJson(text.str(), &events, &error))
+        << error;
+    std::stringstream manifest_text;
+    telemetry::writeManifest(manifest_text, telemetry::RunManifest{});
+    json_check::JsonValue manifest;
+    ASSERT_TRUE(
+        json_check::parseJson(manifest_text.str(), &manifest, &error))
+        << error;
+    EXPECT_EQ(manifest.find("sweep"), nullptr);
+
+    struct Stage
+    {
+        std::string name;
+        double pid, tid, ts, end;
+    };
+    const std::set<std::string> stages{"simulate", "batch", "stack",
+                                       "smarts-pass"};
+    std::vector<Stage> spans;
+    double opener = -1;
+    for (const json_check::JsonValue &e :
+         events.find("traceEvents")->items) {
+        const std::string &name = e.find("name")->text;
+        if (e.find("ph")->text == "M" && name == "thread_name" &&
+            e.path("args.name")->text == "main")
+            opener = e.find("tid")->number;
+        if (e.find("ph")->text == "X" && stages.count(name)) {
+            const double ts = e.find("ts")->number;
+            spans.push_back({name, e.find("pid")->number,
+                             e.find("tid")->number, ts,
+                             ts + e.find("dur")->number});
+        }
+    }
+    auto spansOf = [&](const std::string &name) {
+        return static_cast<std::size_t>(std::count_if(
+            spans.begin(), spans.end(),
+            [&](const Stage &span) { return span.name == name; }));
+    };
+    for (const std::string &stage : stages) {
+        const json_check::JsonValue *count =
+            manifest.path("phases." + stage + ".count");
+        ASSERT_NE(count, nullptr) << stage;
+        EXPECT_GT(count->number, 0.0) << stage;
+        EXPECT_EQ(count->number, static_cast<double>(spansOf(stage)))
+            << stage;
+    }
+    EXPECT_EQ(spansOf("simulate"), 3u);
+    EXPECT_EQ(spansOf("smarts-pass"), 1u);
+
+    ASSERT_GE(opener, 0.0);
+    std::size_t nested = 0;
+    for (const Stage &span : spans) {
+        EXPECT_EQ(span.pid, static_cast<double>(trace_event::Cat::Stage))
+            << span.name;
+        if (span.name != "batch" || span.tid != opener)
+            continue;
+        ++nested;
+        EXPECT_TRUE(std::any_of(
+            spans.begin(), spans.end(), [&](const Stage &query) {
+                return query.name == "simulate" && query.tid == opener &&
+                       query.ts <= span.ts && span.end <= query.end;
+            }))
+            << "batch at " << span.ts;
+    }
+    EXPECT_GE(nested, 2u); // at least the one-thread grid's two
 }
 
 /** Every field of two aggregates, compared bit for bit. */
@@ -867,7 +1011,7 @@ TEST(SweepGrid, RunsMatchLoneMachines)
         verify::generateCase(97703).trace};
     const std::size_t T = traces.size();
 
-    resetSweepCounters();
+    telemetry::resetStages();
     for (unsigned threads : {1u, 4u}) {
         setParallelThreads(threads);
         const GridRuns grid = runGeoMeanGrid(configs, traces);
@@ -899,7 +1043,7 @@ TEST(SweepGrid, RunsMatchLoneMachines)
                               context + " vs runGeoMeanMany");
         }
     }
-    EXPECT_GT(sweepCounters().followers, 0u);
+    EXPECT_GT(stageCount("batch", "followers"), 0u);
 }
 
 } // namespace

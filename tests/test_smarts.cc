@@ -573,9 +573,9 @@ TEST(Smarts, OnePassMatchesSeparatePasses)
 }
 
 /**
- * A sampled pass is one Sweep span named for its groups, runs and
- * stream, so a Perfetto trace shows each pass; the pool's per-chunk
- * spans show its fan-out.
+ * A sampled pass is one "smarts-pass" stage span whose args give its
+ * groups, runs and stream, so a Perfetto trace shows each pass; the
+ * pool's per-chunk spans show its fan-out.
  */
 TEST(Smarts, PassEmitsOneSweepSpan)
 {
@@ -600,18 +600,19 @@ TEST(Smarts, PassEmitsOneSweepSpan)
     json_check::JsonValue doc;
     std::string error;
     ASSERT_TRUE(json_check::parseJson(text.str(), &doc, &error)) << error;
-    const std::string want =
-        "smarts pass groups=2 runs=3 trace=" + testTrace().name();
     std::size_t passes = 0;
     for (const json_check::JsonValue &e :
          doc.find("traceEvents")->items) {
-        const std::string &name = e.find("name")->text;
-        if (e.find("ph")->text != "X" || name.rfind("smarts pass", 0) != 0)
+        if (e.find("ph")->text != "X" ||
+            e.find("name")->text != "smarts-pass")
             continue;
         ++passes;
-        EXPECT_EQ(name, want);
         EXPECT_EQ(e.find("pid")->number,
-                  static_cast<double>(trace_event::Cat::Sweep));
+                  static_cast<double>(trace_event::Cat::Stage));
+        ASSERT_NE(e.find("args"), nullptr);
+        EXPECT_EQ(e.path("args.groups")->number, 2.0);
+        EXPECT_EQ(e.path("args.runs")->number, 3.0);
+        EXPECT_EQ(e.path("args.label")->text, testTrace().name());
     }
     EXPECT_EQ(passes, 1u);
 }

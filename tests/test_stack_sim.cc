@@ -391,15 +391,15 @@ TEST(StackSim, FullResultsAnswerMissRatioQueries)
     cache.setEnabled(cache_was_enabled);
 }
 
-/** A miss-ratio query is timed in the manifest's "simulate" phase. */
+/** A miss-ratio query is timed in the manifest's "simulate" stage. */
 TEST(StackSim, MissRatioQueryRecordsSimulatePhase)
 {
-    telemetry::resetPhases();
+    telemetry::resetStages();
     runMissRatioMany({SystemConfig::paperDefault()}, fuzzTraces(97001, 1));
     std::uint64_t count = 0;
-    for (const telemetry::PhaseRecord &phase : telemetry::phases()) {
-        if (phase.name == "simulate")
-            count = phase.count;
+    for (const telemetry::StageRecord &stage : telemetry::stages()) {
+        if (stage.name == "simulate")
+            count = stage.count;
     }
     EXPECT_EQ(count, 1u);
 }

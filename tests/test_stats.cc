@@ -206,24 +206,32 @@ TEST(StatsSimResult, L2AccessorsTrackMidLevels)
     EXPECT_EQ(&with_l2.l2Buffer(), &with_l2.midBuffers.front());
 }
 
-TEST(StatsTelemetry, PhaseTimerAccumulates)
+TEST(StatsTelemetry, SpanAccumulates)
 {
-    telemetry::resetPhases();
+    telemetry::resetStages();
     {
-        telemetry::PhaseTimer t("unit-test-phase");
+        telemetry::Span span("unit-test-stage");
+        span.count("items", 3);
     }
     {
-        telemetry::PhaseTimer t("unit-test-phase");
+        telemetry::Span span("unit-test-stage");
+        span.count("items", 4);
+        span.count("other", 1);
     }
     bool found = false;
-    for (const telemetry::PhaseRecord &p : telemetry::phases()) {
-        if (p.name == "unit-test-phase") {
+    for (const telemetry::StageRecord &stage : telemetry::stages()) {
+        if (stage.name == "unit-test-stage") {
             found = true;
-            EXPECT_EQ(p.count, 2u);
-            EXPECT_GE(p.seconds, 0.0);
+            EXPECT_EQ(stage.count, 2u);
+            EXPECT_GE(stage.seconds, 0.0);
+            using Counts =
+                std::vector<std::pair<std::string, std::uint64_t>>;
+            EXPECT_EQ(stage.counts, (Counts{{"items", 7}, {"other", 1}}));
         }
     }
     EXPECT_TRUE(found);
+    telemetry::resetStages();
+    EXPECT_TRUE(telemetry::stages().empty());
 }
 
 TEST(StatsTelemetry, ConfigHashIsStableAndSensitive)

@@ -156,6 +156,9 @@ TEST(ApplyKeyValues, IgnoresCommentsAndBlanks)
     SystemConfig config = SystemConfig::paperDefault();
     applyKeyValues(config, "\n# only comments\n   \n");
     EXPECT_DOUBLE_EQ(config.cycleNs, 40.0);
+    // A comment may follow a line's one key=value.
+    applyKeyValues(config, "cycle_ns=25 # note\n");
+    EXPECT_DOUBLE_EQ(config.cycleNs, 25.0);
 }
 
 } // namespace

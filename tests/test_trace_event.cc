@@ -2,7 +2,7 @@
  * @file
  * Tests for the trace-event exporter: session lifecycle, Chrome
  * Trace Event Format shape, category/track metadata, and the hooks
- * in PhaseTimer and the thread pool.
+ * in telemetry::Span and the thread pool.
  */
 
 #include <gtest/gtest.h>
@@ -65,9 +65,9 @@ TEST(TraceEvent, DisabledHooksAreNoOps)
     ASSERT_FALSE(trace_event::enabled());
     // Every hook must be callable with no session; these would
     // crash or leak state into the next session otherwise.
-    trace_event::emitComplete(trace_event::Cat::Phase, "x", 0, 1);
+    trace_event::emitComplete(trace_event::Cat::Stage, "x", 0, 1);
     trace_event::emitInstant(trace_event::Cat::SimCacheT, "hit");
-    { trace_event::Span span(trace_event::Cat::Sweep, "scope"); }
+    { telemetry::Span span("scope"); }
     EXPECT_FALSE(trace_event::endSession());
 }
 
@@ -85,8 +85,8 @@ TEST(TraceEvent, DisabledHooksTakeNoTrackId)
     std::promise<void> opened;
     std::thread early([&] {
         trace_event::emitInstant(trace_event::Cat::SimCacheT, "miss");
-        trace_event::emitComplete(trace_event::Cat::Sweep, "x", 0, 1);
-        { trace_event::Span span(trace_event::Cat::Sweep, "scope"); }
+        trace_event::emitComplete(trace_event::Cat::Stage, "x", 0, 1);
+        { telemetry::Span span("scope"); }
         probed.set_value();
         opened.get_future().wait();
         trace_event::emitInstant(trace_event::Cat::SimCacheT, "early");
@@ -134,10 +134,13 @@ TEST(TraceEvent, SessionCollectsSpansInstantsAndMetadata)
     EXPECT_FALSE(trace_event::beginSession(path + ".other"));
 
     std::uint64_t t0 = trace_event::nowMicros();
-    trace_event::emitComplete(trace_event::Cat::Sweep, "batch n=3",
-                              t0, 42);
+    trace_event::emitComplete(trace_event::Cat::Stage, "batch", t0, 42);
     trace_event::emitInstant(trace_event::Cat::SimCacheT, "miss");
-    { telemetry::PhaseTimer timer("unit-phase"); }
+    {
+        telemetry::Span span("unit-stage");
+        span.label("mu3");
+        span.count("machines", 3);
+    }
 
     json_check::JsonValue doc = endAndParse(path);
     EXPECT_FALSE(trace_event::enabled());
@@ -146,33 +149,42 @@ TEST(TraceEvent, SessionCollectsSpansInstantsAndMetadata)
     ASSERT_TRUE(doc.find("traceEvents")->isArray());
     EXPECT_EQ(doc.find("displayTimeUnit")->text, "ms");
 
-    bool saw_span = false, saw_instant = false, saw_phase = false;
+    bool saw_span = false, saw_instant = false, saw_stage = false;
     for (const json_check::JsonValue &e :
          doc.find("traceEvents")->items) {
         const std::string &ph = e.find("ph")->text;
-        if (ph == "X" && e.find("name")->text == "batch n=3") {
+        if (ph == "X" && e.find("name")->text == "batch") {
             saw_span = true;
             EXPECT_EQ(e.find("pid")->number,
-                      static_cast<double>(trace_event::Cat::Sweep));
+                      static_cast<double>(trace_event::Cat::Stage));
             EXPECT_EQ(e.find("dur")->number, 42.0);
+            EXPECT_EQ(e.find("args"), nullptr);
         }
         if (ph == "i" && e.find("name")->text == "miss") {
             saw_instant = true;
             EXPECT_EQ(e.find("s")->text, "t");
         }
-        if (ph == "X" && e.find("name")->text == "unit-phase")
-            saw_phase = true;
+        if (ph == "X" && e.find("name")->text == "unit-stage") {
+            saw_stage = true;
+            EXPECT_EQ(e.find("pid")->number,
+                      static_cast<double>(trace_event::Cat::Stage));
+            ASSERT_NE(e.path("args.label"), nullptr);
+            EXPECT_EQ(e.path("args.label")->text, "mu3");
+            ASSERT_NE(e.path("args.machines"), nullptr);
+            EXPECT_EQ(e.path("args.machines")->number, 3.0);
+        }
     }
     EXPECT_TRUE(saw_span);
     EXPECT_TRUE(saw_instant);
-    EXPECT_TRUE(saw_phase);
+    EXPECT_TRUE(saw_stage);
 
     // Each used category carries its process_name, and the emitting
-    // thread is named on its track.
-    EXPECT_EQ(metaNames(doc, 3, "process_name"),
-              (std::set<std::string>{"sweep"}));
+    // thread is named on its track; every stage shares one process.
     EXPECT_EQ(metaNames(doc, 1, "process_name"),
-              (std::set<std::string>{"phases"}));
+              (std::set<std::string>{"stages"}));
+    EXPECT_EQ(metaNames(doc, 4, "process_name"),
+              (std::set<std::string>{"simcache"}));
+    EXPECT_TRUE(metaNames(doc, 3, "process_name").empty());
     EXPECT_FALSE(metaNames(doc, 1, "thread_name").empty());
 }
 

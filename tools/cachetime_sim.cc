@@ -38,7 +38,7 @@
  *                         "interval_stats"; bit-identical runs)
  *     --interval-csv FILE write the interval series as CSV
  *     --trace-out FILE    export a Chrome/Perfetto trace-event file
- *                         (phases, pool workers, sweep batches)
+ *                         (stage spans, pool workers)
  *     --progress SPEC     stream NDJSON progress records to SPEC:
  *                         "-" = stderr, "fd:N" = inherited fd,
  *                         otherwise a file path
@@ -484,7 +484,7 @@ main(int argc, char **argv)
     // disk, never materialized, so RSS is bounded by the chunk size.
     std::vector<std::unique_ptr<RefSource>> sources;
     {
-        telemetry::PhaseTimer timer("traces");
+        telemetry::Span stage("traces");
         for (const std::string &path : trace_files)
             sources.push_back(openRefSource(path));
         if (sources.empty()) {
@@ -503,7 +503,7 @@ main(int argc, char **argv)
     std::string trace_stats_json = "[";
     std::string sampling_json = "[";
     {
-        telemetry::PhaseTimer timer("simulate");
+        telemetry::Span stage("simulate");
         auto consume = [&](const SimResult &r) {
             printResult(r, csv, verbose);
             if (dump_stats) {
@@ -572,7 +572,7 @@ main(int argc, char **argv)
     sampling_json += ']';
 
     if (results.size() > 1 && !csv) {
-        telemetry::PhaseTimer timer("report");
+        telemetry::Span stage("report");
         AggregateMetrics m = aggregateResults(config, results);
         std::cout << "geometric mean over " << results.size()
                   << " traces: "

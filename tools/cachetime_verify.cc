@@ -16,7 +16,6 @@
  *     --repro FILE    replay one repro file and print the diff
  *     --case SEED     run one generated case verbosely
  *     --repro-dir DIR where failure repros are written (default .)
- *     --progress N    progress line every N cases (default 0: quiet)
  *     --progress-out SPEC stream NDJSON progress records per case to
  *                     SPEC: "-" = stderr, "fd:N" = inherited fd,
  *                     otherwise a file path
@@ -105,8 +104,6 @@ main(int argc, char **argv)
             single_seed = count();
         } else if (arg == "--repro-dir")
             options.reproDir = value();
-        else if (arg == "--progress")
-            options.progressEvery = count();
         else if (arg == "--progress-out")
             progress_spec = value();
         else if (arg == "--no-minimize")
@@ -127,14 +124,14 @@ main(int argc, char **argv)
                   "'%s'", progress_spec.c_str());
         meter.setTool("cachetime_verify");
         meter.setLabel(io_fuzz ? "io-fuzz" : "fuzz");
-        progress::setGlobal(&meter);
+        options.progress = &meter;
     }
     if (io_fuzz) {
         verify::IoFuzzOptions io_options;
         io_options.seed = options.seed;
         io_options.cases = io_cases ? io_cases : 500;
         io_options.workDir = options.reproDir;
-        io_options.progressEvery = options.progressEvery;
+        io_options.progress = options.progress;
         verify::IoFuzzReport report = verify::runIoFuzz(io_options);
         if (report.failures == 0) {
             std::printf("io fuzz: %llu cases, all clean (%llu "
