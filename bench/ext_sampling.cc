@@ -11,12 +11,10 @@
  *  - per size point, config A (the 40ns baseline) runs the sampled
  *    full pass, capturing live-points checkpoints in memory, and
  *    config B (80ns, same L1 organization, so the warm key matches)
- *    replays only the sampled units from them;
- *  - every estimate is compared against the full-run truth.  Truths
- *    are pinned once per (trace hash, config key) - and the
- *    timing-independent miss-ratio truth once per (trace hash, warm
- *    key), shared across the cycle-time sweep - instead of
- *    re-simulating the baseline at every row;
+ *    replays only the sampled units from them; one sampled pass per
+ *    trace serves every config;
+ *  - every estimate is compared against the full-run truth of its
+ *    own (config, trace), all of them from one grid query;
  *  - reported: CI coverage of the truth, mean |relative error|,
  *    mean relative CI half-width, and the replay fraction of the
  *    checkpointed config-B runs.
@@ -24,19 +22,16 @@
  * Invoked as `ext_sampling [--json [PATH]]` (or `--json=PATH`;
  * PATH defaults to BENCH_sampling.json); the JSON report asserts
  * that checkpointed replays re-simulate under 10% of the stream
- * (exit code 2 when they do not).  CACHETIME_BENCH_SCALE resizes
- * the traces.
+ * (exit code 2 when they do not).  CACHETIME_SCALE resizes the
+ * traces.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <map>
-#include <utility>
 
 #include "bench/common.hh"
 #include "core/experiment.hh"
-#include "core/sim_cache.hh"
 #include "core/smarts.hh"
 #include "trace/ref_source.hh"
 
@@ -61,7 +56,7 @@ tunedSampling(std::uint64_t stream_refs)
     return cfg;
 }
 
-/** One (size point, trace, config) estimate vs. pinned truth. */
+/** One (size point, trace, config) estimate vs. its full-run truth. */
 struct Sample
 {
     SmartsMode mode;
@@ -108,14 +103,6 @@ struct Accumulator
     }
 };
 
-using TruthKey = std::pair<std::uint64_t, std::uint64_t>;
-
-TruthKey
-key(const SimKey &k, std::uint64_t trace_hash)
-{
-    return {k.lo ^ trace_hash, k.hi};
-}
-
 } // namespace
 
 int
@@ -126,52 +113,36 @@ main(int argc, char **argv)
 
     auto traces = standardTraces(0.10);
     auto sizes = sizeAxisWordsEach();
+    const std::size_t T = traces.size();
 
-    // Pinned full-run truths: CPI per exact (config, trace) key,
-    // the timing-independent miss ratio per (warm key, trace hash)
-    // so the 80ns config reuses the 40ns config's full run.
-    std::map<TruthKey, double> cpi_truth;
-    std::map<TruthKey, double> miss_truth;
-    std::uint64_t truth_runs = 0, truth_hits = 0;
-
-    auto truths = [&](const SystemConfig &config,
-                      const Trace &trace) {
-        std::uint64_t hash = traceIdentityHash(trace);
-        TruthKey exact = key(simKey(config, hash), hash);
-        TruthKey warm = key(warmStateKey(config), hash);
-        auto hit = cpi_truth.find(exact);
-        if (hit != cpi_truth.end()) {
-            ++truth_hits;
-            return std::pair<double, double>{hit->second,
-                                             miss_truth[warm]};
-        }
-        auto miss_hit = miss_truth.find(warm);
-        ++truth_runs;
-        SimResult r = simulateOne(config, trace);
-        cpi_truth[exact] = r.cyclesPerRef();
-        if (miss_hit == miss_truth.end())
-            miss_truth[warm] = r.readMissRatio();
-        else
-            ++truth_hits; // timing-only revisit: miss truth reused
-        return std::pair<double, double>{cpi_truth[exact],
-                                         miss_truth[warm]};
-    };
-
-    Accumulator full_pass, replay;
+    // configs[2k] is size point k at 40ns, configs[2k + 1] at 80ns.
+    std::vector<SystemConfig> configs;
     for (std::uint64_t words_each : sizes) {
         SystemConfig a = SystemConfig::paperDefault();
         a.setL1SizeWordsEach(words_each);
-        SystemConfig b = a;
-        b.cycleNs = 80.0;
-        for (const Trace &trace : traces) {
-            TraceRefSource source(trace);
-            std::vector<SmartsRunResult> runs = runSmartsMany(
-                {a, b}, source, tunedSampling(trace.size()));
-            const SystemConfig *configs[] = {&a, &b};
-            for (std::size_t c = 0; c < runs.size(); ++c) {
-                const SmartsRunResult &run = runs[c];
-                auto [cpi_true, miss_true] =
-                    truths(*configs[c], trace);
+        configs.push_back(a);
+        a.cycleNs = 80.0;
+        configs.push_back(a);
+    }
+    // truth.runs[c * T + t]: configs[c] over traces[t], run in full.
+    const GridRuns truth = runGeoMeanGrid(configs, traces);
+    // sampled[t][c]: each 40ns config leads its warm-key group with
+    // the full pass, and its 80ns twin replays from its live points.
+    std::vector<std::vector<SmartsRunResult>> sampled;
+    for (const Trace &trace : traces) {
+        TraceRefSource source(trace);
+        sampled.push_back(runSmartsMany(configs, source,
+                                        tunedSampling(trace.size())));
+    }
+
+    Accumulator full_pass, replay;
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+        for (std::size_t t = 0; t < T; ++t) {
+            for (std::size_t c = 2 * k; c < 2 * k + 2; ++c) {
+                const SmartsRunResult &run = sampled[t][c];
+                const SimResult &full = *truth.runs[c * T + t];
+                const double cpi_true = full.cyclesPerRef();
+                const double miss_true = full.readMissRatio();
                 Sample s;
                 s.mode = run.mode;
                 s.replayFraction = run.replayFraction();
@@ -212,8 +183,6 @@ main(int argc, char **argv)
     row("ckpt replay (80ns)", replay);
     emit(table, "Extension: SMARTS sampling vs full-run truth "
                 "(Fig 3-1 size axis)");
-    std::cout << "truth runs: " << truth_runs
-              << ", pinned reuses: " << truth_hits << '\n';
 
     bool replay_ok = replay.maxReplay() < 0.10;
     if (json.given) {
@@ -229,8 +198,6 @@ main(int argc, char **argv)
                "80ns checkpoint replay\",\n"
             << "  \"size_points\": " << sizes.size() << ",\n"
             << "  \"traces\": " << traces.size() << ",\n"
-            << "  \"truth_runs\": " << truth_runs << ",\n"
-            << "  \"truth_reuses\": " << truth_hits << ",\n"
             << "  \"full_pass\": {\"n\": " << full_pass.samples.size()
             << ", \"ci_coverage\": " << full_pass.coverage()
             << ", \"mean_abs_rel_err_cpi\": "

@@ -19,14 +19,14 @@
  * throughput report instead (to BENCH_simulator.json without a
  * PATH): per-workload refs/sec of `simulateOne` under the paper-default
  * system, single-threaded and with eight concurrent simulations,
- * with the geomean over the Table 1 workloads.  EXPERIMENTS.md
- * documents the regen command.
+ * with the geomean over the Table 1 workloads, at the trace scale
+ * CACHETIME_SCALE sets (default 0.2).  EXPERIMENTS.md documents the
+ * regen command.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -294,9 +294,7 @@ runJsonReport(const std::string &path)
 {
     setQuiet(true);
 
-    double scale = 0.2;
-    if (const char *env = std::getenv("CACHETIME_BENCH_SCALE"))
-        scale = std::strtod(env, nullptr);
+    const double scale = benchScale(0.2);
 
     const SystemConfig config = SystemConfig::paperDefault();
     const auto specs = table1Workloads();

@@ -25,12 +25,11 @@
  * test's exit status enforces them.
  *
  * Invoked as `perf_sweep [--json [PATH]]` (or `--json=PATH`); the
- * report goes to PATH, else BENCH_sweep.json.  CACHETIME_BENCH_SCALE
+ * report goes to PATH, else BENCH_sweep.json.  CACHETIME_SCALE
  * resizes the traces (default 0.05 keeps the smoke test quick).
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -99,9 +98,7 @@ int
 runReport(const std::string &path)
 {
     const std::vector<SystemConfig> configs = fig3Grid();
-    double scale = 0.05;
-    if (const char *env = std::getenv("CACHETIME_BENCH_SCALE"))
-        scale = std::strtod(env, nullptr);
+    const double scale = benchScale(0.05);
     setQuiet(true);
     const std::vector<Trace> traces = generateTable1(scale);
 

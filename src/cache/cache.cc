@@ -3,7 +3,6 @@
 #include <bit>
 #include <cassert>
 
-#include "stats/stats.hh"
 #include "util/logging.hh"
 #include "util/mathutil.hh"
 #include "util/serialize.hh"
@@ -27,43 +26,6 @@ CacheStats::writeMissRatio() const
         return 0.0;
     return static_cast<double>(writeMisses) /
            static_cast<double>(writeAccesses);
-}
-
-void
-CacheStats::regStats(stats::Registry &registry,
-                     const std::string &prefix) const
-{
-    auto scalar = [&](const char *leaf, const char *desc,
-                      const std::uint64_t &counter) {
-        registry.addScalar(prefix + "." + leaf, desc,
-                           [&counter] { return counter; });
-    };
-    scalar("readAccesses", "loads + ifetches", readAccesses);
-    scalar("readMisses", "read misses incl. sub-block", readMisses);
-    scalar("writeAccesses", "stores", writeAccesses);
-    scalar("writeMisses", "write misses", writeMisses);
-    scalar("subBlockMisses", "tag hit but words invalid",
-           subBlockMisses);
-    scalar("fills", "fetches from the next level", fills);
-    scalar("wordsFetched", "words fetched from below", wordsFetched);
-    scalar("blocksReplaced", "blocks replaced", blocksReplaced);
-    scalar("dirtyBlocksReplaced", "dirty blocks written back",
-           dirtyBlocksReplaced);
-    scalar("dirtyWordsReplaced", "dirty words written back",
-           dirtyWordsReplaced);
-    scalar("wordsWrittenThrough", "words written through",
-           wordsWrittenThrough);
-    scalar("prefetches", "prefetch fills issued", prefetches);
-    scalar("prefetchHits", "demand hits on prefetched blocks",
-           prefetchHits);
-    scalar("victimHits", "misses swapped back from the victim cache",
-           victimHits);
-    registry.addFormula(prefix + ".readMissRatio",
-                        "read misses / read accesses",
-                        [this] { return readMissRatio(); });
-    registry.addFormula(prefix + ".writeMissRatio",
-                        "write misses / write accesses",
-                        [this] { return writeMissRatio(); });
 }
 
 void

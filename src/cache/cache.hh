@@ -38,17 +38,13 @@
 
 #include "cache/cache_config.hh"
 #include "cache/mask.hh"
+#include "stats/counter_list.hh"
 #include "trace/ref.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -129,34 +125,39 @@ struct CacheStats
     /** @return write misses / write accesses. */
     double writeMissRatio() const;
 
-    /**
-     * Register every counter plus the derived miss ratios under
-     * @p prefix (e.g. "system.l1d") in @p registry.  The registry
-     * reads through accessors, so *this must outlive every dump.
-     */
-    void regStats(stats::Registry &registry,
-                  const std::string &prefix) const;
-
     void reset() { *this = CacheStats(); }
 
     /** Accumulate @p other (warm-segment measured-stats gathering). */
-    void
-    merge(const CacheStats &other)
+    void merge(const CacheStats &other) { mergeCounters(*this, other); }
+
+    /** Every counter once (stats/counter_list.hh). */
+    template <typename Visit>
+    static void
+    forEachCounter(Visit &&visit)
     {
-        readAccesses += other.readAccesses;
-        readMisses += other.readMisses;
-        writeAccesses += other.writeAccesses;
-        writeMisses += other.writeMisses;
-        subBlockMisses += other.subBlockMisses;
-        fills += other.fills;
-        wordsFetched += other.wordsFetched;
-        blocksReplaced += other.blocksReplaced;
-        dirtyBlocksReplaced += other.dirtyBlocksReplaced;
-        dirtyWordsReplaced += other.dirtyWordsReplaced;
-        wordsWrittenThrough += other.wordsWrittenThrough;
-        prefetches += other.prefetches;
-        prefetchHits += other.prefetchHits;
-        victimHits += other.victimHits;
+        using S = CacheStats;
+        visit("readAccesses", "loads + ifetches", &S::readAccesses);
+        visit("readMisses", "read misses incl. sub-block",
+              &S::readMisses);
+        visit("writeAccesses", "stores", &S::writeAccesses);
+        visit("writeMisses", "write misses", &S::writeMisses);
+        visit("subBlockMisses", "tag hit but words invalid",
+              &S::subBlockMisses);
+        visit("fills", "fetches from the next level", &S::fills);
+        visit("wordsFetched", "words fetched from below",
+              &S::wordsFetched);
+        visit("blocksReplaced", "blocks replaced", &S::blocksReplaced);
+        visit("dirtyBlocksReplaced", "dirty blocks written back",
+              &S::dirtyBlocksReplaced);
+        visit("dirtyWordsReplaced", "dirty words written back",
+              &S::dirtyWordsReplaced);
+        visit("wordsWrittenThrough", "words written through",
+              &S::wordsWrittenThrough);
+        visit("prefetches", "prefetch fills issued", &S::prefetches);
+        visit("prefetchHits", "demand hits on prefetched blocks",
+              &S::prefetchHits);
+        visit("victimHits", "misses swapped back from the victim cache",
+              &S::victimHits);
     }
 };
 

@@ -98,18 +98,31 @@ struct CoherenceStats
 
     void reset() { *this = CoherenceStats(); }
 
-    void
-    merge(const CoherenceStats &other)
+    void merge(const CoherenceStats &other) { mergeCounters(*this, other); }
+
+    /** Every counter once (stats/counter_list.hh). */
+    template <typename Visit>
+    static void
+    forEachCounter(Visit &&visit)
     {
-        busTransactions += other.busTransactions;
-        snoops += other.snoops;
-        invalidations += other.invalidations;
-        upgrades += other.upgrades;
-        interventions += other.interventions;
-        writebacks += other.writebacks;
-        upgradeCycles += other.upgradeCycles;
-        interventionCycles += other.interventionCycles;
-        busBusyCycles += other.busBusyCycles;
+        using S = CoherenceStats;
+        visit("busTransactions", "bus transactions arbitrated",
+              &S::busTransactions);
+        visit("snoops", "transactions peers observed", &S::snoops);
+        visit("invalidations", "peer copies invalidated",
+              &S::invalidations);
+        visit("upgrades", "shared-to-modified ownership requests",
+              &S::upgrades);
+        visit("interventions", "snoops answered by a dirty peer",
+              &S::interventions);
+        visit("writebacks", "snoop-forced flushes to the L2",
+              &S::writebacks);
+        visit("upgradeCycles", "bus cycles spent on upgrades",
+              &S::upgradeCycles);
+        visit("interventionCycles", "cycles flushing dirty peer copies",
+              &S::interventionCycles);
+        visit("busBusyCycles", "total cycles the bus was held",
+              &S::busBusyCycles);
     }
 };
 

@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "stats/counter_list.hh"
 #include "trace/ref.hh"
 
 namespace cachetime
@@ -55,13 +56,21 @@ struct MissClassStats
 
     void reset() { *this = MissClassStats(); }
 
-    void
-    merge(const MissClassStats &other)
+    void merge(const MissClassStats &other) { mergeCounters(*this, other); }
+
+    /** Every counter once (stats/counter_list.hh). */
+    template <typename Visit>
+    static void
+    forEachCounter(Visit &&visit)
     {
-        compulsory += other.compulsory;
-        capacity += other.capacity;
-        conflict += other.conflict;
-        coherence += other.coherence;
+        using S = MissClassStats;
+        visit("compulsory", "first-touch misses", &S::compulsory);
+        visit("capacity",
+              "misses a fully-associative equal-size cache also takes",
+              &S::capacity);
+        visit("conflict", "placement-induced misses", &S::conflict);
+        visit("coherence", "first re-touches after a peer invalidation",
+              &S::coherence);
     }
 };
 

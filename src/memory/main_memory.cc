@@ -2,33 +2,12 @@
 
 #include <algorithm>
 
-#include "stats/stats.hh"
 #include "trace_debug/trace_debug.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
 namespace cachetime
 {
-
-void
-MainMemoryStats::regStats(stats::Registry &registry,
-                          const std::string &prefix) const
-{
-    registry.addScalar(prefix + ".reads", "read operations",
-                       [this] { return reads; });
-    registry.addScalar(prefix + ".writes", "write operations",
-                       [this] { return writes; });
-    registry.addScalar(prefix + ".wordsRead", "words read",
-                       [this] { return wordsRead; });
-    registry.addScalar(prefix + ".wordsWritten", "words written",
-                       [this] { return wordsWritten; });
-    registry.addScalar(prefix + ".busyCycles",
-                       "cycles the unit was occupied",
-                       [this] { return busyCycles; });
-    registry.addScalar(prefix + ".readWaitCycles",
-                       "read start delays due to busy memory",
-                       [this] { return readWaitCycles; });
-}
 
 MainMemory::MainMemory(const MainMemoryConfig &config, double cycleNs)
     : config_(config), timing_(config, cycleNs)

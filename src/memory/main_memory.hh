@@ -14,19 +14,14 @@
 #define CACHETIME_MEMORY_MAIN_MEMORY_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "memory/mem_level.hh"
 #include "memory/memory_timing.hh"
+#include "stats/counter_list.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -41,22 +36,25 @@ struct MainMemoryStats
     Tick busyCycles = 0;     ///< cycles the unit was occupied
     Tick readWaitCycles = 0; ///< read start delays due to busy memory
 
-    /** Register every counter under @p prefix in @p registry. */
-    void regStats(stats::Registry &registry,
-                  const std::string &prefix) const;
-
     void reset() { *this = MainMemoryStats(); }
 
     /** Accumulate @p other (warm-segment measured-stats gathering). */
-    void
-    merge(const MainMemoryStats &other)
+    void merge(const MainMemoryStats &other) { mergeCounters(*this, other); }
+
+    /** Every counter once (stats/counter_list.hh). */
+    template <typename Visit>
+    static void
+    forEachCounter(Visit &&visit)
     {
-        reads += other.reads;
-        writes += other.writes;
-        wordsRead += other.wordsRead;
-        wordsWritten += other.wordsWritten;
-        busyCycles += other.busyCycles;
-        readWaitCycles += other.readWaitCycles;
+        using S = MainMemoryStats;
+        visit("reads", "read operations", &S::reads);
+        visit("writes", "write operations", &S::writes);
+        visit("wordsRead", "words read", &S::wordsRead);
+        visit("wordsWritten", "words written", &S::wordsWritten);
+        visit("busyCycles", "cycles the unit was occupied",
+              &S::busyCycles);
+        visit("readWaitCycles", "read start delays due to busy memory",
+              &S::readWaitCycles);
     }
 };
 

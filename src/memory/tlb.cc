@@ -1,6 +1,5 @@
 #include "memory/tlb.hh"
 
-#include "stats/stats.hh"
 #include "trace_debug/trace_debug.hh"
 #include "util/logging.hh"
 #include "util/mathutil.hh"
@@ -8,19 +7,6 @@
 
 namespace cachetime
 {
-
-void
-TlbStats::regStats(stats::Registry &registry,
-                   const std::string &prefix) const
-{
-    registry.addScalar(prefix + ".accesses", "translations",
-                       [this] { return accesses; });
-    registry.addScalar(prefix + ".misses", "TLB misses",
-                       [this] { return misses; });
-    registry.addFormula(prefix + ".missRatio",
-                        "misses / translations",
-                        [this] { return missRatio(); });
-}
 
 void
 TlbConfig::validate() const

@@ -22,18 +22,13 @@
 #define CACHETIME_MEMORY_TLB_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "stats/counter_list.hh"
 #include "util/types.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -66,18 +61,18 @@ struct TlbStats
                    : static_cast<double>(misses) / accesses;
     }
 
-    /** Register counters and the miss ratio under @p prefix. */
-    void regStats(stats::Registry &registry,
-                  const std::string &prefix) const;
-
     void reset() { *this = TlbStats(); }
 
     /** Accumulate @p other (warm-segment measured-stats gathering). */
-    void
-    merge(const TlbStats &other)
+    void merge(const TlbStats &other) { mergeCounters(*this, other); }
+
+    /** Every counter once (stats/counter_list.hh). */
+    template <typename Visit>
+    static void
+    forEachCounter(Visit &&visit)
     {
-        accesses += other.accesses;
-        misses += other.misses;
+        visit("accesses", "translations", &TlbStats::accesses);
+        visit("misses", "TLB misses", &TlbStats::misses);
     }
 };
 

@@ -21,15 +21,11 @@
 #include <vector>
 
 #include "memory/mem_level.hh"
+#include "stats/counter_list.hh"
 #include "util/histogram.hh"
 
 namespace cachetime
 {
-
-namespace stats
-{
-class Registry;
-}
 
 class StateReader;
 class StateWriter;
@@ -78,31 +74,38 @@ struct WriteBufferStats
     /** Queue occupancy observed at each enqueue. */
     Histogram occupancy{17, 1};
 
-    /**
-     * Register every counter plus the occupancy histogram under
-     * @p prefix in @p registry; *this must outlive every dump.
-     */
-    void regStats(stats::Registry &registry,
-                  const std::string &prefix) const;
-
     void reset() { *this = WriteBufferStats(); }
 
     /** Accumulate @p other (warm-segment measured-stats gathering). */
-    void
-    merge(const WriteBufferStats &other)
+    void merge(const WriteBufferStats &other) { mergeCounters(*this, other); }
+
+    /**
+     * Every counter once (stats/counter_list.hh).  The registry
+     * takes them in another order, named in regBuffer
+     * (sim/sim_result.cc).
+     */
+    template <typename Visit>
+    static void
+    forEachCounter(Visit &&visit)
     {
-        enqueued += other.enqueued;
-        wordsEnqueued += other.wordsEnqueued;
-        coalesced += other.coalesced;
-        retired += other.retired;
-        readMatches += other.readMatches;
-        readMatchStallCycles += other.readMatchStallCycles;
-        fullStalls += other.fullStalls;
-        fullStallCycles += other.fullStallCycles;
-        maxOccupancy = maxOccupancy > other.maxOccupancy
-                           ? maxOccupancy
-                           : other.maxOccupancy;
-        occupancy.merge(other.occupancy);
+        using S = WriteBufferStats;
+        visit("enqueued", "writes accepted", &S::enqueued);
+        visit("wordsEnqueued", "words accepted", &S::wordsEnqueued);
+        visit("coalesced", "writes merged into a queued entry",
+              &S::coalesced);
+        visit("retired", "entries drained downstream", &S::retired);
+        visit("readMatches", "reads stalled by an address match",
+              &S::readMatches);
+        visit("readMatchStallCycles", "cycles reads waited on matches",
+              &S::readMatchStallCycles);
+        visit("fullStalls", "enqueues that found the buffer full",
+              &S::fullStalls);
+        visit("fullStallCycles", "cycles writers waited on a full buffer",
+              &S::fullStallCycles);
+        visit("maxOccupancy", "deepest queue observed",
+              &S::maxOccupancy, Combine::Max);
+        visit("occupancy", "queue depth at each enqueue",
+              &S::occupancy);
     }
 };
 

@@ -369,46 +369,15 @@ CoherentSystem::feedChunk(const Ref *refs, std::size_t n)
         consume(refs[i]);
         if (interval_ && consumed_ >= nextIntervalBoundary_) {
             interval_->atBoundary(consumed_,
-                                  captureIntervalCounters());
+                                  resultSoFar().intervalCounters());
             nextIntervalBoundary_ =
                 interval_->firstBoundaryAfter(consumed_);
         }
     }
 }
 
-IntervalCounters
-CoherentSystem::captureIntervalCounters() const
-{
-    IntervalCounters c;
-    c.refs = mReads_ + mWrites_;
-    c.readRefs = mReads_;
-    c.writeRefs = mWrites_;
-    c.groups = c.refs;
-    if (!measuring_)
-        return c; // warm-up prefix: measured counters stay zero
-    c.cycles = static_cast<std::uint64_t>(wall() - measureStart_);
-    for (const Core &core : cores_) {
-        if (core.icache) {
-            c.ifetchAccesses += core.icache->stats().readAccesses;
-            c.ifetchMisses += core.icache->stats().readMisses;
-        }
-        const CacheStats &d = core.dcache->stats();
-        c.readAccesses += d.readAccesses;
-        c.readMisses += d.readMisses;
-        c.writeAccesses += d.writeAccesses;
-        c.writeMisses += d.writeMisses;
-    }
-    c.memReads = memStats_.reads;
-    c.memWrites = memStats_.writes;
-    c.cohInvalidations = coh_.invalidations;
-    c.cohUpgrades = coh_.upgrades;
-    c.cohBusBusyCycles =
-        static_cast<std::uint64_t>(coh_.busBusyCycles);
-    return c;
-}
-
 SimResult
-CoherentSystem::endRun()
+CoherentSystem::resultSoFar() const
 {
     SimResult result;
     result.traceName = traceName_;
@@ -439,8 +408,15 @@ CoherentSystem::endRun()
         result.stallReadCycles = stallRead_;
         result.stallWriteCycles = stallWrite_;
     }
+    return result;
+}
+
+SimResult
+CoherentSystem::endRun()
+{
+    SimResult result = resultSoFar();
     if (interval_)
-        interval_->endRun(consumed_, captureIntervalCounters());
+        interval_->endRun(consumed_, result.intervalCounters());
     measuring_ = false;
     return result;
 }

@@ -125,7 +125,12 @@ class CoherentSystem final : public Simulator
     Tick l2Put(Addr addr, unsigned words);
 
     void crossWarmBoundary();
-    IntervalCounters captureIntervalCounters() const;
+
+    /**
+     * @return the measured result at the current position; endRun()
+     * returns it, and each interval window snapshots it early.
+     */
+    SimResult resultSoFar() const;
 
     SystemConfig config_;
     CoreMap map_;

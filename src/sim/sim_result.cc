@@ -1,5 +1,10 @@
 #include "sim/sim_result.hh"
 
+#include <initializer_list>
+#include <string_view>
+#include <type_traits>
+
+#include "stats/interval.hh"
 #include "stats/stats.hh"
 #include "util/logging.hh"
 
@@ -13,6 +18,66 @@ double
 ratio(double num, double den)
 {
     return den == 0.0 ? 0.0 : num / den;
+}
+
+/**
+ * Register the listed counters of @p s under @p prefix, integers as
+ * scalars and histograms as histograms, read through references into
+ * @p s.  @p order, when given, names every listed counter once, in
+ * the order to register them.
+ */
+template <typename Stats>
+void
+regCounters(stats::Registry &registry, const std::string &prefix,
+            const Stats &s,
+            std::initializer_list<std::string_view> order = {})
+{
+    auto reg = [&](const char *name, const char *desc, auto field,
+                   auto...) {
+        const auto &value = s.*field;
+        if constexpr (std::is_same_v<
+                          std::remove_cvref_t<decltype(value)>,
+                          Histogram>)
+            registry.addHistogram(prefix + "." + name, desc, &value);
+        else
+            registry.addScalar(prefix + "." + name, desc,
+                               [&value] { return value; });
+    };
+    if (order.size() == 0)
+        Stats::forEachCounter(reg);
+    for (std::string_view want : order)
+        Stats::forEachCounter([&](const char *name, auto... rest) {
+            if (name == want)
+                reg(name, rest...);
+        });
+}
+
+/** A cache's counters, then its two miss ratios. */
+void
+regCache(stats::Registry &registry, const std::string &prefix,
+         const CacheStats &c)
+{
+    regCounters(registry, prefix, c);
+    registry.addFormula(prefix + ".readMissRatio",
+                        "read misses / read accesses",
+                        [&c] { return c.readMissRatio(); });
+    registry.addFormula(prefix + ".writeMissRatio",
+                        "write misses / write accesses",
+                        [&c] { return c.writeMissRatio(); });
+}
+
+/**
+ * A write buffer's counters, fullStalls before readMatchStallCycles:
+ * the digests in perfbench/pins.txt hash the dump in this order.
+ */
+void
+regBuffer(stats::Registry &registry, const std::string &prefix,
+          const WriteBufferStats &b)
+{
+    regCounters(registry, prefix, b,
+                {"enqueued", "wordsEnqueued", "coalesced", "retired",
+                 "readMatches", "fullStalls", "readMatchStallCycles",
+                 "fullStallCycles", "maxOccupancy", "occupancy"});
 }
 
 } // namespace
@@ -193,95 +258,65 @@ SimResult::regStats(stats::Registry &registry,
                           "observed L1 read-miss service times",
                           &missPenaltyCycles);
 
-    icache.regStats(registry, root + ".l1i");
-    dcache.regStats(registry, root + ".l1d");
-    l1Buffer.regStats(registry, root + ".l1wbuf");
+    regCache(registry, root + ".l1i", icache);
+    regCache(registry, root + ".l1d", dcache);
+    regBuffer(registry, root + ".l1wbuf", l1Buffer);
     for (std::size_t i = 0; i < midLevels.size(); ++i) {
-        std::string level = "l";
-        level += std::to_string(i + 2);
-        midLevels[i].regStats(registry, root + "." + level);
+        std::string level = root + ".l" + std::to_string(i + 2);
+        regCache(registry, level, midLevels[i]);
         if (i < midBuffers.size())
-            midBuffers[i].regStats(registry,
-                                   root + "." + level + "wbuf");
+            regBuffer(registry, level + "wbuf", midBuffers[i]);
     }
-    memory.regStats(registry, root + ".mem");
-    if (physical)
-        tlb.regStats(registry, root + ".tlb");
+    regCounters(registry, root + ".mem", memory);
+    if (physical) {
+        regCounters(registry, root + ".tlb", tlb);
+        registry.addFormula(root + ".tlb.missRatio",
+                            "misses / translations",
+                            [this] { return tlb.missRatio(); });
+    }
 
     if (coherent) {
         registry.addScalar(name("cores"), "simulated cores",
                            [this] { return cores; });
-        std::string coh = root + ".coh";
-        auto cname = [&](const char *leaf) {
-            return coh + "." + leaf;
-        };
-        registry.addScalar(cname("busTransactions"),
-                           "bus transactions arbitrated",
-                           [this] {
-                               return coherenceStats.busTransactions;
-                           });
-        registry.addScalar(cname("snoops"),
-                           "transactions peers observed",
-                           [this] { return coherenceStats.snoops; });
-        registry.addScalar(cname("invalidations"),
-                           "peer copies invalidated",
-                           [this] {
-                               return coherenceStats.invalidations;
-                           });
-        registry.addScalar(cname("upgrades"),
-                           "shared-to-modified ownership requests",
-                           [this] { return coherenceStats.upgrades; });
-        registry.addScalar(cname("interventions"),
-                           "snoops answered by a dirty peer",
-                           [this] {
-                               return coherenceStats.interventions;
-                           });
-        registry.addScalar(cname("writebacks"),
-                           "snoop-forced flushes to the L2",
-                           [this] {
-                               return coherenceStats.writebacks;
-                           });
-        registry.addScalar(cname("upgradeCycles"),
-                           "bus cycles spent on upgrades",
-                           [this] {
-                               return coherenceStats.upgradeCycles;
-                           });
-        registry.addScalar(cname("interventionCycles"),
-                           "cycles flushing dirty peer copies",
-                           [this] {
-                               return coherenceStats
-                                   .interventionCycles;
-                           });
-        registry.addScalar(cname("busBusyCycles"),
-                           "total cycles the bus was held",
-                           [this] {
-                               return coherenceStats.busBusyCycles;
-                           });
-
-        std::string cls = root + ".missclass";
-        registry.addScalar(cls + ".compulsory",
-                           "first-touch misses",
-                           [this] { return missClasses.compulsory; });
-        registry.addScalar(cls + ".capacity",
-                           "misses a fully-associative equal-size "
-                           "cache also takes",
-                           [this] { return missClasses.capacity; });
-        registry.addScalar(cls + ".conflict",
-                           "placement-induced misses",
-                           [this] { return missClasses.conflict; });
-        registry.addScalar(cls + ".coherence",
-                           "first re-touches after a peer "
-                           "invalidation",
-                           [this] { return missClasses.coherence; });
-
+        regCounters(registry, root + ".coh", coherenceStats);
+        regCounters(registry, root + ".missclass", missClasses);
         for (std::size_t c = 0; c < coreDcache.size(); ++c) {
-            std::string core =
-                root + ".core" + std::to_string(c);
+            std::string core = root + ".core" + std::to_string(c);
             if (c < coreIcache.size())
-                coreIcache[c].regStats(registry, core + ".l1i");
-            coreDcache[c].regStats(registry, core + ".l1d");
+                regCache(registry, core + ".l1i", coreIcache[c]);
+            regCache(registry, core + ".l1d", coreDcache[c]);
         }
     }
+}
+
+IntervalCounters
+SimResult::intervalCounters() const
+{
+    IntervalCounters c;
+    c.refs = refs;
+    c.readRefs = readRefs;
+    c.writeRefs = writeRefs;
+    c.groups = groups;
+    c.cycles = static_cast<std::uint64_t>(cycles);
+    c.ifetchAccesses = icache.readAccesses;
+    c.ifetchMisses = icache.readMisses;
+    c.readAccesses = dcache.readAccesses;
+    c.readMisses = dcache.readMisses;
+    c.writeAccesses = dcache.writeAccesses;
+    c.writeMisses = dcache.writeMisses;
+    c.wbufEnqueued = l1Buffer.enqueued;
+    c.wbufFullStalls = l1Buffer.fullStalls;
+    c.wbufOccupancyCount = l1Buffer.occupancy.count();
+    c.wbufOccupancySum = l1Buffer.occupancy.sum();
+    c.tlbAccesses = tlb.accesses;
+    c.tlbMisses = tlb.misses;
+    c.memReads = memory.reads;
+    c.memWrites = memory.writes;
+    c.cohInvalidations = coherenceStats.invalidations;
+    c.cohUpgrades = coherenceStats.upgrades;
+    c.cohBusBusyCycles =
+        static_cast<std::uint64_t>(coherenceStats.busBusyCycles);
+    return c;
 }
 
 } // namespace cachetime

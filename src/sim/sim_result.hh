@@ -31,6 +31,8 @@ namespace stats
 class Registry;
 }
 
+struct IntervalCounters;
+
 /** Results of simulating one trace on one machine. */
 struct SimResult
 {
@@ -149,13 +151,22 @@ struct SimResult
     double writeTrafficWordRatio() const;
 
     /**
+     * @return the counters an interval window carries, read from
+     * this result: the one projection both engines' window snapshots
+     * go through.  The I-side fields read icache, which stays zero
+     * on a unified L1.
+     */
+    IntervalCounters intervalCounters() const;
+
+    /**
      * Register the whole result as a stats tree rooted at @p root
      * (default "system"): top-line counters and derived metrics,
      * then per-component groups - system.l1i, system.l1d,
      * system.l1wbuf, system.l2 / l2wbuf (and l3... for deeper
-     * hierarchies), system.mem, and system.tlb when physical.  The
-     * registry reads through accessors, so *this must outlive every
-     * dump of @p registry.
+     * hierarchies), system.mem, and system.tlb when physical - each
+     * walking its struct's counter list (stats/counter_list.hh).
+     * The registry reads through accessors, so *this must outlive
+     * every dump of @p registry.
      */
     void regStats(stats::Registry &registry,
                   const std::string &root = "system") const;

@@ -568,7 +568,7 @@ class System::BackEnd
             measuring_ = true;
             break;
           case Event::MeasureOff:
-            fold(list.folds[at.fold++]);
+            fold(result_, list.folds[at.fold++]);
             measuring_ = false;
             break;
           case Event::End:
@@ -577,36 +577,36 @@ class System::BackEnd
     }
 
     /**
-     * Fold the measured span ending now into the result, with the
+     * Fold the measured span ending now into @p result, with the
      * front end's L1 and TLB counters @p front (a single fold over
      * the whole post-warm span when there are no warm segments, so
      * the unsegmented path is bit-identical to reading the stats
      * directly).
      */
     void
-    fold(const FrontCounters &front)
+    fold(SimResult &result, const FrontCounters &front) const
     {
-        result_.cycles += now_ - segStart_;
-        result_.groups += front.groups;
-        result_.refs += front.reads + front.writes;
-        result_.readRefs += front.reads;
-        result_.writeRefs += front.writes;
+        result.cycles += now_ - segStart_;
+        result.groups += front.groups;
+        result.refs += front.reads + front.writes;
+        result.readRefs += front.reads;
+        result.writeRefs += front.writes;
 
-        result_.icache.merge(front.icache);
-        result_.dcache.merge(front.dcache);
-        result_.tlb.merge(front.tlb);
+        result.icache.merge(front.icache);
+        result.dcache.merge(front.dcache);
+        result.tlb.merge(front.tlb);
         // midLevels_ is ordered memory-first; expose CPU-first.
         for (std::size_t i = midLevels_.size(); i-- > 0;) {
             std::size_t out = midLevels_.size() - 1 - i;
-            result_.midLevels[out].merge(midLevels_[i]->cache().stats());
-            result_.midBuffers[out].merge(midBuffers_[i]->stats());
+            result.midLevels[out].merge(midLevels_[i]->cache().stats());
+            result.midBuffers[out].merge(midBuffers_[i]->stats());
         }
-        result_.l1Buffer.merge(l1Buffer_->stats());
-        result_.memory.merge(memory_->stats());
-        result_.missPenaltyCycles.merge(missPenalty_);
-        result_.stallReadCycles += stallRead_;
-        result_.stallWriteCycles += stallWrite_;
-        result_.stallTlbCycles += stallTlb_;
+        result.l1Buffer.merge(l1Buffer_->stats());
+        result.memory.merge(memory_->stats());
+        result.missPenaltyCycles.merge(missPenalty_);
+        result.stallReadCycles += stallRead_;
+        result.stallWriteCycles += stallWrite_;
+        result.stallTlbCycles += stallTlb_;
     }
 
     /** Fold a measured span still open at the end of the run. */
@@ -614,13 +614,26 @@ class System::BackEnd
     finish(const FrontCounters &front)
     {
         if (measuring_) {
-            fold(front);
+            fold(result_, front);
             measuring_ = false;
         }
     }
 
-    /** The measured counters as of now, @p front the live front end's. */
-    IntervalCounters intervalCounters(const FrontCounters &front) const;
+    /**
+     * @return the result so far, @p front the live front end's
+     * counters: inside a measured span, fold() applied to a copy of
+     * the folded result; outside one the live stats hold leftovers
+     * the last fold already took, which the next measure-on edge
+     * clears.
+     */
+    SimResult
+    resultSoFar(const FrontCounters &front) const
+    {
+        SimResult result = result_;
+        if (measuring_)
+            fold(result, front);
+        return result;
+    }
 
     void saveClock(StateWriter &w) const;
     void loadClock(StateReader &r);
@@ -1017,56 +1030,6 @@ class System::BackEnd
     SimResult result_; ///< accumulating result of the armed run
 };
 
-IntervalCounters
-System::BackEnd::intervalCounters(const FrontCounters &front) const
-{
-    IntervalCounters c;
-    c.refs = result_.refs;
-    c.readRefs = result_.readRefs;
-    c.writeRefs = result_.writeRefs;
-    c.groups = result_.groups;
-    c.cycles = result_.cycles;
-
-    // Folded counters plus, inside a measured span, the live
-    // component stats (fold() has not seen them yet; outside a span
-    // the live structs hold already-folded leftovers that the next
-    // measure-on edge will clear).
-    CacheStats ic = result_.icache;
-    CacheStats dc = result_.dcache;
-    WriteBufferStats wb = result_.l1Buffer;
-    TlbStats tlb = result_.tlb;
-    MainMemoryStats mem = result_.memory;
-    if (measuring_) {
-        c.refs += front.reads + front.writes;
-        c.readRefs += front.reads;
-        c.writeRefs += front.writes;
-        c.groups += front.groups;
-        c.cycles += now_ - segStart_;
-        ic.merge(front.icache);
-        dc.merge(front.dcache);
-        wb.merge(l1Buffer_->stats());
-        tlb.merge(front.tlb);
-        mem.merge(memory_->stats());
-    }
-    if (config_.split) {
-        c.ifetchAccesses = ic.readAccesses;
-        c.ifetchMisses = ic.readMisses;
-    }
-    c.readAccesses = dc.readAccesses;
-    c.readMisses = dc.readMisses;
-    c.writeAccesses = dc.writeAccesses;
-    c.writeMisses = dc.writeMisses;
-    c.wbufEnqueued = wb.enqueued;
-    c.wbufFullStalls = wb.fullStalls;
-    c.wbufOccupancyCount = wb.occupancy.count();
-    c.wbufOccupancySum = wb.occupancy.sum();
-    c.tlbAccesses = tlb.accesses;
-    c.tlbMisses = tlb.misses;
-    c.memReads = mem.reads;
-    c.memWrites = mem.writes;
-    return c;
-}
-
 namespace
 {
 
@@ -1273,31 +1236,24 @@ System::feedChunk(const Ref *refs, std::size_t n)
         refs += take;
         n -= take;
         if (interval_ && front_->consumed() >= nextIntervalBoundary_) {
-            interval_->atBoundary(front_->consumed(),
-                                  captureIntervalCounters());
+            interval_->atBoundary(
+                front_->consumed(),
+                backs_.front()->resultSoFar(front_->counters())
+                    .intervalCounters());
             nextIntervalBoundary_ =
                 interval_->firstBoundaryAfter(front_->consumed());
         }
     }
 }
 
-IntervalCounters
-System::captureIntervalCounters() const
-{
-    return backs_.front()->intervalCounters(front_->counters());
-}
-
 std::vector<SimResult>
 System::endRuns()
 {
     const FrontCounters front = front_->counters();
-    for (auto &back : backs_)
-        back->finish(front);
-    if (interval_)
-        interval_->endRun(front_->consumed(), captureIntervalCounters());
     std::vector<SimResult> out;
     out.reserve(backs_.size());
     for (auto &back : backs_) {
+        back->finish(front);
         out.push_back(back->takeResult());
         CACHETIME_TRACE_EVENT(
             trace_debug::Sim, "run end trace=%s cycles=%llu refs=%llu",
@@ -1305,6 +1261,9 @@ System::endRuns()
             static_cast<unsigned long long>(out.back().cycles),
             static_cast<unsigned long long>(out.back().refs));
     }
+    if (interval_)
+        interval_->endRun(front_->consumed(),
+                          out.front().intervalCounters());
     return out;
 }
 

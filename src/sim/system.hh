@@ -55,8 +55,6 @@
 namespace cachetime
 {
 
-struct IntervalCounters;
-
 /**
  * One simulated uniprocessor machine, or several that differ only in
  * timing and share one front end.  A System may run several streams;
@@ -163,15 +161,6 @@ class System final : public Simulator
      * replays the events.
      */
     void issue(const Ref *refs, std::size_t n);
-
-    /**
-     * @return the cumulative measured counters of the armed run at
-     * the current position: the folded result plus, mid-span of a
-     * measured segment, the live component stats and pending
-     * accumulators.  Read-only; the interval snapshots are built
-     * from differences of these.
-     */
-    IntervalCounters captureIntervalCounters() const;
 
     std::unique_ptr<FrontEnd> front_;
     std::vector<std::unique_ptr<BackEnd>> backs_;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "stats/stats.hh"
 #include "stats/telemetry.hh"
@@ -213,12 +215,70 @@ IntervalCollector::clear()
 namespace
 {
 
-std::string
-num(double v)
+/**
+ * The one column list behind dumpCsv() and dumpJson(): calls
+ * @p visit(name, value) for every column of @p r, in output order.
+ * A value is the trace name, a count, the final flag or a double.
+ */
+template <typename Visit>
+void
+forEachColumn(const IntervalRecord &r, Visit &&visit)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    const IntervalCounters &c = r.c;
+    visit("trace", r.trace);
+    visit("window", r.index);
+    visit("begin_ref", r.beginRef);
+    visit("end_ref", r.endRef);
+    visit("final", r.final);
+    visit("refs", c.refs);
+    visit("reads", c.readRefs);
+    visit("writes", c.writeRefs);
+    visit("groups", c.groups);
+    visit("cycles", c.cycles);
+    visit("cpi", r.cpi());
+    visit("read_miss_ratio", r.readMissRatio());
+    visit("ifetch_miss_ratio", r.ifetchMissRatio());
+    visit("write_miss_ratio", r.writeMissRatio());
+    visit("ifetch_accesses", c.ifetchAccesses);
+    visit("ifetch_misses", c.ifetchMisses);
+    visit("read_accesses", c.readAccesses);
+    visit("read_misses", c.readMisses);
+    visit("write_accesses", c.writeAccesses);
+    visit("write_misses", c.writeMisses);
+    visit("wbuf_enqueued", c.wbufEnqueued);
+    visit("wbuf_full_stalls", c.wbufFullStalls);
+    visit("wbuf_mean_occupancy", r.wbufMeanOccupancy());
+    visit("tlb_accesses", c.tlbAccesses);
+    visit("tlb_misses", c.tlbMisses);
+    visit("mem_reads", c.memReads);
+    visit("mem_writes", c.memWrites);
+    visit("coh_invalidations", c.cohInvalidations);
+    visit("coh_upgrades", c.cohUpgrades);
+    visit("coh_bus_busy_cycles", c.cohBusBusyCycles);
+    visit("wall_seconds", r.wallSeconds);
+    visit("refs_per_sec", r.refsPerSec());
+}
+
+/**
+ * Write one value as a CSV cell or, when @p json, a JSON value: the
+ * trace name raw or quoted, the final flag 1/0 or true/false, a
+ * double as %.17g.
+ */
+template <typename T>
+void
+cell(std::ostream &os, const T &value, bool json)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        os << (json ? '"' + stats::jsonEscape(value) + '"' : value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        os << (json ? (value ? "true" : "false") : (value ? "1" : "0"));
+    } else if constexpr (std::is_same_v<T, double>) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", value);
+        os << buf;
+    } else {
+        os << value;
+    }
 }
 
 } // namespace
@@ -226,32 +286,18 @@ num(double v)
 void
 IntervalCollector::dumpCsv(std::ostream &os) const
 {
-    os << "trace,window,begin_ref,end_ref,final,refs,reads,writes,"
-          "groups,cycles,cpi,read_miss_ratio,ifetch_miss_ratio,"
-          "write_miss_ratio,ifetch_accesses,ifetch_misses,"
-          "read_accesses,read_misses,write_accesses,write_misses,"
-          "wbuf_enqueued,wbuf_full_stalls,wbuf_mean_occupancy,"
-          "tlb_accesses,tlb_misses,mem_reads,mem_writes,"
-          "coh_invalidations,coh_upgrades,coh_bus_busy_cycles,"
-          "wall_seconds,refs_per_sec\n";
+    const char *sep = "";
+    forEachColumn(IntervalRecord{}, [&](const char *name, const auto &) {
+        os << std::exchange(sep, ",") << name;
+    });
+    os << '\n';
     for (const IntervalRecord &r : records_) {
-        os << r.trace << ',' << r.index << ',' << r.beginRef << ','
-           << r.endRef << ',' << (r.final ? 1 : 0) << ',' << r.c.refs
-           << ',' << r.c.readRefs << ',' << r.c.writeRefs << ','
-           << r.c.groups << ',' << r.c.cycles << ',' << num(r.cpi())
-           << ',' << num(r.readMissRatio()) << ','
-           << num(r.ifetchMissRatio()) << ','
-           << num(r.writeMissRatio()) << ',' << r.c.ifetchAccesses
-           << ',' << r.c.ifetchMisses << ',' << r.c.readAccesses
-           << ',' << r.c.readMisses << ',' << r.c.writeAccesses
-           << ',' << r.c.writeMisses << ',' << r.c.wbufEnqueued
-           << ',' << r.c.wbufFullStalls << ','
-           << num(r.wbufMeanOccupancy()) << ',' << r.c.tlbAccesses
-           << ',' << r.c.tlbMisses << ',' << r.c.memReads << ','
-           << r.c.memWrites << ',' << r.c.cohInvalidations << ','
-           << r.c.cohUpgrades << ',' << r.c.cohBusBusyCycles << ','
-           << num(r.wallSeconds) << ','
-           << num(r.refsPerSec()) << '\n';
+        sep = "";
+        forEachColumn(r, [&](const char *, const auto &value) {
+            os << std::exchange(sep, ",");
+            cell(os, value, false);
+        });
+        os << '\n';
     }
 }
 
@@ -259,43 +305,15 @@ void
 IntervalCollector::dumpJson(std::ostream &os) const
 {
     os << '[';
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        const IntervalRecord &r = records_[i];
-        if (i)
-            os << ',';
-        os << "{\"trace\":\"" << stats::jsonEscape(r.trace)
-           << "\",\"window\":" << r.index
-           << ",\"begin_ref\":" << r.beginRef
-           << ",\"end_ref\":" << r.endRef
-           << ",\"final\":" << (r.final ? "true" : "false")
-           << ",\"refs\":" << r.c.refs
-           << ",\"reads\":" << r.c.readRefs
-           << ",\"writes\":" << r.c.writeRefs
-           << ",\"groups\":" << r.c.groups
-           << ",\"cycles\":" << r.c.cycles
-           << ",\"cpi\":" << num(r.cpi())
-           << ",\"read_miss_ratio\":" << num(r.readMissRatio())
-           << ",\"ifetch_miss_ratio\":" << num(r.ifetchMissRatio())
-           << ",\"write_miss_ratio\":" << num(r.writeMissRatio())
-           << ",\"ifetch_accesses\":" << r.c.ifetchAccesses
-           << ",\"ifetch_misses\":" << r.c.ifetchMisses
-           << ",\"read_accesses\":" << r.c.readAccesses
-           << ",\"read_misses\":" << r.c.readMisses
-           << ",\"write_accesses\":" << r.c.writeAccesses
-           << ",\"write_misses\":" << r.c.writeMisses
-           << ",\"wbuf_enqueued\":" << r.c.wbufEnqueued
-           << ",\"wbuf_full_stalls\":" << r.c.wbufFullStalls
-           << ",\"wbuf_mean_occupancy\":"
-           << num(r.wbufMeanOccupancy())
-           << ",\"tlb_accesses\":" << r.c.tlbAccesses
-           << ",\"tlb_misses\":" << r.c.tlbMisses
-           << ",\"mem_reads\":" << r.c.memReads
-           << ",\"mem_writes\":" << r.c.memWrites
-           << ",\"coh_invalidations\":" << r.c.cohInvalidations
-           << ",\"coh_upgrades\":" << r.c.cohUpgrades
-           << ",\"coh_bus_busy_cycles\":" << r.c.cohBusBusyCycles
-           << ",\"wall_seconds\":" << num(r.wallSeconds)
-           << ",\"refs_per_sec\":" << num(r.refsPerSec()) << '}';
+    const char *sep = "";
+    for (const IntervalRecord &r : records_) {
+        os << std::exchange(sep, ",");
+        char open = '{';
+        forEachColumn(r, [&](const char *name, const auto &value) {
+            os << std::exchange(open, ',') << '"' << name << "\":";
+            cell(os, value, true);
+        });
+        os << '}';
     }
     os << ']';
 }

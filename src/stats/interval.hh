@@ -6,8 +6,10 @@
  * The paper's own thesis is that one aggregate number hides the
  * story; an end-of-run miss ratio equally hides warm-up transients
  * and phase behavior inside a single run.  IntervalCollector turns
- * one run into a time series: every N issued references the System
- * snapshots its cumulative measured counters, and the collector
+ * one run into a time series: every N issued references the engine
+ * (System or CoherentSystem) takes its result so far - the SimResult
+ * endRun() would return there - and hands its IntervalCounters
+ * projection (SimResult::intervalCounters()) to the collector, which
  * stores the per-window delta (miss ratios per class, CPI,
  * write-buffer occupancy, TLB misses, plus host-side refs/s).
  *
@@ -83,6 +85,8 @@ struct IntervalCounters
 
     /** Accumulate @p other (window -> aggregate, for tests). */
     void add(const IntervalCounters &other);
+
+    bool operator==(const IntervalCounters &) const = default;
 };
 
 /** One emitted window of the time series. */

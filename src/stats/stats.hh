@@ -16,9 +16,9 @@
  *  histogram - a distribution (util/histogram.hh) dumped with its
  *              moments and bins.
  *
- * Components register their own stats (CacheStats::regStats and
- * friends), SimResult::regStats composes the whole system tree, and
- * dumps render as aligned text, nested JSON, or flat CSV.  Names are
+ * SimResult::regStats registers the whole system tree, walking each
+ * counter struct's one list (stats/counter_list.hh), and dumps
+ * render as aligned text, nested JSON, or flat CSV.  Names are
  * unique per registry; registering a duplicate is a cachetime bug
  * and panics.
  */

@@ -34,19 +34,8 @@ class StateWriter
   public:
     void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u32(std::uint32_t v) { le<4>(v); }
+    void u64(std::uint64_t v) { le<8>(v); }
 
     void f64(double v);
     void b(bool v) { u8(v ? 1 : 0); }
@@ -79,6 +68,22 @@ class StateWriter
     }
 
   private:
+    /**
+     * Append the low @p N bytes of @p v, least significant first, in
+     * one append: a checkpoint writes every cache line's fields, and
+     * a byte-wise push_back the compiler leaves out of line costs a
+     * call per byte.
+     */
+    template <int N>
+    void
+    le(std::uint64_t v)
+    {
+        char bytes[N];
+        for (int i = 0; i < N; ++i)
+            bytes[i] = static_cast<char>(v >> (8 * i));
+        buf_.append(bytes, N);
+    }
+
     std::string buf_;
     std::size_t sectionStart_ = 0; ///< offset of open section's length
     bool inSection_ = false;

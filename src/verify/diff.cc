@@ -26,8 +26,8 @@ struct Differ
     }
 
     void
-    histogram(const std::string &name, const Histogram &lhs,
-              const Histogram &rhs)
+    field(const std::string &name, const Histogram &lhs,
+          const Histogram &rhs)
     {
         field(name + ".count", lhs.count(), rhs.count());
         field(name + ".overflow", lhs.overflow(), rhs.overflow());
@@ -40,69 +40,30 @@ struct Differ
         }
     }
 
+    /** Every listed counter of one stats struct, in list order. */
+    template <typename Stats>
     void
-    cache(const std::string &name, const CacheStats &lhs,
-          const CacheStats &rhs)
+    counters(const std::string &name, const Stats &lhs,
+             const Stats &rhs)
     {
-        field(name + ".readAccesses", lhs.readAccesses,
-              rhs.readAccesses);
-        field(name + ".readMisses", lhs.readMisses, rhs.readMisses);
-        field(name + ".writeAccesses", lhs.writeAccesses,
-              rhs.writeAccesses);
-        field(name + ".writeMisses", lhs.writeMisses,
-              rhs.writeMisses);
-        field(name + ".subBlockMisses", lhs.subBlockMisses,
-              rhs.subBlockMisses);
-        field(name + ".fills", lhs.fills, rhs.fills);
-        field(name + ".wordsFetched", lhs.wordsFetched,
-              rhs.wordsFetched);
-        field(name + ".blocksReplaced", lhs.blocksReplaced,
-              rhs.blocksReplaced);
-        field(name + ".dirtyBlocksReplaced", lhs.dirtyBlocksReplaced,
-              rhs.dirtyBlocksReplaced);
-        field(name + ".dirtyWordsReplaced", lhs.dirtyWordsReplaced,
-              rhs.dirtyWordsReplaced);
-        field(name + ".wordsWrittenThrough",
-              lhs.wordsWrittenThrough, rhs.wordsWrittenThrough);
-        field(name + ".prefetches", lhs.prefetches, rhs.prefetches);
-        field(name + ".prefetchHits", lhs.prefetchHits,
-              rhs.prefetchHits);
-        field(name + ".victimHits", lhs.victimHits, rhs.victimHits);
+        Stats::forEachCounter([&](const char *leaf, const char *,
+                                  auto member, auto...) {
+            field(name + "." + leaf, lhs.*member, rhs.*member);
+        });
     }
 
+    /**
+     * The sizes of two vectors of stats structs, then each pair they
+     * share, the i-th named @p name(i).
+     */
+    template <typename Stats, typename Name>
     void
-    buffer(const std::string &name, const WriteBufferStats &lhs,
-           const WriteBufferStats &rhs)
+    each(const char *what, const std::vector<Stats> &lhs,
+         const std::vector<Stats> &rhs, Name &&name)
     {
-        field(name + ".enqueued", lhs.enqueued, rhs.enqueued);
-        field(name + ".wordsEnqueued", lhs.wordsEnqueued,
-              rhs.wordsEnqueued);
-        field(name + ".coalesced", lhs.coalesced, rhs.coalesced);
-        field(name + ".retired", lhs.retired, rhs.retired);
-        field(name + ".readMatches", lhs.readMatches,
-              rhs.readMatches);
-        field(name + ".readMatchStallCycles",
-              lhs.readMatchStallCycles, rhs.readMatchStallCycles);
-        field(name + ".fullStalls", lhs.fullStalls, rhs.fullStalls);
-        field(name + ".fullStallCycles", lhs.fullStallCycles,
-              rhs.fullStallCycles);
-        field(name + ".maxOccupancy", lhs.maxOccupancy,
-              rhs.maxOccupancy);
-        histogram(name + ".occupancy", lhs.occupancy, rhs.occupancy);
-    }
-
-    void
-    memory(const std::string &name, const MainMemoryStats &lhs,
-           const MainMemoryStats &rhs)
-    {
-        field(name + ".reads", lhs.reads, rhs.reads);
-        field(name + ".writes", lhs.writes, rhs.writes);
-        field(name + ".wordsRead", lhs.wordsRead, rhs.wordsRead);
-        field(name + ".wordsWritten", lhs.wordsWritten,
-              rhs.wordsWritten);
-        field(name + ".busyCycles", lhs.busyCycles, rhs.busyCycles);
-        field(name + ".readWaitCycles", lhs.readWaitCycles,
-              rhs.readWaitCycles);
+        field(std::string(what) + ".size", lhs.size(), rhs.size());
+        for (std::size_t i = 0; i < std::min(lhs.size(), rhs.size()); ++i)
+            counters(name(i), lhs[i], rhs[i]);
     }
 };
 
@@ -118,38 +79,26 @@ diffResults(const SimResult &a, const SimResult &b)
     d.field("groups", a.groups, b.groups);
     d.field("cycles", a.cycles, b.cycles);
 
-    d.cache("icache", a.icache, b.icache);
-    d.cache("dcache", a.dcache, b.dcache);
-
-    d.field("midLevels.size", a.midLevels.size(),
-            b.midLevels.size());
-    std::size_t levels = std::min(a.midLevels.size(),
-                                  b.midLevels.size());
-    for (std::size_t i = 0; i < levels; ++i) {
+    d.counters("icache", a.icache, b.icache);
+    d.counters("dcache", a.dcache, b.dcache);
+    auto level = [](std::size_t i) {
+        // Appended piece by piece: in Release builds GCC 12's
+        // -Wrestrict misfires on a string literal + std::string.
         std::string name = "L";
         name += std::to_string(i + 2);
-        d.cache(name, a.midLevels[i], b.midLevels[i]);
-    }
-    std::size_t buffers = std::min(a.midBuffers.size(),
-                                   b.midBuffers.size());
-    d.field("midBuffers.size", a.midBuffers.size(),
-            b.midBuffers.size());
-    for (std::size_t i = 0; i < buffers; ++i) {
-        std::string name = "L";
-        name += std::to_string(i + 2);
-        name += "wbuf";
-        d.buffer(name, a.midBuffers[i], b.midBuffers[i]);
-    }
-
-    d.buffer("l1wbuf", a.l1Buffer, b.l1Buffer);
-    d.memory("mem", a.memory, b.memory);
+        return name;
+    };
+    d.each("midLevels", a.midLevels, b.midLevels, level);
+    d.each("midBuffers", a.midBuffers, b.midBuffers,
+           [&](std::size_t i) { return level(i) + "wbuf"; });
+    d.counters("l1wbuf", a.l1Buffer, b.l1Buffer);
+    d.counters("mem", a.memory, b.memory);
 
     d.field("physical", a.physical, b.physical);
-    d.field("tlb.accesses", a.tlb.accesses, b.tlb.accesses);
-    d.field("tlb.misses", a.tlb.misses, b.tlb.misses);
+    d.counters("tlb", a.tlb, b.tlb);
 
-    d.histogram("missPenaltyCycles", a.missPenaltyCycles,
-                b.missPenaltyCycles);
+    d.field("missPenaltyCycles", a.missPenaltyCycles,
+            b.missPenaltyCycles);
     d.field("stallReadCycles", a.stallReadCycles,
             b.stallReadCycles);
     d.field("stallWriteCycles", a.stallWriteCycles,
@@ -158,47 +107,15 @@ diffResults(const SimResult &a, const SimResult &b)
 
     d.field("cores", a.cores, b.cores);
     d.field("coherent", a.coherent, b.coherent);
-    d.field("coreIcache.size", a.coreIcache.size(),
-            b.coreIcache.size());
-    std::size_t icores = std::min(a.coreIcache.size(),
-                                  b.coreIcache.size());
-    for (std::size_t i = 0; i < icores; ++i)
-        d.cache("core" + std::to_string(i) + ".l1i",
-                a.coreIcache[i], b.coreIcache[i]);
-    d.field("coreDcache.size", a.coreDcache.size(),
-            b.coreDcache.size());
-    std::size_t dcores = std::min(a.coreDcache.size(),
-                                  b.coreDcache.size());
-    for (std::size_t i = 0; i < dcores; ++i)
-        d.cache("core" + std::to_string(i) + ".l1d",
-                a.coreDcache[i], b.coreDcache[i]);
-
-    const CoherenceStats &ca = a.coherenceStats;
-    const CoherenceStats &cb = b.coherenceStats;
-    d.field("coh.busTransactions", ca.busTransactions,
-            cb.busTransactions);
-    d.field("coh.snoops", ca.snoops, cb.snoops);
-    d.field("coh.invalidations", ca.invalidations,
-            cb.invalidations);
-    d.field("coh.upgrades", ca.upgrades, cb.upgrades);
-    d.field("coh.interventions", ca.interventions,
-            cb.interventions);
-    d.field("coh.writebacks", ca.writebacks, cb.writebacks);
-    d.field("coh.upgradeCycles", ca.upgradeCycles,
-            cb.upgradeCycles);
-    d.field("coh.interventionCycles", ca.interventionCycles,
-            cb.interventionCycles);
-    d.field("coh.busBusyCycles", ca.busBusyCycles,
-            cb.busBusyCycles);
-
-    d.field("missclass.compulsory", a.missClasses.compulsory,
-            b.missClasses.compulsory);
-    d.field("missclass.capacity", a.missClasses.capacity,
-            b.missClasses.capacity);
-    d.field("missclass.conflict", a.missClasses.conflict,
-            b.missClasses.conflict);
-    d.field("missclass.coherence", a.missClasses.coherence,
-            b.missClasses.coherence);
+    auto core = [](std::size_t i, const char *side) {
+        return "core" + std::to_string(i) + side;
+    };
+    d.each("coreIcache", a.coreIcache, b.coreIcache,
+           [&](std::size_t i) { return core(i, ".l1i"); });
+    d.each("coreDcache", a.coreDcache, b.coreDcache,
+           [&](std::size_t i) { return core(i, ".l1d"); });
+    d.counters("coh", a.coherenceStats, b.coherenceStats);
+    d.counters("missclass", a.missClasses, b.missClasses);
     return d.diffs;
 }
 

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "memory/memory_timing.hh"
 #include "sim/simulator.hh"
 #include "stats/interval.hh"
+#include "stats/stats.hh"
 #include "stats/telemetry.hh"
 #include "thread_guard.hh"
 #include "trace/ref_source.hh"
@@ -359,81 +361,106 @@ segmentedMu3()
     return segmented;
 }
 
+/** A named machine of the event-kind suite. */
+struct Machine
+{
+    const char *name;
+    SystemConfig config;
+};
+
 /**
  * Every kind of work a lone machine's timing code does below its
  * L1s - misses, victim swaps, prefetches (on miss and tagged),
  * write-through and write-allocate stores, TLB misses, an L2, early
- * continuation and a unified L1 - pinned as a digest of every
- * counter and histogram a SimResult carries.  The oracle does not
- * model prefetch or victim caches, so this is their only fixed
- * anchor.
+ * continuation and a unified L1 - one machine each.
  */
-TEST(Golden, EventKindsLoneMachines)
+std::vector<Machine>
+eventKindMachines()
 {
-    struct Machine
-    {
-        const char *name;
-        SystemConfig config;
-        std::uint64_t digest;
-    };
     const SystemConfig base = SystemConfig::paperDefault();
     std::vector<Machine> machines;
-    auto add = [&](const char *name, std::uint64_t digest,
-                   auto &&edit) {
+    auto add = [&](const char *name, auto &&edit) {
         SystemConfig config = base;
         edit(config);
-        machines.push_back({name, config, digest});
+        machines.push_back({name, config});
     };
-    add("paper default", 0xf2164216245da480ULL, [](SystemConfig &) {});
-    add("early continuation", 0x00e566b8e8c8dd5aULL, [](SystemConfig &c) {
+    add("paper default", [](SystemConfig &) {});
+    add("early continuation", [](SystemConfig &c) {
         c.cpu.earlyContinuation = true;
     });
-    add("write-through D", 0x098e149085498738ULL, [](SystemConfig &c) {
+    add("write-through D", [](SystemConfig &c) {
         c.dcache.writePolicy = WritePolicy::WriteThrough;
     });
-    add("write-allocate D", 0x296179ad2655534fULL, [](SystemConfig &c) {
+    add("write-allocate D", [](SystemConfig &c) {
         c.dcache.allocPolicy = AllocPolicy::WriteAllocate;
     });
-    add("on-miss prefetch", 0x0a9afcf11aaf852aULL, [](SystemConfig &c) {
+    add("on-miss prefetch", [](SystemConfig &c) {
         c.icache.prefetchPolicy = PrefetchPolicy::OnMiss;
         c.dcache.prefetchPolicy = PrefetchPolicy::OnMiss;
     });
-    add("tagged prefetch", 0x520465fc3adda7beULL, [](SystemConfig &c) {
+    add("tagged prefetch", [](SystemConfig &c) {
         c.icache.prefetchPolicy = PrefetchPolicy::Tagged;
         c.dcache.prefetchPolicy = PrefetchPolicy::Tagged;
     });
-    add("victim caches", 0xbc4f650d026874abULL, [](SystemConfig &c) {
+    add("victim caches", [](SystemConfig &c) {
         c.icache.victimEntries = 2;
         c.dcache.victimEntries = 2;
     });
-    add("physical, small TLB", 0xfdc59a868727e9faULL, [](SystemConfig &c) {
+    add("physical, small TLB", [](SystemConfig &c) {
         c.addressing = AddressMode::Physical;
         c.tlb.entries = 4;
         c.tlb.assoc = 4;
     });
-    add("L2", 0x7d118f1fd8e4c5f1ULL, [](SystemConfig &c) { c.hasL2 = true; });
-    add("unified, no pair issue", 0xd2ca0f50ddc2919cULL, [](SystemConfig &c) {
+    add("L2", [](SystemConfig &c) { c.hasL2 = true; });
+    add("unified, no pair issue", [](SystemConfig &c) {
         c.split = false;
         c.cpu.pairIssue = false;
     });
+    return machines;
+}
+
+/**
+ * The event-kind machines, each pinned as a digest of every counter
+ * and histogram a SimResult carries.  The oracle does not model
+ * prefetch or victim caches, so this is their only fixed anchor.
+ */
+TEST(Golden, EventKindsLoneMachines)
+{
+    // One digest per eventKindMachines() entry, in order.
+    const std::uint64_t digests[] = {
+        0xf2164216245da480ULL, // paper default
+        0x00e566b8e8c8dd5aULL, // early continuation
+        0x098e149085498738ULL, // write-through D
+        0x296179ad2655534fULL, // write-allocate D
+        0x0a9afcf11aaf852aULL, // on-miss prefetch
+        0x520465fc3adda7beULL, // tagged prefetch
+        0xbc4f650d026874abULL, // victim caches
+        0xfdc59a868727e9faULL, // physical, small TLB
+        0x7d118f1fd8e4c5f1ULL, // L2
+        0xd2ca0f50ddc2919cULL, // unified, no pair issue
+    };
+    const std::vector<Machine> machines = eventKindMachines();
+    ASSERT_EQ(machines.size(), std::size(digests));
 
     const Trace trace = segmentedMu3();
-    std::set<std::uint64_t> digests;
-    for (const Machine &machine : machines) {
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        const Machine &machine = machines[i];
         SimResult result = makeSimulator(machine.config)->run(trace);
         EXPECT_GT(result.missPenaltyCycles.count(), 0u) << machine.name;
         const std::string text =
             verify::formatDiffs(verify::diffResults(result, SimResult()));
-        EXPECT_EQ(fnv1a(text), machine.digest)
+        EXPECT_EQ(fnv1a(text), digests[i])
             << machine.name << " digest 0x" << std::hex << fnv1a(text);
-        digests.insert(machine.digest);
     }
     // Each feature moves some counter away from the paper default.
-    EXPECT_EQ(digests.size(), machines.size());
+    EXPECT_EQ(std::set<std::uint64_t>(std::begin(digests),
+                                      std::end(digests))
+                  .size(),
+              machines.size());
 
     // The simulated columns of an early-continuation run's interval
     // windows (host time left out).
-    SystemConfig early = base;
+    SystemConfig early = SystemConfig::paperDefault();
     early.cpu.earlyContinuation = true;
     IntervalCollector collector(5003);
     std::unique_ptr<Simulator> machine = makeSimulator(early);
@@ -456,6 +483,64 @@ TEST(Golden, EventKindsLoneMachines)
     EXPECT_EQ(collector.records().size(), 16u);
     EXPECT_EQ(fnv1a(columns), 0xf2d75ea9e06eb9dfULL)
         << "interval digest 0x" << std::hex << fnv1a(columns);
+}
+
+/**
+ * The stats registry's text, CSV and JSON dumps of SimResult::regStats
+ * (names, descriptions, kinds, registration order and values),
+ * pinned as one digest per machine: the event-kind machines, a
+ * three-level hierarchy, and a 4-core MESI machine, whose unsegmented
+ * run adds the coherence, miss-class and per-core groups.
+ */
+TEST(Golden, StatsDumps)
+{
+    std::vector<Machine> machines = eventKindMachines();
+    SystemConfig three = SystemConfig::paperDefault();
+    three.hasL2 = true;
+    three.midLevels = three.resolvedMidLevels();
+    three.midLevels.push_back(three.midLevels.front());
+    three.midLevels.back().cache.sizeWords *= 8;
+    machines.push_back({"three levels", three});
+    SystemConfig mesi = SystemConfig::paperDefault();
+    mesi.cores = 4;
+    mesi.protocol = CoherenceProtocol::MESI;
+    mesi.applyCoherenceDefaults();
+    machines.push_back({"4-core MESI", mesi});
+    // One digest per machine above, in order.
+    const std::uint64_t digests[] = {
+        0x734c90c9968bf8f6ULL, // paper default
+        0x562f48b1ffa0ab6fULL, // early continuation
+        0xc62f6accb3906a93ULL, // write-through D
+        0xf5890eca82dfb2acULL, // write-allocate D
+        0x371c19fd9ef97ca3ULL, // on-miss prefetch
+        0x05c60cf2a6e59aa1ULL, // tagged prefetch
+        0x9c3b3756f15f4e51ULL, // victim caches
+        0x1f6a23be6f30a176ULL, // physical, small TLB
+        0x465e10c4160d0419ULL, // L2
+        0x660f062a2bd5be19ULL, // unified, no pair issue
+        0x82dfb8ac8b5129b0ULL, // three levels
+        0xa3fe4fe0d0c9dffbULL, // 4-core MESI
+    };
+    ASSERT_EQ(machines.size(), std::size(digests));
+
+    const Trace segmented = segmentedMu3();
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        const Machine &machine = machines[i];
+        // Coherent machines take no warm segments.
+        SimResult result = makeSimulator(machine.config)
+                               ->run(machine.config.coherent()
+                                         ? traces().front()
+                                         : segmented);
+        stats::Registry registry;
+        result.regStats(registry);
+        std::ostringstream dumps;
+        registry.dumpText(dumps);
+        registry.dumpCsv(dumps);
+        registry.dumpJson(dumps);
+        EXPECT_EQ(fnv1a(dumps.str()), digests[i])
+            << machine.name << " digest 0x" << std::hex
+            << fnv1a(dumps.str());
+    }
 }
 
 /** The golden trace suite itself: sizes pin the generator. */

@@ -15,6 +15,7 @@
 
 #include "fill_only_source.hh"
 #include "json_check.hh"
+#include "sim/simulator.hh"
 #include "sim/system.hh"
 #include "stats/interval.hh"
 #include "trace/trace_io.hh"
@@ -161,6 +162,94 @@ TEST(IntervalStats, WindowsSumExactlyToAggregate)
                      r.l1Buffer.occupancy.sum());
     EXPECT_EQ(sum.memReads, r.memory.reads);
     EXPECT_EQ(sum.memWrites, r.memory.writes);
+}
+
+TEST(IntervalStats, EveryEngineWindowsSumToItsResult)
+{
+    // Processes on different cores share a segment, so every coherent
+    // machine invalidates; the warm-up shows as zero windows.
+    WorkloadSpec spec;
+    spec.name = "interval_engines";
+    spec.processes = 4;
+    spec.lengthRefs = 30000;
+    spec.warmStartRefs = 4000;
+    spec.seed = 7;
+    spec.sharedFraction = 0.3;
+    const Trace trace = generate(spec);
+
+    const SystemConfig base = SystemConfig::paperDefault();
+    std::vector<std::pair<std::string, SystemConfig>> machines;
+    machines.emplace_back("split", base);
+    SystemConfig unified = base;
+    unified.split = false;
+    unified.cpu.pairIssue = false;
+    machines.emplace_back("unified, no pair issue", unified);
+    SystemConfig physical = base;
+    physical.addressing = AddressMode::Physical;
+    physical.tlb.entries = 4;
+    physical.tlb.assoc = 4;
+    machines.emplace_back("physical, 4-entry TLB", physical);
+    SystemConfig l2 = base;
+    l2.hasL2 = true;
+    machines.emplace_back("L2", l2);
+    for (CoherenceProtocol protocol :
+         {CoherenceProtocol::VI, CoherenceProtocol::MSI,
+          CoherenceProtocol::MESI}) {
+        for (unsigned cores : {2u, 4u}) {
+            SystemConfig coherent = base;
+            coherent.cores = cores;
+            coherent.protocol = protocol;
+            coherent.applyCoherenceDefaults();
+            machines.emplace_back(std::string(coherenceProtocolName(
+                                      protocol)) +
+                                      " x" + std::to_string(cores),
+                                  coherent);
+        }
+    }
+
+    for (const auto &[name, config] : machines) {
+        SCOPED_TRACE(name);
+        IntervalCollector collector(997);
+        std::unique_ptr<Simulator> machine = makeSimulator(config);
+        machine->setIntervalCollector(&collector);
+        const SimResult r = machine->run(trace);
+        const std::vector<IntervalRecord> &records = collector.records();
+        ASSERT_GT(records.size(), 25u);
+        const IntervalCounters want = r.intervalCounters();
+        EXPECT_TRUE(sumWindows(collector) == want);
+        // A snapshot is the result so far: two measured windows'
+        // cumulative counters against the result of a run cut where
+        // the window ends.
+        std::size_t first = 0;
+        while (records[first].endRef <= trace.warmStart())
+            ++first;
+        const std::size_t measured = records.size() - first;
+        IntervalCounters cumulative;
+        for (std::size_t k = 0; k < records.size(); ++k) {
+            cumulative.add(records[k].c);
+            if (k != first + measured / 3 && k != first + 2 * measured / 3)
+                continue;
+            ASSERT_GT(cumulative.refs, 0u);
+            Trace cut(trace.name(),
+                      {trace.refs().begin(),
+                       trace.refs().begin() +
+                           static_cast<std::ptrdiff_t>(records[k].endRef)},
+                      trace.warmStart());
+            EXPECT_TRUE(makeSimulator(config)->run(cut).intervalCounters() ==
+                        cumulative)
+                << "window " << k;
+        }
+        EXPECT_GT(want.readMisses, 0u);
+        EXPECT_EQ(want.ifetchAccesses > 0, config.split);
+        EXPECT_EQ(want.tlbMisses > 0, physical.addressing ==
+                                          config.addressing);
+        if (config.coherent()) {
+            EXPECT_GT(want.cohInvalidations, 0u);
+            EXPECT_GT(want.cohBusBusyCycles, 0u);
+        } else {
+            EXPECT_GT(want.wbufEnqueued, 0u);
+        }
+    }
 }
 
 TEST(IntervalStats, WindowsPartitionTheStream)

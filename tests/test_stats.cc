@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "core/sim_cache.hh"
 #include "json_check.hh"
@@ -21,6 +23,7 @@
 #include "trace/workloads.hh"
 #include "util/histogram.hh"
 #include "util/parallel.hh"
+#include "verify/diff.hh"
 
 using namespace cachetime;
 
@@ -187,6 +190,117 @@ TEST(StatsSimResult, RegStatsCoversTheSystemTree)
     std::snprintf(expect, sizeof(expect), "\"readMisses\":%llu",
                   static_cast<unsigned long long>(r.dcache.readMisses));
     EXPECT_NE(ss.str().find(expect), std::string::npos);
+}
+
+namespace
+{
+
+/** Set every listed counter of @p s to a distinct value from @p next. */
+template <typename Stats>
+void
+fillListed(Stats &s, std::uint64_t &next)
+{
+    Stats::forEachCounter([&](const char *, const char *, auto field,
+                              auto...) {
+        auto &value = s.*field;
+        using T = std::remove_cvref_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, Histogram>)
+            value.sample(next++);
+        else
+            value = static_cast<T>(next++);
+    });
+}
+
+/**
+ * Expect every listed counter of @p s registered under @p reg_prefix
+ * with its description and value, and reported by @p diffs (a diff
+ * against a zero result) under @p diff_prefix.
+ */
+template <typename Stats>
+void
+expectWalked(const Stats &s, const stats::Registry &registry,
+             const std::string &reg_prefix,
+             const std::vector<verify::FieldDiff> &diffs,
+             const std::string &diff_prefix)
+{
+    Stats::forEachCounter([&](const char *name, const char *desc,
+                              auto field, auto...) {
+        const auto &value = s.*field;
+        const stats::Stat *stat = registry.find(reg_prefix + "." + name);
+        ASSERT_NE(stat, nullptr) << reg_prefix << "." << name;
+        EXPECT_EQ(stat->desc, desc);
+        std::string diffed = diff_prefix + "." + name;
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>,
+                                     Histogram>) {
+            EXPECT_EQ(stat->hist, &value);
+            diffed += ".count";
+        } else {
+            EXPECT_EQ(stat->value(), static_cast<double>(value));
+        }
+        EXPECT_TRUE(std::any_of(diffs.begin(), diffs.end(),
+                                [&](const verify::FieldDiff &d) {
+                                    return d.field == diffed;
+                                }))
+            << diffed;
+    });
+}
+
+} // namespace
+
+TEST(StatsCounterList, EveryListedCounterIsMergedRegisteredAndDiffed)
+{
+    // Every group regStats registers: physical and coherent, with one
+    // intermediate level and one core.
+    SimResult shape;
+    shape.physical = true;
+    shape.coherent = true;
+    shape.midLevels.resize(1);
+    shape.midBuffers.resize(1);
+    shape.coreIcache.resize(1);
+    shape.coreDcache.resize(1);
+
+    SimResult full = shape;
+    std::uint64_t next = 1;
+    fillListed(full.icache, next);
+    fillListed(full.dcache, next);
+    fillListed(full.midLevels[0], next);
+    fillListed(full.midBuffers[0], next);
+    fillListed(full.l1Buffer, next);
+    fillListed(full.memory, next);
+    fillListed(full.tlb, next);
+    fillListed(full.coreIcache[0], next);
+    fillListed(full.coreDcache[0], next);
+    fillListed(full.coherenceStats, next);
+    fillListed(full.missClasses, next);
+
+    // Merged into zeros, every listed counter arrives whole.
+    SimResult merged = shape;
+    merged.mergeCounters(full);
+    const std::vector<verify::FieldDiff> same =
+        verify::diffResults(merged, full);
+    EXPECT_TRUE(same.empty()) << verify::formatDiffs(same);
+
+    stats::Registry registry;
+    full.regStats(registry);
+    const std::vector<verify::FieldDiff> diffs =
+        verify::diffResults(shape, full);
+    expectWalked(full.icache, registry, "system.l1i", diffs, "icache");
+    expectWalked(full.dcache, registry, "system.l1d", diffs, "dcache");
+    expectWalked(full.midLevels[0], registry, "system.l2", diffs, "L2");
+    expectWalked(full.midBuffers[0], registry, "system.l2wbuf", diffs,
+                 "L2wbuf");
+    expectWalked(full.l1Buffer, registry, "system.l1wbuf", diffs,
+                 "l1wbuf");
+    expectWalked(full.memory, registry, "system.mem", diffs, "mem");
+    expectWalked(full.tlb, registry, "system.tlb", diffs, "tlb");
+    expectWalked(full.coreIcache[0], registry, "system.core0.l1i", diffs,
+                 "core0.l1i");
+    expectWalked(full.coreDcache[0], registry, "system.core0.l1d", diffs,
+                 "core0.l1d");
+    expectWalked(full.coherenceStats, registry, "system.coh", diffs,
+                 "coh");
+    expectWalked(full.missClasses, registry, "system.missclass", diffs,
+                 "missclass");
 }
 
 TEST(StatsSimResult, L2AccessorsTrackMidLevels)
