@@ -84,9 +84,9 @@ SimKey warmStateKey(const SystemConfig &config);
  * decided per issue group, so the shape decides where the L1 and TLB
  * counters are folded; with it, two classic configs of equal key see
  * identical answers, in identical order, from their L1s and TLB on
- * any stream, and a fused batch lets them share one front end
- * (System::addBackEnd()).  Coherent configs never share: their L1
- * evolution depends on per-core clocks.
+ * any stream, and a fused batch lets them share one front end (one
+ * System built with a back end per config).  Coherent configs never
+ * share: their L1 evolution depends on per-core clocks.
  */
 SimKey frontEndKey(const SystemConfig &config);
 

@@ -671,8 +671,8 @@ runStackSweep(const std::vector<SystemConfig> &configs,
     stage.count("layers", layers.size());
     stage.count("shards", std::uint64_t{1} << shard_bits);
     // A stream too wide for the fused keys is re-answered by
-    // simulateBatch, which counts its machines; only an answered
-    // pass counts as one.
+    // simulateBatch, in bounded passes that count their machines;
+    // only an answered pass counts as one.
     auto answered = [&] {
         stage.count("passes", 1);
         stage.count("points", configs.size());

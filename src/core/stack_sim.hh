@@ -120,12 +120,13 @@ unsigned stackShardBits(const std::vector<SystemConfig> &configs);
  * Every layer fuses (block, pid) into one 64-bit key, which is exact
  * only for word addresses below 2^48.  A stream reaching past that is
  * answered by simulateBatch (core/sweep.hh) instead, returning full
- * results after the wasted pass.
+ * results after the wasted pass, in passes as bounded as any other
+ * batch's.
  *
  * Each call is one "stack" stage span (stats/telemetry.hh) counting
  * the layers and shards it built; an answered pass also counts one
  * of `passes` and configs.size() `points`, while a pass re-answered
- * by simulateBatch counts in its "batch" span as machines instead.
+ * by simulateBatch counts in its "batch" spans as machines instead.
  *
  * Preconditions: every config is stackEligible(), and all share
  * `split` and effective pair-issue (the two knobs that shape issue

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <numeric>
+#include <span>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
@@ -31,37 +33,87 @@ cacheFootprintBytes(const CacheConfig &config)
            4096; // allocator slack and the object itself
 }
 
-/** The L1 arrays of @p config: what an added back end does not allocate. */
+/**
+ * The L1 arrays of @p config, one pair per core: what a second back
+ * end of its front end does not allocate.
+ */
 std::size_t
 frontFootprintBytes(const SystemConfig &config)
 {
-    return (config.split ? cacheFootprintBytes(config.icache) : 0) +
-           cacheFootprintBytes(config.dcache);
+    return config.cores *
+           ((config.split ? cacheFootprintBytes(config.icache) : 0) +
+            cacheFootprintBytes(config.dcache));
 }
 
-/** @return whether @p a and @p b can share one front end. */
-bool
-shareFront(const SystemConfig &a, const SystemConfig &b)
-{
-    return !a.coherent() && !b.coherent() &&
-           frontEndKey(a) == frontEndKey(b);
-}
+/** One machine's configs: a front end's, or one coherent config. */
+using Machine = std::vector<std::size_t>;
+
+/** The machines one stream pass feeds. */
+using Run = std::vector<Machine>;
 
 /**
- * Stably sort @p indices into @p configs by frontEndKey(), so
- * configs that can share a front end are adjacent.
+ * The one cut rule, shared by the grid plan and every batch.  The
+ * @p indices into @p configs are grouped by front end - equal
+ * frontEndKey(), computed once per config, with a coherent config a
+ * machine of its own - in stable key order, and whole front ends are
+ * packed into runs of at most @p cap configs whose summed footprint
+ * fits @p budget.  A front end wider than the cap is a run of its
+ * own.  Only the budget cuts inside a front end: the configs past
+ * the cut start a run, and a machine, of their own.  A run always
+ * admits one config.
  */
-void
-sortByFrontEnd(const std::vector<SystemConfig> &configs,
-               std::vector<std::size_t> &indices)
+std::vector<Run>
+packFrontEnds(const std::vector<SystemConfig> &configs,
+              std::vector<std::size_t> indices, std::size_t cap,
+              std::size_t budget)
 {
-    std::vector<SimKey> keys(configs.size());
+    // Within a key the classic configs sort first, so they are
+    // adjacent.
+    std::vector<std::pair<SimKey, bool>> rank(configs.size());
     for (std::size_t i : indices)
-        keys[i] = frontEndKey(configs[i]);
-    std::stable_sort(indices.begin(), indices.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return keys[a] < keys[b];
-                     });
+        rank[i] = {frontEndKey(configs[i]), configs[i].coherent()};
+    std::stable_sort(
+        indices.begin(), indices.end(),
+        [&](std::size_t a, std::size_t b) { return rank[a] < rank[b]; });
+
+    std::vector<Run> runs;
+    std::size_t count = 0; // configs in runs.back()
+    std::size_t bytes = 0; // and their footprint
+    auto open = [&] {
+        runs.emplace_back();
+        count = bytes = 0;
+    };
+    for (std::size_t at = 0, end; at < indices.size(); at = end) {
+        const SystemConfig &lead = configs[indices[at]];
+        end = at + 1;
+        while (end < indices.size() && !lead.coherent() &&
+               rank[indices[end]] == rank[indices[at]])
+            ++end;
+        // A machine holds its L1s once, beside each config's rest.
+        const std::size_t front = frontFootprintBytes(lead);
+        std::size_t whole = front;
+        for (std::size_t k = at; k < end; ++k)
+            whole += configFootprintBytes(configs[indices[k]]) - front;
+        if (runs.empty() || count + (end - at) > cap ||
+            bytes + whole > budget)
+            open();
+
+        Machine machine;
+        for (std::size_t k = at; k < end; ++k) {
+            const std::size_t rest =
+                configFootprintBytes(configs[indices[k]]) - front;
+            if (!machine.empty() && bytes + rest > budget) {
+                runs.back().push_back(std::move(machine));
+                machine = {};
+                open();
+            }
+            bytes += rest + (machine.empty() ? front : 0);
+            machine.push_back(indices[k]);
+            ++count;
+        }
+        runs.back().push_back(std::move(machine));
+    }
+    return runs;
 }
 
 /** Key for memoized counter-only results, disjoint from simKey's. */
@@ -124,60 +176,6 @@ cachedRun(const std::vector<SystemConfig> &configs, RefSource &source,
     return out;
 }
 
-/**
- * simulateBatch over sub-batches of at most BatchOptions::maxBatch
- * configs whose summed footprint fits BatchOptions::memoryBudgetBytes
- * (one config always fits).  The configs are taken in frontEndKey()
- * order, an added back end's footprint leaves out the L1 arrays it
- * shares, and a cut falls between front ends rather than inside one
- * whenever the sub-batch holds another, so the back ends of a front
- * end ride together.
- */
-std::vector<SimResult>
-simulateBounded(const std::vector<SystemConfig> &configs,
-                RefSource &source)
-{
-    std::vector<std::size_t> order(configs.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    sortByFrontEnd(configs, order);
-    auto follows = [&](std::size_t k) {
-        return shareFront(configs[order[k - 1]], configs[order[k]]);
-    };
-    std::vector<SimResult> out(configs.size());
-    std::size_t at = 0;
-    while (at < order.size()) {
-        std::size_t end = at;
-        std::size_t bytes = 0;
-        while (end < order.size() && end - at < BatchOptions::maxBatch) {
-            const SystemConfig &config = configs[order[end]];
-            std::size_t foot = configFootprintBytes(config);
-            if (end > at && follows(end))
-                foot -= frontFootprintBytes(config);
-            if (end > at &&
-                bytes + foot > BatchOptions::memoryBudgetBytes)
-                break;
-            bytes += foot;
-            ++end;
-        }
-        if (end < order.size() && follows(end)) {
-            std::size_t front = end - 1;
-            while (front > at && follows(front))
-                --front;
-            if (front > at)
-                end = front;
-        }
-
-        std::vector<SystemConfig> batch;
-        for (std::size_t k = at; k < end; ++k)
-            batch.push_back(configs[order[k]]);
-        std::vector<SimResult> results = simulateBatch(batch, source);
-        for (std::size_t k = at; k < end; ++k)
-            out[order[k]] = std::move(results[k - at]);
-        at = end;
-    }
-    return out;
-}
-
 /** One unit of a grid query's task plan, run once per trace. */
 struct GridGroup
 {
@@ -192,10 +190,10 @@ struct GridGroup
  * rides the fused lattice in groups of `width`: up to maxBatch
  * configs per trace pass, but never so wide that batching starves
  * the pool - at least two tasks per worker, degrading to one config
- * per task for small sweeps.  The fused points are cut into groups
- * in frontEndKey() order, so points sharing an L1 organization share
- * a group - and a front end - whatever order the caller listed them
- * in.
+ * per task for small sweeps.  The width counts the configs of whole
+ * front ends (packFrontEnds), so points sharing an L1 organization
+ * share a group - and a front end - whatever order the caller listed
+ * them in, and a front end wider than `width` is a group of its own.
  */
 std::vector<GridGroup>
 planGrid(const std::vector<SystemConfig> &configs, std::size_t traces,
@@ -211,8 +209,6 @@ planGrid(const std::vector<SystemConfig> &configs, std::size_t traces,
         else
             fused.push_back(c);
     }
-    sortByFrontEnd(configs, fused);
-
     std::vector<GridGroup> groups;
     for (std::vector<std::size_t> &shape : shapes) {
         if (!shape.empty())
@@ -223,12 +219,13 @@ planGrid(const std::vector<SystemConfig> &configs, std::size_t traces,
     const std::size_t width = std::min(
         {BatchOptions::maxBatch,
          std::max<std::size_t>(1, F * traces / (2 * threads)), F});
-    for (std::size_t at = 0; at < F; at += width) {
-        groups.push_back(
-            {false, std::vector<std::size_t>(
-                        fused.begin() + static_cast<std::ptrdiff_t>(at),
-                        fused.begin() + static_cast<std::ptrdiff_t>(
-                                            std::min(F, at + width)))});
+    for (const Run &run :
+         packFrontEnds(configs, std::move(fused), width,
+                       std::numeric_limits<std::size_t>::max())) {
+        GridGroup &group = groups.emplace_back();
+        for (const Machine &machine : run)
+            group.members.insert(group.members.end(), machine.begin(),
+                                 machine.end());
     }
     return groups;
 }
@@ -277,7 +274,7 @@ runGrid(const std::vector<SystemConfig> &configs,
                 part, source, group.stack,
                 [&](const std::vector<SystemConfig> &todo) {
                     return group.stack ? runStackSweep(todo, source)
-                                       : simulateBounded(todo, source);
+                                       : simulateBatch(todo, source);
                 });
         });
 
@@ -316,82 +313,79 @@ std::vector<SimResult>
 simulateBatch(const std::vector<SystemConfig> &configs,
               RefSource &source)
 {
-    std::vector<SimResult> out;
-    if (configs.empty())
-        return out;
-    telemetry::Span stage("batch");
-    stage.label(source.name());
+    std::vector<SimResult> out(configs.size());
+    std::vector<std::size_t> all(configs.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    for (const Run &run :
+         packFrontEnds(configs, std::move(all), BatchOptions::maxBatch,
+                       BatchOptions::memoryBudgetBytes)) {
+        telemetry::Span stage("batch");
+        stage.label(source.name());
 
-    // One machine per frontEndKey: makeSimulator builds it for the
-    // first classic config of a key, and every later config of the
-    // key adds a timing back end to it.  A coherent config is a
-    // machine of its own.  machineOf[i] is config i's machine, and
-    // builder[m] the config that built machine m.
-    const std::size_t n = configs.size();
-    std::vector<std::unique_ptr<Simulator>> machines;
-    std::vector<std::size_t> builder;
-    std::vector<std::size_t> machineOf(n);
-    std::size_t followers = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t m = 0;
-        while (m < machines.size() &&
-               !shareFront(configs[builder[m]], configs[i]))
-            ++m;
-        if (m == machines.size()) {
-            machines.push_back(makeSimulator(configs[i]));
-            builder.push_back(i);
-        } else {
-            dynamic_cast<System &>(*machines[m]).addBackEnd(configs[i]);
-            ++followers;
+        // One System per front end, built with all its back ends
+        // from the run's configs copied in machine order, and one
+        // machine per coherent config; systems[m] is machine m's
+        // System, or null for a coherent machine.
+        std::vector<SystemConfig> batch;
+        for (const Machine &machine : run)
+            for (std::size_t i : machine)
+                batch.push_back(configs[i]);
+        std::vector<std::unique_ptr<Simulator>> machines;
+        std::vector<System *> systems;
+        std::span<const SystemConfig> rest(batch);
+        for (const Machine &machine : run) {
+            const auto group = rest.first(machine.size());
+            rest = rest.subspan(machine.size());
+            if (group.front().coherent()) {
+                machines.push_back(makeSimulator(group.front()));
+                systems.push_back(nullptr);
+            } else {
+                auto system = std::make_unique<System>(group);
+                systems.push_back(system.get());
+                machines.push_back(std::move(system));
+            }
         }
-        machineOf[i] = m;
-    }
-    stage.count("machines", n);
-    stage.count("followers", followers);
+        stage.count("machines", batch.size());
+        stage.count("followers", batch.size() - run.size());
 
-    // One decode, many replays: every span the feeder produces is
-    // fed to each machine before the next span is pulled, so stream
-    // I/O and synthetic generation are paid once per span however
-    // wide the batch is, and each front end scans it once for all
-    // its back ends.  The pipelined feeder moves that decode
-    // off-thread when threads are available (file-backed sources
-    // only; resident streams are sliced zero-copy), producing the
-    // same span sequence byte for byte.  Spans hold at most
-    // refChunkSize + 1 references, which bounds each event list.
-    // Machines share no state, so each span goes to them through one
-    // parallelFor: every machine still sees the spans in order, and
-    // a batch inside a pool task stays a plain loop.
-    PipelinedFeeder feeder(source);
-    for (auto &machine : machines)
-        machine->beginRun(source);
-    while (ChunkFeeder::Span span = feeder.next()) {
-        parallelFor(machines.size(), [&](std::size_t m) {
-            machines[m]->feedChunk(span.data, span.size);
-        });
-    }
-
-    // Each machine's results come back in the order its configs
-    // joined it.
-    std::vector<std::vector<SimResult>> results(machines.size());
-    std::uint64_t scanned = 0;
-    std::uint64_t replayed = 0;
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-        if (auto *system = dynamic_cast<System *>(machines[m].get())) {
-            scanned += system->scannedRefs();
-            replayed += system->replayedEvents();
-            results[m] = system->endRuns();
-        } else {
-            results[m].push_back(machines[m]->endRun());
+        // One decode, many replays: every span the feeder produces
+        // is fed to each machine before the next span is pulled, so
+        // stream I/O and synthetic generation are paid once per span
+        // however wide the pass is, and each front end scans it once
+        // for all its back ends.  The pipelined feeder moves that
+        // decode off-thread when threads are available (file-backed
+        // sources only; resident streams are sliced zero-copy),
+        // producing the same span sequence byte for byte.  Spans
+        // hold at most refChunkSize + 1 references, which bounds
+        // each event list.  Machines share no state, so each span
+        // goes to them through one parallelFor: every machine still
+        // sees the spans in order, and a pass inside a pool task
+        // stays a plain loop.
+        PipelinedFeeder feeder(source);
+        for (auto &machine : machines)
+            machine->beginRun(source);
+        while (ChunkFeeder::Span span = feeder.next()) {
+            parallelFor(machines.size(), [&](std::size_t m) {
+                machines[m]->feedChunk(span.data, span.size);
+            });
         }
-    }
-    stage.count("front_refs", scanned);
-    stage.count("events", replayed);
 
-    std::vector<std::size_t> taken(machines.size(), 0);
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t m = machineOf[i];
-        out.push_back(std::move(results[m][taken[m]++]));
+        // A System's results come back in its configs' order.
+        std::uint64_t scanned = 0;
+        std::uint64_t replayed = 0;
+        for (std::size_t m = 0; m < run.size(); ++m) {
+            if (System *system = systems[m]) {
+                scanned += system->scannedRefs();
+                replayed += system->replayedEvents();
+                std::vector<SimResult> results = system->endRuns();
+                for (std::size_t k = 0; k < results.size(); ++k)
+                    out[run[m][k]] = std::move(results[k]);
+            } else {
+                out[run[m].front()] = machines[m]->endRun();
+            }
+        }
+        stage.count("front_refs", scanned);
+        stage.count("events", replayed);
     }
     return out;
 }
@@ -402,7 +396,7 @@ simulateSourceCachedMany(const std::vector<SystemConfig> &configs,
 {
     return cachedRun(configs, source, false,
                      [&](const std::vector<SystemConfig> &todo) {
-                         return simulateBounded(todo, source);
+                         return simulateBatch(todo, source);
                      });
 }
 

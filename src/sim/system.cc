@@ -1113,31 +1113,29 @@ System::BackEnd::loadBelow(StateReader &r)
 }
 
 System::System(const SystemConfig &config)
+    : System(std::span<const SystemConfig>(&config, 1))
 {
-    backs_.push_back(std::make_unique<BackEnd>(config));
+}
+
+System::System(std::span<const SystemConfig> group)
+{
+    if (group.empty())
+        panic("System: a machine needs a config");
+    backs_.push_back(std::make_unique<BackEnd>(group.front()));
+    // The front end reads the first back end's config, whose caches
+    // take physical tags under physical addressing.
     front_ = std::make_unique<FrontEnd>(backs_.front()->config());
+    for (const SystemConfig &config : group.subspan(1)) {
+        if (config.coherent() ||
+            frontEndKey(config) != frontEndKey(group.front()))
+            panic("System: %s cannot share the front end of %s",
+                  config.describe().c_str(),
+                  group.front().describe().c_str());
+        backs_.push_back(std::make_unique<BackEnd>(config));
+    }
 }
 
 System::~System() = default;
-
-void
-System::addBackEnd(const SystemConfig &config)
-{
-    if (ran_ || interval_)
-        panic("System: only a machine that has not run and has no "
-              "interval collector takes another back end");
-    if (config.coherent() ||
-        frontEndKey(config) != frontEndKey(this->config()))
-        panic("System: %s cannot share the front end of %s",
-              config.describe().c_str(), this->config().describe().c_str());
-    backs_.push_back(std::make_unique<BackEnd>(config));
-}
-
-std::size_t
-System::backEnds() const
-{
-    return backs_.size();
-}
 
 const SystemConfig &
 System::config() const

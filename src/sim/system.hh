@@ -33,14 +33,16 @@
  * shape counts, stepping group by group only while a busy horizon
  * is still open after an event (DESIGN.md §10).  A lone machine is
  * one front end with one back end; a fused batch (core/sweep.hh)
- * adds a back end per timing config that shares the organization,
- * so every such config pays per event instead of per reference.
+ * builds one machine per organization, with a back end per timing
+ * config of it, so every such config pays per event instead of per
+ * reference.
  */
 
 #ifndef CACHETIME_SIM_SYSTEM_HH
 #define CACHETIME_SIM_SYSTEM_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -66,21 +68,19 @@ namespace cachetime
 class System final : public Simulator
 {
   public:
-    /** Build the machine; the configuration is validated here. */
+    /** Build a lone machine; the configuration is validated here. */
     explicit System(const SystemConfig &config);
-    ~System() override;
 
     /**
-     * Add a timing back end for @p config, which must have this
-     * machine's frontEndKey() (core/sim_cache.hh): it shares the
-     * front end and owns no L1 or TLB arrays.  Only a machine that
-     * has not run and has no interval collector takes one.
-     * simulateBatch() is the one caller.
+     * Build one front end with a timing back end per config of
+     * @p group, in order; each is validated here.  Every config
+     * after the first must be classic and share the first's
+     * frontEndKey() (core/sim_cache.hh), or the build panics: the
+     * back ends share the front end and own no L1 or TLB arrays.
+     * simulateBatch() builds one per front end of a pass.
      */
-    void addBackEnd(const SystemConfig &config);
-
-    /** @return the number of back ends, the first included. */
-    std::size_t backEnds() const;
+    explicit System(std::span<const SystemConfig> group);
+    ~System() override;
 
     /**
      * Arm a run over @p source.  A machine that has run before is

@@ -621,9 +621,10 @@ TEST(SweepSharedFrontEnd, BatchesMatchLoneMachines)
  * simulateBatch itself, outside any pool task, over a resident
  * stream of several spans.  The batch holds three front ends with
  * two timing variants each, a coherent machine and an unrelated
- * classic machine: five groups.  Every result must equal its lone
- * machine's at 1, 2 and 4 threads, and with more than one thread
- * every span must go through the pool.
+ * classic machine: five groups, in passes of whole front ends.
+ * Every result must equal its lone machine's at 1, 2 and 4 threads,
+ * and with more than one thread every span must go through the
+ * pool.
  */
 TEST(SweepSharedFrontEnd, LonePassFansOutOverThePool)
 {
@@ -680,12 +681,12 @@ TEST(SweepSharedFrontEnd, LonePassFansOutOverThePool)
 }
 
 /**
- * A follower - a back end beyond the first - owns no L1s or TLB: it
- * joins a machine only on the same front-end key, before the machine
- * runs and while no interval collector watches it, and everything
- * that needs one back end's whole machine (an interval collector,
- * state capture and restore, endRun()) panics on a machine with
- * several.
+ * A follower - a back end beyond the first - owns no L1s or TLB: a
+ * machine takes its back ends at construction, only from configs of
+ * one front-end key, and everything that needs one back end's whole
+ * machine (an interval collector, state capture and restore,
+ * endRun()) panics on a machine with several.  A run of one with two
+ * back ends yields both lone results.
  */
 TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
 {
@@ -696,11 +697,11 @@ TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
     SystemConfig bigger = config;
     bigger.setL1SizeWordsEach(2 * config.dcache.sizeWords);
 
-    System group(config);
-    EXPECT_DEATH(group.addBackEnd(bigger), "cannot share");
-    group.addBackEnd(slower);
-    EXPECT_EQ(group.backEnds(), 2u);
+    const std::vector<SystemConfig> mismatched{config, slower, bigger};
+    EXPECT_DEATH({ System machine(mismatched); }, "cannot share");
 
+    const std::vector<SystemConfig> pair{config, slower};
+    System group(pair);
     StateWriter writer;
     StateReader reader(nullptr, 0, "empty");
     EXPECT_DEATH(group.captureState(writer), "one back end");
@@ -709,14 +710,48 @@ TEST(SweepSharedFrontEndDeathTest, FollowerOwnsNoFrontEnd)
     EXPECT_DEATH(group.setIntervalCollector(nullptr), "one back end");
     EXPECT_DEATH(group.endRun(), "one back end");
 
-    IntervalCollector collector(100);
-    System watched(config);
-    watched.setIntervalCollector(&collector);
-    EXPECT_DEATH(watched.addBackEnd(slower), "interval collector");
+    const Trace trace = verify::generateCase(97201).trace;
+    TraceRefSource source(trace);
+    group.beginRun(source);
+    ChunkFeeder feeder(source);
+    while (ChunkFeeder::Span span = feeder.next())
+        group.feedChunk(span.data, span.size);
+    expectLone(group.endRuns(), loneRuns(pair, trace), pair,
+               "two back ends");
+}
 
-    System ran(config);
-    ran.run(verify::generateCase(97201).trace);
-    EXPECT_DEATH(ran.addBackEnd(slower), "has not run");
+/**
+ * The memory budget counts every core: two coherent configs built
+ * from one base, at 4 and at 2 cores, share one synthesized L2
+ * (applyCoherenceDefaults sizes it from one core's L1s), so their
+ * footprints differ by exactly two L1 pairs, each what the 2-core
+ * config holds beyond its one-core classic twin.
+ */
+TEST(SweepBudget, CoherentFootprintCountsEveryCore)
+{
+    auto coherentAt = [](unsigned cores) {
+        SystemConfig config = SystemConfig::paperDefault();
+        config.cores = cores;
+        config.protocol = CoherenceProtocol::MESI;
+        config.applyCoherenceDefaults();
+        config.validate();
+        return config;
+    };
+    const SystemConfig four = coherentAt(4);
+    const SystemConfig two = coherentAt(2);
+    ASSERT_TRUE(four.hasL2);
+    ASSERT_EQ(four.l2cache.sizeWords, two.l2cache.sizeWords);
+    SystemConfig one = two;
+    one.cores = 1;
+    one.protocol = CoherenceProtocol::None;
+
+    const std::size_t pair =
+        configFootprintBytes(two) - configFootprintBytes(one);
+    const std::size_t lines = two.icache.sizeWords / two.icache.blockWords +
+                              two.dcache.sizeWords / two.dcache.blockWords;
+    EXPECT_GE(pair, lines);
+    EXPECT_EQ(configFootprintBytes(four) - configFootprintBytes(two),
+              2 * pair);
 }
 
 /** 2 L1 sizes x 3 cycle times of the paper default. */
@@ -1044,6 +1079,76 @@ TEST(SweepGrid, RunsMatchLoneMachines)
         }
     }
     EXPECT_GT(stageCount("batch", "followers"), 0u);
+}
+
+/**
+ * Front ends stay whole: one organization under 25 memory systems
+ * (wider than BatchOptions::maxBatch), a second under 3 cycle times
+ * and a 2-core MESI machine, over 3 traces at 1 and 4 threads.  Each
+ * trace runs 3 front ends (machines less followers) with 26
+ * followers, whatever the pool size, and every run equals the lone
+ * machine's.
+ */
+TEST(SweepGrid, FrontEndsStayWhole)
+{
+    ThreadGuard guard;
+    SimCacheOff off;
+
+    const SystemConfig base = SystemConfig::paperDefault();
+    std::vector<SystemConfig> configs;
+    for (double latency : {100.0, 180.0, 260.0, 340.0, 420.0}) {
+        for (TransferRate rate : {TransferRate{4, 1}, TransferRate{2, 1},
+                                  TransferRate{1, 1}, TransferRate{1, 2},
+                                  TransferRate{1, 4}}) {
+            SystemConfig config = base;
+            config.memory.readLatencyNs = latency;
+            config.memory.rate = rate;
+            configs.push_back(config);
+        }
+    }
+    SystemConfig bigger = base;
+    bigger.setL1SizeWordsEach(4 * base.dcache.sizeWords);
+    for (double cycle : {20.0, 30.0, 50.0}) {
+        bigger.cycleNs = cycle;
+        configs.push_back(bigger);
+    }
+    SystemConfig coherent = base;
+    coherent.cores = 2;
+    coherent.protocol = CoherenceProtocol::MESI;
+    coherent.applyCoherenceDefaults();
+    coherent.validate();
+    configs.push_back(coherent);
+    ASSERT_GT(configs.size() - 4, BatchOptions::maxBatch);
+
+    const std::vector<Trace> traces{
+        longTrace(verify::generateCase(97801).trace),
+        verify::generateCase(97802).trace,
+        verify::generateCase(97803).trace};
+    const std::uint64_t T = traces.size();
+
+    for (unsigned threads : {1u, 4u}) {
+        setParallelThreads(threads);
+        const std::string context = "threads " + std::to_string(threads);
+        telemetry::resetStages();
+        const GridRuns grid = runGeoMeanGrid(configs, traces);
+        const std::uint64_t machines = stageCount("batch", "machines");
+        const std::uint64_t followers = stageCount("batch", "followers");
+        EXPECT_EQ(machines, configs.size() * T) << context;
+        EXPECT_EQ(machines - followers, 3 * T) << context;
+        EXPECT_EQ(followers, 26 * T) << context;
+        ASSERT_EQ(grid.runs.size(), configs.size() * T) << context;
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            for (std::size_t t = 0; t < T; ++t) {
+                std::vector<verify::FieldDiff> diffs = verify::diffResults(
+                    *grid.runs[c * T + t],
+                    simulateOne(configs[c], traces[t]));
+                EXPECT_TRUE(diffs.empty())
+                    << context << " config " << c << " trace " << t
+                    << "\n"
+                    << verify::formatDiffs(diffs);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -10,12 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/sim_cache.hh"
 #include "core/stack_sim.hh"
+#include "core/sweep.hh"
+#include "json_check.hh"
 #include "stats/telemetry.hh"
+#include "stats/trace_event.hh"
 #include "util/parallel.hh"
 #include "verify/fuzz.hh"
 
@@ -281,6 +288,70 @@ TEST(StackSim, WideAddressesDoNotAlias)
             << threads << " threads";
     }
     setParallelThreads(0);
+}
+
+/**
+ * A stream too wide for the fused keys is re-answered by
+ * simulateBatch in bounded passes: eleven direct-mapped sizes over
+ * the wide stream of WideAddressesDoNotAlias run as 2 "batch" passes
+ * of at most BatchOptions::maxBatch machines, read from each pass's
+ * trace event, and every point equals its lone machine's result.
+ */
+TEST(StackSim, WideFallbackStaysBounded)
+{
+    std::vector<SystemConfig> configs;
+    for (std::uint64_t words = 256; configs.size() < 11; words *= 2)
+        configs.push_back(unifiedConfig(
+            words, 4, 1, AllocPolicy::NoWriteAllocate, true));
+    const Addr low = 0x40;
+    const Addr high = low | (Addr{1} << 62); // block bit 60
+    std::vector<Ref> refs;
+    for (int i = 0; i < 1000; ++i) {
+        refs.push_back({low, RefKind::Load, 0});
+        refs.push_back({high, RefKind::Load, 0});
+    }
+    const Trace trace("wide", std::move(refs), 0);
+
+    const std::string path =
+        ::testing::TempDir() + "/wide_fallback_trace.json";
+    ASSERT_TRUE(trace_event::beginSession(path));
+    TraceRefSource source(trace);
+    const std::vector<SimResult> results = runStackSweep(configs, source);
+    ASSERT_TRUE(trace_event::endSession());
+
+    std::stringstream text;
+    {
+        std::ifstream in(path);
+        text << in.rdbuf();
+    }
+    std::remove(path.c_str());
+    json_check::JsonValue events;
+    std::string error;
+    ASSERT_TRUE(json_check::parseJson(text.str(), &events, &error))
+        << error;
+    std::size_t passes = 0;
+    double machines = 0;
+    for (const json_check::JsonValue &e :
+         events.find("traceEvents")->items) {
+        if (e.find("ph")->text != "X" || e.find("name")->text != "batch")
+            continue;
+        const json_check::JsonValue *count = e.path("args.machines");
+        ASSERT_NE(count, nullptr);
+        EXPECT_LE(count->number,
+                  static_cast<double>(BatchOptions::maxBatch));
+        machines += count->number;
+        ++passes;
+    }
+    EXPECT_EQ(passes, 2u);
+    EXPECT_EQ(machines, static_cast<double>(configs.size()));
+
+    ASSERT_EQ(results.size(), configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        std::vector<verify::FieldDiff> diffs =
+            verify::diffResults(results[c], simulateOne(configs[c], trace));
+        EXPECT_TRUE(diffs.empty()) << configs[c].describe() << "\n"
+                                   << verify::formatDiffs(diffs);
+    }
 }
 
 /**
